@@ -1,7 +1,7 @@
 """Command line front end and on-disk schemas.
 
-Every command reads one JSON config (strictly validated, unknown keys
-rejected) and writes CSV/JSON files whose float fields round-trip
+Every command reads one JSON config (parsed into a SweepSpec by
+dechist.experiments: strictly validated, unknown keys rejected) and writes CSV/JSON files whose float fields round-trip
 exactly via repr.  Each CSV starts with a `# schema_version=N` comment
 line.  Exit codes: 0 success, 2 config or file problems, 1 anything
 else; failures print a single `error: ...` line to stderr.
@@ -14,36 +14,30 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .model import (
-    Ensemble,
-    ModelConfig,
-    Regime,
-    Spacing,
-    build_coarsening,
-    build_hamiltonian,
-    derive_coupling,
-)
+from .model import ModelConfig, build_coarsening, build_hamiltonian, derive_coupling
 from .spectral import eigendecompose, sample_haar_state, select_eigenstate
 from .metrics import macro_dynamics
 from .experiments import (
     FIT_METRICS,
+    ConfigError,
     InitFamily,
     PerLengthMetrics,
-    RandomSpacing,
     RealizationResult,
     SweepSpec,
     compute_realization_df,
     fit_scaling,
+    initial_weights,
+    parse_config,
+    parse_config_dict,
     run_realization,
     run_sweep,
 )
 
-__all__ = ["main", "RunConfig", "ConfigError", "parse_config", "WORKERS_ENV"]
+__all__ = ["main", "ConfigError", "parse_config", "parse_config_dict", "WORKERS_ENV"]
 
 SCHEMA_VERSION = 1
 WORKERS_ENV = "DECHIST_WORKERS"
@@ -64,272 +58,17 @@ DYNAMICS_T_MAX_TAU = 20.0
 DYNAMICS_DT_TAU = 0.1
 
 
-class ConfigError(ValueError):
-    """Malformed config or command arguments."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed and fully defaulted run configuration."""
-
-    v_minus: int | None
-    d_grid: tuple[int, ...] | None
-    delta_e: float
-    regime: Regime
-    ensemble: Ensemble
-    diagonal_spacing: Spacing
-    smallness_target: float
-    num_steps: int
-    step_mode: object
-    init_family: InitFamily
-    weights: tuple[tuple[float, ...], ...] | None
-    num_hamiltonian_seeds: int
-    num_state_seeds: int
-    base_seed: int
-    output_dir: str
-    dump_df: bool
-
-    def to_dict(self) -> dict:
-        """Canonical JSON form; parsing it back reproduces this config."""
-        model: dict = {}
-        if self.v_minus is not None:
-            model["v_minus"] = self.v_minus
-        if self.d_grid is not None:
-            model["d_grid"] = list(self.d_grid)
-        model.update(
-            delta_e=self.delta_e,
-            regime=self.regime.value,
-            ensemble=self.ensemble.value,
-            diagonal_spacing=self.diagonal_spacing.value,
-            smallness_target=self.smallness_target,
-        )
-        if isinstance(self.step_mode, RandomSpacing):
-            step: object = {"random_uniform": [self.step_mode.lo_tau, self.step_mode.hi_tau]}
-        else:
-            step = self.step_mode
-        weights: object = None
-        if self.weights is not None:
-            listed = [list(w) for w in self.weights]
-            weights = listed[0] if len(listed) == 1 else listed
-        return {
-            "model": model,
-            "grid": {"num_steps": self.num_steps, "step_mode": step},
-            "init": {"family": self.init_family.value, "weights": weights},
-            "sweep": {
-                "num_hamiltonian_seeds": self.num_hamiltonian_seeds,
-                "num_state_seeds": self.num_state_seeds,
-                "base_seed": self.base_seed,
-            },
-            "output": {"directory": self.output_dir, "dump_df": self.dump_df},
-        }
-
-
-def _check_keys(section: dict, allowed: tuple[str, ...], path: str) -> None:
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"{path}: unknown key {key!r}")
-
-
-def _as_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    return value
-
-
-def _as_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _as_enum(value, enum_cls, path: str):
-    try:
-        return enum_cls(value)
-    except ValueError:
-        options = sorted(e.value for e in enum_cls)
-        raise ConfigError(f"{path}: must be one of {options}, got {value!r}") from None
-
-
-def _parse_step_mode(value, path: str) -> object:
-    if value == "tau":
-        return "tau"
-    if isinstance(value, bool):
-        raise ConfigError(f"{path}: expected 'tau', a number, or random_uniform")
-    if isinstance(value, (int, float)):
-        step = float(value)
-        if step <= 0:
-            raise ConfigError(f"{path}: explicit step must be positive, got {step}")
-        return step
-    if isinstance(value, dict):
-        _check_keys(value, ("random_uniform",), path)
-        bounds = value.get("random_uniform")
-        if (
-            not isinstance(bounds, list)
-            or len(bounds) != 2
-            or any(isinstance(b, bool) or not isinstance(b, (int, float)) for b in bounds)
-        ):
-            raise ConfigError(f"{path}.random_uniform: expected [lo_in_tau, hi_in_tau]")
-        lo, hi = float(bounds[0]), float(bounds[1])
-        if not 0 <= lo < hi:
-            raise ConfigError(f"{path}.random_uniform: need 0 <= lo < hi, got {bounds}")
-        return RandomSpacing(lo_tau=lo, hi_tau=hi)
-    raise ConfigError(f"{path}: expected 'tau', a number, or random_uniform, got {value!r}")
-
-
-def _parse_weight_triple(entry, path: str) -> tuple[float, ...]:
-    if not isinstance(entry, list) or len(entry) != 3:
-        raise ConfigError(f"{path}: expected three weights, got {entry!r}")
-    triple = tuple(_as_number(w, path) for w in entry)
-    if any(w < 0 for w in triple) or abs(sum(triple) - 1.0) > 1e-12:
-        raise ConfigError(f"{path}: weights must be non-negative and sum to 1")
-    return triple
-
-
-def _parse_weights(value, path: str) -> tuple[tuple[float, ...], ...] | None:
-    if value is None:
-        return None
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a weight triple or a list of them")
-    if all(isinstance(e, list) for e in value):
-        return tuple(_parse_weight_triple(e, f"{path}[{i}]") for i, e in enumerate(value))
-    return (_parse_weight_triple(value, path),)
-
-
-def parse_config_dict(doc: dict, source: str = "config") -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{source}: top level must be a JSON object")
-    _check_keys(doc, ("model", "grid", "init", "sweep", "output"), source)
-    for name in ("model", "grid", "init", "sweep", "output"):
-        section = doc.get(name, {})
-        if not isinstance(section, dict):
-            raise ConfigError(f"{source}.{name}: must be a JSON object")
-
-    model = doc.get("model", {})
-    _check_keys(
-        model,
-        ("v_minus", "d_grid", "delta_e", "regime", "ensemble",
-         "diagonal_spacing", "smallness_target"),
-        "model",
-    )
-    v_minus = None
-    if "v_minus" in model:
-        v_minus = _as_int(model["v_minus"], "model.v_minus")
-        if v_minus < 1:
-            raise ConfigError(f"model.v_minus: must be >= 1, got {v_minus}")
-    d_grid = None
-    if "d_grid" in model:
-        raw = model["d_grid"]
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError("model.d_grid: expected a non-empty list of dimensions")
-        d_grid = tuple(_as_int(d, "model.d_grid") for d in raw)
-        for d in d_grid:
-            if d < 5 or d % 5:
-                raise ConfigError(
-                    f"model.d_grid: dimensions must be positive multiples of 5, got {d}"
-                )
-    if (v_minus is None) == (d_grid is None):
-        raise ConfigError("model: exactly one of v_minus or d_grid is required")
-    delta_e = _as_number(model.get("delta_e", 1.0), "model.delta_e")
-    if delta_e <= 0:
-        raise ConfigError(f"model.delta_e: must be positive, got {delta_e}")
-    smallness = _as_number(model.get("smallness_target", 0.01), "model.smallness_target")
-    if not 0 < smallness <= 1:
-        raise ConfigError(f"model.smallness_target: must lie in (0, 1], got {smallness}")
-
-    grid = doc.get("grid", {})
-    _check_keys(grid, ("num_steps", "step_mode"), "grid")
-    num_steps = _as_int(grid.get("num_steps", 4), "grid.num_steps")
-    if not 1 <= num_steps <= 5:
-        raise ConfigError(f"grid.num_steps: must lie in [1, 5], got {num_steps}")
-
-    init = doc.get("init", {})
-    _check_keys(init, ("family", "weights"), "init")
-    family = _as_enum(init.get("family", "haar_equilibrium"), InitFamily, "init.family")
-    weights = _parse_weights(init.get("weights"), "init.weights")
-    if family is InitFamily.EIGENSTATE and weights is not None:
-        raise ConfigError("init.weights: not applicable to the eigenstate family")
-
-    sweep = doc.get("sweep", {})
-    _check_keys(sweep, ("num_hamiltonian_seeds", "num_state_seeds", "base_seed"), "sweep")
-    num_h = _as_int(sweep.get("num_hamiltonian_seeds", 3), "sweep.num_hamiltonian_seeds")
-    num_s = _as_int(sweep.get("num_state_seeds", 3), "sweep.num_state_seeds")
-    base_seed = _as_int(sweep.get("base_seed", 0), "sweep.base_seed")
-    if num_h < 1 or num_s < 1:
-        raise ConfigError("sweep: seed counts must be at least 1")
-    if base_seed < 0:
-        raise ConfigError("sweep.base_seed: must be non-negative")
-
-    output = doc.get("output", {})
-    _check_keys(output, ("directory", "dump_df"), "output")
-    directory = output.get("directory", "out")
-    if not isinstance(directory, str) or not directory:
-        raise ConfigError("output.directory: expected a non-empty string")
-    dump_df = output.get("dump_df", False)
-    if not isinstance(dump_df, bool):
-        raise ConfigError("output.dump_df: expected true or false")
-
-    return RunConfig(
-        v_minus=v_minus,
-        d_grid=d_grid,
-        delta_e=delta_e,
-        regime=_as_enum(model.get("regime", "weak"), Regime, "model.regime"),
-        ensemble=_as_enum(model.get("ensemble", "goe"), Ensemble, "model.ensemble"),
-        diagonal_spacing=_as_enum(
-            model.get("diagonal_spacing", "equal"), Spacing, "model.diagonal_spacing"
-        ),
-        smallness_target=smallness,
-        num_steps=num_steps,
-        step_mode=_parse_step_mode(grid.get("step_mode", "tau"), "grid.step_mode"),
-        init_family=family,
-        weights=weights,
-        num_hamiltonian_seeds=num_h,
-        num_state_seeds=num_s,
-        base_seed=base_seed,
-        output_dir=directory,
-        dump_df=dump_df,
-    )
-
-
-def parse_config(path: str | Path) -> RunConfig:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{p}: invalid JSON: {exc}") from None
-    return parse_config_dict(doc, source=str(p))
-
-
-def _sweep_spec(cfg: RunConfig, d_grid: tuple[int, ...], single: bool = False) -> SweepSpec:
-    weights = None
-    if cfg.weights is not None:
-        if len(cfg.weights) != 1:
-            raise ConfigError(
-                "init.weights: exactly one weight triple is required for this command"
-            )
-        weights = cfg.weights[0]
-    return SweepSpec(
-        d_grid=d_grid,
-        num_hamiltonian_seeds=1 if single else cfg.num_hamiltonian_seeds,
-        num_state_seeds=1 if single else cfg.num_state_seeds,
-        base_seed=cfg.base_seed,
-        regime=cfg.regime,
-        init_family=cfg.init_family,
-        weights=weights,
-        num_steps=cfg.num_steps,
-        step_mode=cfg.step_mode,
-        ensemble=cfg.ensemble,
-        diagonal_spacing=cfg.diagonal_spacing,
-        delta_e=cfg.delta_e,
-        smallness_target=cfg.smallness_target,
-    )
-
-
-def _require_v_minus(cfg: RunConfig, command: str) -> int:
-    if cfg.v_minus is None:
+def _require_v_minus(spec: SweepSpec, command: str) -> int:
+    if spec.v_minus is None:
         raise ConfigError(f"model.v_minus: required by the {command} command")
-    return cfg.v_minus
+    return spec.v_minus
+
+
+def _require_one_triple(spec: SweepSpec) -> None:
+    if spec.weights is not None and len(spec.weights) != 1:
+        raise ConfigError(
+            "init.weights: exactly one weight triple is required for this command"
+        )
 
 
 def _warn_interaction(config: ModelConfig) -> None:
@@ -358,8 +97,8 @@ def _open_csv(path: Path):
     return fh, csv.writer(fh)
 
 
-def _output_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.output_dir)
+def _output_dir(spec: SweepSpec) -> Path:
+    out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -381,11 +120,8 @@ def _write_df_json(path: Path, df) -> None:
 
 
 def _cmd_dynamics(args) -> int:
-    cfg = parse_config(args.config)
-    v_minus = _require_v_minus(cfg, "dynamics")
-    # Weights feed the start states directly; several triples mean
-    # several trajectory blocks in one file.
-    spec = _sweep_spec(replace(cfg, weights=None), (5 * v_minus,), single=True)
+    spec = parse_config(args.config)
+    v_minus = _require_v_minus(spec, "dynamics")
     config = spec.model_config(5 * v_minus, 0)
     _warn_interaction(config)
     coupling = derive_coupling(config)
@@ -393,20 +129,16 @@ def _cmd_dynamics(args) -> int:
     coarsening = build_coarsening(config)
     state_seed = spec.state_seed(0, 0)
 
-    if cfg.init_family is InitFamily.EIGENSTATE:
+    if spec.init_family is InitFamily.EIGENSTATE:
         starts = [(None, select_eigenstate(sd, state_seed)[0])]
     else:
-        if cfg.weights is not None:
-            triples = cfg.weights
-        elif cfg.init_family is InitFamily.HAAR_EQUILIBRIUM:
-            triples = (tuple(v / config.dimension for v in config.volumes),)
-        else:
-            triples = ((1.0, 0.0, 0.0),)
+        # Several triples mean several trajectory blocks in one file.
+        triples = spec.weights or (initial_weights(spec, config),)
         starts = [
             (w, sample_haar_state(coarsening, w, state_seed)) for w in triples
         ]
 
-    out = _output_dir(cfg) / "dynamics.csv"
+    out = _output_dir(spec) / "dynamics.csv"
     fh, writer = _open_csv(out)
     with fh:
         writer.writerow(DYNAMICS_HEADER)
@@ -458,12 +190,12 @@ def _results_rows(results) -> list[list[str]]:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = parse_config(args.config)
-    if cfg.d_grid is None:
+    spec = parse_config(args.config)
+    if spec.d_grid is None:
         raise ConfigError("model.d_grid: required by the sweep command")
-    spec = _sweep_spec(cfg, cfg.d_grid)
-    _warn_interaction(spec.model_config(min(cfg.d_grid), 0))
-    out = _output_dir(cfg)
+    _require_one_triple(spec)
+    _warn_interaction(spec.model_config(spec.d_grid[0], 0))
+    out = _output_dir(spec)
     results = run_sweep(spec, output_dir=out, workers=_resolve_workers(args))
     failed = [r for r in results if r.failed]
     for r in failed:
@@ -543,57 +275,55 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _single_realization(cfg: RunConfig, command: str):
-    v_minus = _require_v_minus(cfg, command)
-    spec = _sweep_spec(cfg, (5 * v_minus,), single=True)
-    _warn_interaction(spec.model_config(5 * v_minus, 0))
-    return spec, 5 * v_minus
+def _single_realization(args, command: str) -> tuple[SweepSpec, int]:
+    spec = parse_config(args.config)
+    d = 5 * _require_v_minus(spec, command)
+    _require_one_triple(spec)
+    _warn_interaction(spec.model_config(d, 0))
+    return spec, d
 
 
-def _maybe_dump_df(cfg: RunConfig, spec: SweepSpec, d: int) -> None:
-    if not cfg.dump_df:
+def _maybe_dump_df(spec: SweepSpec, d: int) -> None:
+    if not spec.dump_df:
         return
     df, _, _ = compute_realization_df(spec, d, 0, 0)
-    _write_df_json(_output_dir(cfg) / "df.json", df)
+    _write_df_json(_output_dir(spec) / "df.json", df)
 
 
 def _cmd_histogram(args) -> int:
-    cfg = parse_config(args.config)
-    spec, d = _single_realization(cfg, "histogram")
+    spec, d = _single_realization(args, "histogram")
     result = run_realization(spec, d, 0, 0)
     histogram = result.per_length[spec.l_max].histogram
-    path = _output_dir(cfg) / "histogram.csv"
+    path = _output_dir(spec) / "histogram.csv"
     fh, writer = _open_csv(path)
     with fh:
         writer.writerow(HISTOGRAM_HEADER)
         for history, probability in histogram.items():
             writer.writerow([history, _fmt(probability)])
-    _maybe_dump_df(cfg, spec, d)
+    _maybe_dump_df(spec, d)
     print(path)
     return 0
 
 
 def _cmd_distance(args) -> int:
-    cfg = parse_config(args.config)
-    spec, d = _single_realization(cfg, "distance")
+    spec, d = _single_realization(args, "distance")
     result = run_realization(spec, d, 0, 0)
-    path = _output_dir(cfg) / "distance.csv"
+    path = _output_dir(spec) / "distance.csv"
     fh, writer = _open_csv(path)
     with fh:
         writer.writerow(DISTANCE_HEADER)
         for hamming in sorted(result.distance_bins):
             mean, count = result.distance_bins[hamming]
             writer.writerow([_fmt(d), _fmt(hamming), _fmt(mean), _fmt(count)])
-    _maybe_dump_df(cfg, spec, d)
+    _maybe_dump_df(spec, d)
     print(path)
     return 0
 
 
 def _cmd_dump_df(args) -> int:
-    cfg = parse_config(args.config)
-    spec, d = _single_realization(cfg, "dump-df")
+    spec, d = _single_realization(args, "dump-df")
     df, _, _ = compute_realization_df(spec, d, 0, 0)
-    path = _output_dir(cfg) / "df.json"
+    path = _output_dir(spec) / "df.json"
     _write_df_json(path, df)
     print(path)
     return 0

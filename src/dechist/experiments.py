@@ -1,10 +1,14 @@
-"""Finite-size sweeps and power-law scaling fits.
+"""Finite-size sweeps, their run config, and power-law scaling fits.
 
 A sweep runs one realization per (dimension, hamiltonian seed, state
 seed) triple, computes a single decoherence functional at the longest
 grid, and derives every shorter-grid record from it by trailing
 marginalization.  Records stream to a JSONL file as they finish, so an
 interrupted sweep resumes without recomputing completed keys.
+
+SweepSpec is the run config of every command.  Its config-file JSON is
+laid out by CONFIG_FIELDS, which drives parsing, the unknown-key check
+and SweepSpec.to_dict.
 """
 
 from __future__ import annotations
@@ -12,8 +16,9 @@ from __future__ import annotations
 import enum
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -51,12 +56,17 @@ from .metrics import (
 )
 
 __all__ = [
+    "ConfigError",
     "InitFamily",
     "RandomSpacing",
     "SweepSpec",
+    "CONFIG_FIELDS",
+    "parse_config",
+    "parse_config_dict",
     "PerLengthMetrics",
     "RealizationResult",
     "ScalingFit",
+    "initial_weights",
     "compute_realization_df",
     "run_realization",
     "run_sweep",
@@ -68,6 +78,10 @@ FIT_METRICS = ("epsilon", "delta")
 
 RECORDS_FILENAME = "realizations.jsonl"
 SPEC_FILENAME = "sweep_spec.json"
+
+
+class ConfigError(ValueError):
+    """Malformed config or command arguments."""
 
 
 class InitFamily(enum.Enum):
@@ -86,35 +100,52 @@ class RandomSpacing:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Full description of a scaling sweep.
+    """Run config of every command, validated on construction.
 
-    step_mode is either the string 'tau' (grid step equal to the
-    relaxation time), an explicit positive step in absolute time units,
-    or a RandomSpacing instance.
+    Exactly one of d_grid (sweeps) and v_minus (single-system commands,
+    D = 5 * v_minus) is set.  step_mode is either the string 'tau' (grid
+    step equal to the relaxation time), an explicit positive step in
+    absolute time units, or a RandomSpacing instance.  weights holds
+    initial band-weight triples: a sweep uses the first, the dynamics
+    command runs one trajectory per triple.
     """
 
-    d_grid: tuple[int, ...]
+    d_grid: tuple[int, ...] | None = None
+    v_minus: int | None = None
     num_hamiltonian_seeds: int = 3
     num_state_seeds: int = 3
     base_seed: int = 0
     regime: Regime = Regime.WEAK
     init_family: InitFamily = InitFamily.HAAR_EQUILIBRIUM
-    weights: tuple[float, float, float] | None = None
+    weights: tuple[tuple[float, float, float], ...] | None = None
     num_steps: int = 4
     step_mode: object = "tau"
     ensemble: Ensemble = Ensemble.GOE
     diagonal_spacing: Spacing = Spacing.EQUAL
     delta_e: float = 1.0
     smallness_target: float = 0.01
+    output_dir: str = "out"
+    dump_df: bool = False
 
     def __post_init__(self) -> None:
-        if not self.d_grid:
-            raise ValueError("d_grid must not be empty")
-        for d in self.d_grid:
-            if d < 5 or d % 5:
-                raise ValueError(f"each dimension must be a positive multiple of 5, got {d}")
-        if any(a >= b for a, b in zip(self.d_grid, self.d_grid[1:])):
-            raise ValueError("d_grid must be strictly ascending")
+        if (self.v_minus is None) == (self.d_grid is None):
+            raise ValueError("exactly one of v_minus or d_grid is required")
+        if self.d_grid is not None:
+            if not self.d_grid:
+                raise ValueError("d_grid must not be empty")
+            for d in self.d_grid:
+                if d < 5 or d % 5:
+                    raise ValueError(
+                        f"each dimension must be a positive multiple of 5, got {d}"
+                    )
+            if any(a >= b for a, b in zip(self.d_grid, self.d_grid[1:])):
+                raise ValueError("d_grid must be strictly ascending")
+        # ModelConfig checks v_minus, delta_e and smallness_target.
+        ModelConfig(
+            v_minus=self.v_minus if self.d_grid is None else self.d_grid[0] // 5,
+            delta_e=self.delta_e,
+            smallness_target=self.smallness_target,
+        )
         if self.num_hamiltonian_seeds < 1 or self.num_state_seeds < 1:
             raise ValueError("seed counts must be at least 1")
         if self.base_seed < 0:
@@ -129,8 +160,22 @@ class SweepSpec:
         elif isinstance(self.step_mode, (int, float)):
             if self.step_mode <= 0:
                 raise ValueError("explicit grid step must be positive")
-        elif not isinstance(self.step_mode, RandomSpacing):
+        elif isinstance(self.step_mode, RandomSpacing):
+            lo, hi = self.step_mode.lo_tau, self.step_mode.hi_tau
+            if not 0 <= lo < hi:
+                raise ValueError(f"random_uniform needs 0 <= lo < hi, got [{lo}, {hi}]")
+        else:
             raise ValueError(f"unsupported step mode {self.step_mode!r}")
+        if self.weights is not None:
+            if self.init_family is InitFamily.EIGENSTATE:
+                raise ValueError("weights do not apply to the eigenstate family")
+            for w in self.weights:
+                if len(w) != 3 or min(w) < 0 or abs(sum(w) - 1.0) > 1e-12:
+                    raise ValueError(
+                        f"weights must be three non-negatives summing to 1, got {w}"
+                    )
+        if not self.output_dir:
+            raise ValueError("output_dir must not be empty")
 
     @property
     def l_max(self) -> int:
@@ -155,6 +200,148 @@ class SweepSpec:
             hamiltonian_seed=self.hamiltonian_seed(h_index),
             smallness_target=self.smallness_target,
         )
+
+    def to_dict(self) -> dict:
+        """Config JSON; parse_config_dict(spec.to_dict()) == spec."""
+        doc: dict = {}
+        for (section, key), (name, _) in CONFIG_FIELDS.items():
+            value = getattr(self, name)
+            if value is not None:
+                doc.setdefault(section, {})[key] = _to_json(value)
+        return doc
+
+
+def _to_json(value):
+    """JSON form of a SweepSpec field value."""
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, RandomSpacing):
+        return {"random_uniform": [value.lo_tau, value.hi_tau]}
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
+
+
+# Readers of config values: each checks the type and shape of one JSON
+# value and converts it; SweepSpec checks ranges.
+def _int(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
+def _number(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _int_list(value, path: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list of integers, got {value!r}")
+    return tuple(_int(v, path) for v in value)
+
+
+def _enum(enum_cls):
+    def read(value, path: str):
+        try:
+            return enum_cls(value)
+        except ValueError:
+            options = sorted(e.value for e in enum_cls)
+            raise ConfigError(f"{path}: must be one of {options}, got {value!r}") from None
+
+    return read
+
+
+def _step_mode(value, path: str) -> object:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, dict):
+        bounds = value.get("random_uniform")
+        if list(value) != ["random_uniform"] or not (
+            isinstance(bounds, list) and len(bounds) == 2
+        ):
+            raise ConfigError(f"{path}: expected {{'random_uniform': [lo_tau, hi_tau]}}")
+        return RandomSpacing(*(_number(b, f"{path}.random_uniform") for b in bounds))
+    return _number(value, path)
+
+
+def _weights(value, path: str) -> tuple[tuple[float, ...], ...] | None:
+    if value is None:
+        return None
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path}: expected a weight triple or a list of them")
+    triples = value if all(isinstance(e, list) for e in value) else [value]
+    for triple in triples:
+        if len(triple) != 3:
+            raise ConfigError(f"{path}: expected three weights, got {triple!r}")
+    return tuple(tuple(_number(w, path) for w in triple) for triple in triples)
+
+
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string, got {value!r}")
+    return value
+
+
+def _bool(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}: expected true or false, got {value!r}")
+    return value
+
+
+# Config JSON layout: (section, key) -> (SweepSpec field, reader).
+CONFIG_FIELDS = {
+    ("model", "v_minus"): ("v_minus", _int),
+    ("model", "d_grid"): ("d_grid", _int_list),
+    ("model", "delta_e"): ("delta_e", _number),
+    ("model", "regime"): ("regime", _enum(Regime)),
+    ("model", "ensemble"): ("ensemble", _enum(Ensemble)),
+    ("model", "diagonal_spacing"): ("diagonal_spacing", _enum(Spacing)),
+    ("model", "smallness_target"): ("smallness_target", _number),
+    ("grid", "num_steps"): ("num_steps", _int),
+    ("grid", "step_mode"): ("step_mode", _step_mode),
+    ("init", "family"): ("init_family", _enum(InitFamily)),
+    ("init", "weights"): ("weights", _weights),
+    ("sweep", "num_hamiltonian_seeds"): ("num_hamiltonian_seeds", _int),
+    ("sweep", "num_state_seeds"): ("num_state_seeds", _int),
+    ("sweep", "base_seed"): ("base_seed", _int),
+    ("output", "directory"): ("output_dir", _string),
+    ("output", "dump_df"): ("dump_df", _bool),
+}
+
+
+def parse_config_dict(doc: dict, source: str = "config") -> SweepSpec:
+    """SweepSpec from config JSON; unknown keys and bad values raise ConfigError."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{source}: top level must be a JSON object")
+    sections = {section for section, _ in CONFIG_FIELDS}
+    kwargs = {}
+    for name, section in doc.items():
+        if name not in sections:
+            raise ConfigError(f"{source}: unknown key {name!r}")
+        if not isinstance(section, dict):
+            raise ConfigError(f"{source}.{name}: must be a JSON object")
+        for key, value in section.items():
+            if (name, key) not in CONFIG_FIELDS:
+                raise ConfigError(f"{name}: unknown key {key!r}")
+            field_name, read = CONFIG_FIELDS[name, key]
+            kwargs[field_name] = read(value, f"{name}.{key}")
+    try:
+        return SweepSpec(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
+
+
+def parse_config(path: str | Path) -> SweepSpec:
+    p = Path(path)
+    if not p.exists():
+        raise ConfigError(f"config file not found: {p}")
+    try:
+        doc = json.loads(p.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{p}: invalid JSON: {exc}") from None
+    return parse_config_dict(doc, source=str(p))
 
 
 @dataclass(frozen=True)
@@ -210,9 +397,11 @@ class ScalingFit:
     points: tuple[tuple[int, float], ...]
 
 
-def _initial_weights(spec: SweepSpec, config: ModelConfig) -> tuple[float, float, float]:
+def initial_weights(spec: SweepSpec, config: ModelConfig) -> tuple[float, float, float]:
+    """Band weights of a Haar start: the first configured triple, else
+    equilibrium weights or, out of equilibrium, all weight on '-'."""
     if spec.weights is not None:
-        return spec.weights
+        return spec.weights[0]
     if spec.init_family is InitFamily.HAAR_EQUILIBRIUM:
         d = config.dimension
         return tuple(v / d for v in config.volumes)
@@ -259,7 +448,7 @@ def compute_realization_df(
     if spec.init_family is InitFamily.EIGENSTATE:
         psi0, eigenstate_index = select_eigenstate(sd, state_seed)
     else:
-        psi0 = sample_haar_state(coarsening, _initial_weights(spec, config), state_seed)
+        psi0 = sample_haar_state(coarsening, initial_weights(spec, config), state_seed)
 
     grid = _make_grid(spec, coupling.tau, h_index, s_index)
     branches = compute_branch_states(sd, coarsening, psi0, grid)
@@ -366,106 +555,57 @@ def _run_group(
 
 
 def result_to_dict(result: RealizationResult) -> dict:
-    out = {
-        "d": result.d,
-        "h_index": result.h_index,
-        "s_index": result.s_index,
-        "hamiltonian_seed": result.hamiltonian_seed,
-        "state_seed": result.state_seed,
-        "regime": result.regime,
-        "init_family": result.init_family,
-        "eigenstate_index": result.eigenstate_index,
-        "per_length": {
-            str(l): {
-                "epsilon_avg": m.epsilon_avg,
-                "pair_count": m.pair_count,
-                "skipped_pairs": m.skipped_pairs,
-                "delta_max": m.delta_max,
-                "argmax_subset": m.argmax_subset,
-                "p_forward": m.p_forward,
-                "p_noarrow": m.p_noarrow,
-                "p_backward": m.p_backward,
-                "histogram": m.histogram,
-            }
-            for l, m in result.per_length.items()
-        },
-        "distance_bins": {
-            str(k): [mean, count] for k, (mean, count) in result.distance_bins.items()
-        },
-        "wall_time_s": result.wall_time_s,
-    }
-    if result.error is not None:
-        out["error"] = result.error
-    return out
+    """JSON-ready record: the result's fields, with error only when set.
+
+    A shallow copy: dataclasses.asdict would deep-copy every histogram.
+    """
+    data = dict(vars(result))
+    data["per_length"] = {l: dict(vars(m)) for l, m in result.per_length.items()}
+    if result.error is None:
+        del data["error"]
+    return data
 
 
 def result_from_dict(data: dict) -> RealizationResult:
-    per_length = {
-        int(l): PerLengthMetrics(
-            epsilon_avg=m["epsilon_avg"],
-            pair_count=m["pair_count"],
-            skipped_pairs=m["skipped_pairs"],
-            delta_max=m["delta_max"],
-            argmax_subset=m["argmax_subset"],
-            p_forward=m["p_forward"],
-            p_noarrow=m["p_noarrow"],
-            p_backward=m["p_backward"],
-            histogram=dict(m.get("histogram", {})),
-        )
-        for l, m in data.get("per_length", {}).items()
+    """Inverse of result_to_dict, also for records read back from JSON."""
+    data = dict(data)
+    data["per_length"] = {
+        int(l): PerLengthMetrics(**m) for l, m in data["per_length"].items()
     }
-    bins = {
-        int(k): (float(v[0]), int(v[1]))
-        for k, v in data.get("distance_bins", {}).items()
+    data["distance_bins"] = {
+        int(k): tuple(v) for k, v in data["distance_bins"].items()
     }
-    return RealizationResult(
-        d=data["d"],
-        h_index=data["h_index"],
-        s_index=data["s_index"],
-        hamiltonian_seed=data["hamiltonian_seed"],
-        state_seed=data["state_seed"],
-        regime=data["regime"],
-        init_family=data["init_family"],
-        eigenstate_index=data.get("eigenstate_index"),
-        per_length=per_length,
-        distance_bins=bins,
-        wall_time_s=data.get("wall_time_s", 0.0),
-        error=data.get("error"),
-    )
+    return RealizationResult(**data)
+
+
+# Fields a sweep's records do not depend on; sweep_spec.json leaves them out.
+_UNRECORDED_FIELDS = ("v_minus", "output_dir", "dump_df")
 
 
 def _spec_to_dict(spec: SweepSpec) -> dict:
-    step: object
-    if isinstance(spec.step_mode, RandomSpacing):
-        step = {"random_uniform": [spec.step_mode.lo_tau, spec.step_mode.hi_tau]}
-    else:
-        step = spec.step_mode
-    return {
-        "d_grid": list(spec.d_grid),
-        "num_hamiltonian_seeds": spec.num_hamiltonian_seeds,
-        "num_state_seeds": spec.num_state_seeds,
-        "base_seed": spec.base_seed,
-        "regime": spec.regime.value,
-        "init_family": spec.init_family.value,
-        "weights": list(spec.weights) if spec.weights is not None else None,
-        "num_steps": spec.num_steps,
-        "step_mode": step,
-        "ensemble": spec.ensemble.value,
-        "diagonal_spacing": spec.diagonal_spacing.value,
-        "delta_e": spec.delta_e,
-        "smallness_target": spec.smallness_target,
-    }
+    """Content of sweep_spec.json; the sweep's one weight triple is flat."""
+    data = {f.name: getattr(spec, f.name) for f in fields(spec)}
+    data["weights"] = spec.weights[0] if spec.weights is not None else None
+    return {k: _to_json(v) for k, v in data.items() if k not in _UNRECORDED_FIELDS}
 
 
 def _load_records(path: Path) -> dict[tuple[int, int, int], dict]:
+    """Records of a JSONL stream, keyed by (d, h_index, s_index).
+
+    Every complete record ends in a newline.  A last line without one was
+    torn by an interrupted append: it is cut off the file, so its key is
+    recomputed and the next append starts on a fresh line.
+    """
     records: dict[tuple[int, int, int], dict] = {}
     if not path.exists():
         return records
-    with path.open() as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+    raw = path.read_bytes()
+    complete = raw.rfind(b"\n") + 1
+    if complete < len(raw):
+        with path.open("r+b") as fh:
+            fh.truncate(complete)
+    for line in raw[:complete].splitlines():
+        if line.strip():
             data = json.loads(line)
             records[(data["d"], data["h_index"], data["s_index"])] = data
     return records
@@ -482,7 +622,8 @@ def run_sweep(
     realizations.jsonl immediately and existing records are skipped on
     rerun, so a completed directory costs no recomputation.  Results
     come back sorted by (d, h_index, s_index) regardless of worker
-    count or completion order.
+    count or completion order.  A group lost to a crashed worker comes
+    back as failed results that are not written, so a rerun retries it.
     """
     records: dict[tuple[int, int, int], dict] = {}
     records_path = None
@@ -521,12 +662,22 @@ def run_sweep(
 
     if workers > 1 and groups:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_group, spec, d, h_index, pending)
+            futures = {
+                pool.submit(_run_group, spec, d, h_index, pending): (d, h_index, pending)
                 for d, h_index, pending in groups
-            ]
-            for future in futures:
-                _store(future.result())
+            }
+            for future in as_completed(futures):
+                try:
+                    batch = future.result()
+                except BrokenProcessPool as exc:
+                    # A worker died: report the group as failed, but keep it
+                    # out of the JSONL stream so a rerun retries it.
+                    d, h_index, pending = futures[future]
+                    for s in pending:
+                        lost = _error_result(spec, d, h_index, s, exc)
+                        records[lost.key] = result_to_dict(lost)
+                else:
+                    _store(batch)
     else:
         for d, h_index, pending in groups:
             _store(_run_group(spec, d, h_index, pending))

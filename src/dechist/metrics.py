@@ -8,7 +8,7 @@ from typing import Iterable
 import numpy as np
 
 from .model import Coarsening, NUM_MACROSTATES
-from .spectral import SpectralDecomposition, apply_projector_batch
+from .spectral import SpectralDecomposition, _rows_times_matrix, apply_projector_batch
 from .histories import (
     DecoherenceFunctional,
     M,
@@ -74,8 +74,14 @@ class ArrowReport:
     p_backward: float
 
 
-def _final_blocks(df: DecoherenceFunctional) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of (x != y, same final label) and degenerate-diagonal pairs."""
+def _normalized_overlaps(
+    df: DecoherenceFunctional,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(eps, eligible, dead) over all ordered pairs of histories.
+
+    eps is |entry(x, y)| / sqrt(w_x w_y), zero on dead pairs (either
+    weight below 1e-300); eligible marks x != y sharing the final label.
+    """
     n = df.entries.shape[0]
     block = M ** (df.length - 1)
     final = np.arange(n) // block
@@ -84,7 +90,10 @@ def _final_blocks(df: DecoherenceFunctional) -> tuple[np.ndarray, np.ndarray]:
     diag = df.diagonal()
     degenerate = diag < DEGENERATE_WEIGHT
     dead = degenerate[:, None] | degenerate[None, :]
-    return same_final & off_diag, dead
+    safe = np.where(degenerate, 1.0, diag)
+    eps = np.abs(df.entries) / np.sqrt(np.outer(safe, safe))
+    eps[dead] = 0.0
+    return eps, same_final & off_diag, dead
 
 
 def epsilon_pair(df: DecoherenceFunctional, x: int, y: int) -> float:
@@ -112,12 +121,7 @@ def epsilon_average(
     length = df.length
     if length < 2:
         raise ValueError("epsilon_average needs at least two grid times")
-    eligible, dead = _final_blocks(df)
-    diag = df.diagonal()
-    safe = np.where(diag < DEGENERATE_WEIGHT, 1.0, diag)
-    norm = np.sqrt(np.outer(safe, safe))
-    eps = np.abs(df.entries) / norm
-    eps[dead] = 0.0
+    eps, eligible, dead = _normalized_overlaps(df)
     pair_count = M ** (2 * length - 1) - M**length
     total = float(eps[eligible].sum())
     skipped = int((eligible & dead).sum())
@@ -207,11 +211,7 @@ def epsilon_by_distance(df: DecoherenceFunctional) -> dict[int, tuple[float, int
     length = df.length
     if length < 2:
         raise ValueError("distance binning needs at least two grid times")
-    eligible, dead = _final_blocks(df)
-    diag = df.diagonal()
-    safe = np.where(diag < DEGENERATE_WEIGHT, 1.0, diag)
-    eps = np.abs(df.entries) / np.sqrt(np.outer(safe, safe))
-    eps[dead] = 0.0
+    eps, eligible, _ = _normalized_overlaps(df)
     digits = _digit_matrix(length)
     dist = (digits[:, None, :] != digits[None, :, :]).sum(axis=2)
     out: dict[int, tuple[float, int]] = {}
@@ -246,14 +246,7 @@ def macro_dynamics(
     else:
         coeff0 = basis.T @ psi0
     phases = np.exp(-1j * np.outer(times, sd.eigenvalues))
-    coeffs = phases * coeff0
-    if np.iscomplexobj(basis):
-        states = coeffs @ basis.T
-    else:
-        states = (
-            np.ascontiguousarray(coeffs.real) @ basis.T
-            + 1j * (np.ascontiguousarray(coeffs.imag) @ basis.T)
-        )
+    states = _rows_times_matrix(phases * coeff0, basis.T)
     out = np.empty((times.size, 1 + NUM_MACROSTATES))
     out[:, 0] = times
     for label in range(NUM_MACROSTATES):

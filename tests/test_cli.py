@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
+import re
+import shlex
 import shutil
 from pathlib import Path
 
@@ -22,8 +25,10 @@ from dechist.cli import (
     parse_config,
     parse_config_dict,
 )
+from dechist.experiments import CONFIG_FIELDS, SweepSpec
 
 FIXTURE = Path(__file__).parent / "data" / "synthetic_results.csv"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def write_config(tmp_path, **sections) -> Path:
@@ -115,6 +120,7 @@ class TestConfigParsing:
             {"model": {"v_minus": True}},
             {"model": {"d_grid": [7]}},
             {"model": {"d_grid": []}},
+            {"model": {"d_grid": [50, 5]}},
             {"model": {"v_minus": 1, "delta_e": -1}},
             {"model": {"v_minus": 1, "regime": "medium"}},
             {"model": {"v_minus": 1, "smallness_target": 0}},
@@ -144,6 +150,10 @@ class TestConfigParsing:
             }
         )
         assert double.weights == ((0.2, 0.6, 0.2), (1.0, 0.0, 0.0))
+
+    def test_field_table_covers_spec(self):
+        table = sorted(name for name, _ in CONFIG_FIELDS.values())
+        assert table == sorted(f.name for f in dataclasses.fields(SweepSpec))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -401,3 +411,34 @@ class TestErrorSurface:
     def test_unknown_subcommand(self, capsys):
         assert main(["plot"]) == 2
         capsys.readouterr()
+
+
+class TestReadme:
+    def test_documented_config_and_commands_run(self, tmp_path, capsys, monkeypatch):
+        text = README.read_text()
+        (config_block,) = re.findall(r"```json\n(.*?)```", text, re.S)
+        doc = json.loads(config_block)
+        parse_config_dict(doc)
+        commands = [
+            line
+            for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+            for line in block.splitlines()
+            if line.startswith("dechist ")
+        ]
+        assert len(commands) == 6
+
+        # Smallest dimensions; the fit needs three of them.
+        doc["model"]["d_grid"] = [5, 10, 15]
+        single = json.loads(json.dumps(doc))
+        del single["model"]["d_grid"]
+        single["model"]["v_minus"] = 1
+        monkeypatch.chdir(tmp_path)
+        for line in commands:
+            command, comment = line.split("#")
+            argv = shlex.split(command)[1:]
+            config = doc if argv[0] == "sweep" else single
+            Path("config.json").write_text(json.dumps(config))
+            assert main(argv) == 0, line
+            written = Path(capsys.readouterr().out.strip())
+            assert written.is_file()
+            assert written.name == comment.split("->")[1].split()[0]

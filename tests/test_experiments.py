@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import json
+import os
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,10 +25,19 @@ from dechist.experiments import (
 )
 from dechist.histories import HistoryGrid, compute_branch_states, compute_df
 from dechist.metrics import delta_max, epsilon_average
-from dechist.model import build_coarsening, build_hamiltonian, derive_coupling
+from dechist.model import (
+    Ensemble,
+    Spacing,
+    build_coarsening,
+    build_hamiltonian,
+    derive_coupling,
+)
 from dechist.spectral import eigendecompose, sample_haar_state
 
 from oracles import df_by_chains, range_projectors
+
+SPEC_V1 = Path(__file__).parent / "data" / "sweep_spec_v1.json"
+_RUN_GROUP = experiments._run_group
 
 
 def small_spec(**overrides):
@@ -43,6 +56,19 @@ def strip_wall(result: RealizationResult) -> dict:
     data = experiments.result_to_dict(result)
     data.pop("wall_time_s")
     return data
+
+
+def _die_after_others(records: Path, spec, d, h_index, s_indices):
+    """Stand-in for _run_group in a forked worker: group (d=5, h=0) waits
+    until the three other groups are on disk, then kills its process."""
+    if (d, h_index) == (5, 0):
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            if records.exists() and len(records.read_text().splitlines()) >= 3:
+                break
+            time.sleep(0.05)
+        os._exit(1)
+    return _RUN_GROUP(spec, d, h_index, s_indices)
 
 
 class TestSweepSpec:
@@ -202,6 +228,62 @@ class TestRunSweep:
         (out / "realizations.jsonl").write_text("\n".join(kept) + "\n")
         again = run_sweep(spec, output_dir=out)
         assert [strip_wall(r) for r in again] == [strip_wall(r) for r in full]
+
+    def test_torn_last_record_is_recomputed(self, tmp_path):
+        spec = small_spec(d_grid=(5, 10), num_state_seeds=2, base_seed=17)
+        out = tmp_path / "sweep"
+        full = run_sweep(spec, output_dir=out)
+
+        # An append interrupted halfway through the last record.
+        path = out / "realizations.jsonl"
+        raw = path.read_bytes()
+        last = raw.rstrip(b"\n").rfind(b"\n") + 1
+        path.write_bytes(raw[: last + (len(raw) - last) // 2])
+        again = run_sweep(spec, output_dir=out)
+        assert [strip_wall(r) for r in again] == [strip_wall(r) for r in full]
+        lines = path.read_text().splitlines()
+        assert len(lines) == 4
+        assert all(json.loads(line) for line in lines)
+
+        # A broken record with complete ones after it is not an interrupted
+        # append; it stays an error.
+        lines[1] = lines[1][:20]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(json.JSONDecodeError):
+            run_sweep(spec, output_dir=out)
+
+    def test_crashed_worker_keeps_finished_groups(self, tmp_path, monkeypatch):
+        spec = small_spec(d_grid=(5, 10), num_hamiltonian_seeds=2, base_seed=19)
+        out = tmp_path / "sweep"
+        records = out / "realizations.jsonl"
+        monkeypatch.setattr(
+            experiments, "_run_group", functools.partial(_die_after_others, records)
+        )
+        crashed = run_sweep(spec, output_dir=out, workers=2)
+        assert [r.key for r in crashed] == [(5, 0, 0), (5, 1, 0), (10, 0, 0), (10, 1, 0)]
+        assert [r.failed for r in crashed] == [True, False, False, False]
+        assert "BrokenProcessPool" in crashed[0].error
+        # The lost group is not on disk, so the rerun retries it.
+        assert len(records.read_text().splitlines()) == 3
+
+        monkeypatch.undo()
+        again = run_sweep(spec, output_dir=out, workers=2)
+        assert not any(r.failed for r in again)
+        assert [strip_wall(r) for r in again] == [strip_wall(r) for r in run_sweep(spec)]
+
+    def test_spec_file_matches_v1(self, tmp_path, monkeypatch):
+        # sweep_spec_v1.json was written by an earlier release; an unchanged
+        # encoding keeps directories from older runs resumable.
+        spec = SweepSpec(
+            d_grid=(5, 10, 20), num_hamiltonian_seeds=2, num_state_seeds=2,
+            base_seed=3, ensemble=Ensemble.GUE, diagonal_spacing=Spacing.RANDOM,
+            delta_e=2.0, num_steps=3, step_mode=RandomSpacing(0.5, 1.5),
+            init_family=InitFamily.HAAR_NONEQUILIBRIUM,
+            weights=((0.5, 0.25, 0.25),),
+        )
+        monkeypatch.setattr(experiments, "_run_group", lambda *args: [])
+        run_sweep(spec, output_dir=tmp_path)
+        assert (tmp_path / "sweep_spec.json").read_text() == SPEC_V1.read_text()
 
     def test_spec_guard_rejects_mismatched_directory(self, tmp_path):
         out = tmp_path / "sweep"
