@@ -1,10 +1,11 @@
 """Command line front end and on-disk schemas.
 
 Every command reads one JSON config (parsed into a SweepSpec by
-dechist.experiments: strictly validated, unknown keys rejected) and writes CSV/JSON files whose float fields round-trip
-exactly via repr.  Each CSV starts with a `# schema_version=N` comment
-line.  Exit codes: 0 success, 2 config or file problems, 1 anything
-else; failures print a single `error: ...` line to stderr.
+dechist.experiments: strictly validated, unknown keys rejected) and
+writes CSV/JSON files whose float fields round-trip exactly via repr.
+Each CSV starts with a `# schema_version=N` comment line.  Exit codes:
+0 success, 2 config or file problems, 1 anything else; failures print a
+single `error: ...` line to stderr.
 """
 
 from __future__ import annotations
@@ -20,20 +21,17 @@ import numpy as np
 
 from .model import ModelConfig, build_coarsening, build_hamiltonian, derive_coupling
 from .spectral import eigendecompose, sample_haar_state, select_eigenstate
-from .metrics import macro_dynamics
+from .metrics import branch_histogram, epsilon_by_distance, macro_dynamics
 from .experiments import (
     FIT_METRICS,
     ConfigError,
     InitFamily,
-    PerLengthMetrics,
-    RealizationResult,
     SweepSpec,
     compute_realization_df,
-    fit_scaling,
+    fit_points,
     initial_weights,
     parse_config,
     parse_config_dict,
-    run_realization,
     run_sweep,
 )
 
@@ -95,6 +93,14 @@ def _open_csv(path: Path):
     fh = path.open("w", newline="")
     fh.write(f"# schema_version={SCHEMA_VERSION}\n")
     return fh, csv.writer(fh)
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    fh, writer = _open_csv(path)
+    with fh:
+        writer.writerow(header)
+        writer.writerows(rows)
+    print(path)
 
 
 def _output_dir(spec: SweepSpec) -> Path:
@@ -200,63 +206,52 @@ def _cmd_sweep(args) -> int:
     failed = [r for r in results if r.failed]
     for r in failed:
         print(f"warning: realization {r.key} failed: {r.error}", file=sys.stderr)
-    path = out / "results.csv"
-    fh, writer = _open_csv(path)
-    with fh:
-        writer.writerow(RESULTS_HEADER)
-        writer.writerows(_results_rows(results))
-    print(path)
+    _write_csv(out / "results.csv", RESULTS_HEADER, _results_rows(results))
     return 0
 
 
-def _read_results_csv(path: Path) -> list[RealizationResult]:
+# results.csv columns that fit checks on every row, in parse order.
+_FIT_COLUMNS = {
+    "d": int, "h_seed": int, "s_seed": int, "l": int,
+    "epsilon_avg": float, "pair_count": int, "skipped_pairs": int,
+    "delta_max": float, "argmax_subset_bitmask": int,
+    "p_forward": float, "p_noarrow": float, "p_backward": float,
+}
+
+
+def _read_fit_points(path: Path, metric: str, length: int) -> list[tuple[int, float]]:
+    """(d, value) points of one metric at one grid length, in file order."""
     if not path.exists():
         raise ConfigError(f"results file not found: {path}")
-    grouped: dict[tuple, dict[int, PerLengthMetrics]] = {}
-    meta: dict[tuple, dict] = {}
     with path.open(newline="") as fh:
-        lines = [line for line in fh if not line.startswith("#")]
-    reader = csv.DictReader(lines)
+        reader = csv.DictReader([line for line in fh if not line.startswith("#")])
     if reader.fieldnames != RESULTS_HEADER:
         raise ConfigError(f"{path}: unexpected results.csv header")
+    column = "epsilon_avg" if metric == "epsilon" else "delta_max"
+    points = []
+    lengths: dict[tuple[int, int, int], set[int]] = {}
     for row in reader:
         try:
-            key = (int(row["d"]), int(row["h_seed"]), int(row["s_seed"]))
-            length = int(row["l"])
-            metrics = PerLengthMetrics(
-                epsilon_avg=float(row["epsilon_avg"]),
-                pair_count=int(row["pair_count"]),
-                skipped_pairs=int(row["skipped_pairs"]),
-                delta_max=float(row["delta_max"]),
-                argmax_subset=int(row["argmax_subset_bitmask"]),
-                p_forward=float(row["p_forward"]),
-                p_noarrow=float(row["p_noarrow"]),
-                p_backward=float(row["p_backward"]),
-            )
+            cells = {name: read(row[name]) for name, read in _FIT_COLUMNS.items()}
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: malformed row: {exc}") from None
-        grouped.setdefault(key, {})[length] = metrics
-        meta[key] = row
-    results = []
-    for key, per_length in grouped.items():
-        row = meta[key]
-        results.append(
-            RealizationResult(
-                d=key[0], h_index=0, s_index=0,
-                hamiltonian_seed=key[1], state_seed=key[2],
-                regime=row["regime"], init_family=row["init_family"],
-                eigenstate_index=int(row["eig_index"]) if row["eig_index"] else None,
-                per_length=per_length, distance_bins={},
-                wall_time_s=float(row["wall_time_s"]),
+        key = (cells["d"], cells["h_seed"], cells["s_seed"])
+        lengths.setdefault(key, set()).add(cells["l"])
+        if cells["l"] == length:
+            points.append((cells["d"], cells[column]))
+    for key, found in lengths.items():
+        if length not in found:
+            raise ConfigError(
+                f"{path}: no grid length {length} for realization "
+                f"(d, h_seed, s_seed) = {key}"
             )
-        )
-    return results
+    return points
 
 
 def _cmd_fit(args) -> int:
-    results = _read_results_csv(Path(args.results))
+    points = _read_fit_points(Path(args.results), args.metric, args.l)
     try:
-        fit = fit_scaling(results, metric=args.metric, length=args.l)
+        fit = fit_points(points, args.metric, args.l)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     path = Path(args.results).parent / "fit.csv"
@@ -275,57 +270,39 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _single_realization(args, command: str) -> tuple[SweepSpec, int]:
+def _single_system_df(args, command: str):
+    """(spec, d, df) for one realization at D = 5 * v_minus; df.json is
+    written when the command is dump-df or the config sets dump_df."""
     spec = parse_config(args.config)
     d = 5 * _require_v_minus(spec, command)
     _require_one_triple(spec)
     _warn_interaction(spec.model_config(d, 0))
-    return spec, d
-
-
-def _maybe_dump_df(spec: SweepSpec, d: int) -> None:
-    if not spec.dump_df:
-        return
     df, _, _ = compute_realization_df(spec, d, 0, 0)
-    _write_df_json(_output_dir(spec) / "df.json", df)
+    if spec.dump_df or command == "dump-df":
+        _write_df_json(_output_dir(spec) / "df.json", df)
+    return spec, d, df
 
 
 def _cmd_histogram(args) -> int:
-    spec, d = _single_realization(args, "histogram")
-    result = run_realization(spec, d, 0, 0)
-    histogram = result.per_length[spec.l_max].histogram
-    path = _output_dir(spec) / "histogram.csv"
-    fh, writer = _open_csv(path)
-    with fh:
-        writer.writerow(HISTOGRAM_HEADER)
-        for history, probability in histogram.items():
-            writer.writerow([history, _fmt(probability)])
-    _maybe_dump_df(spec, d)
-    print(path)
+    spec, _, df = _single_system_df(args, "histogram")
+    rows = [[history, _fmt(p)] for history, p in branch_histogram(df).items()]
+    _write_csv(_output_dir(spec) / "histogram.csv", HISTOGRAM_HEADER, rows)
     return 0
 
 
 def _cmd_distance(args) -> int:
-    spec, d = _single_realization(args, "distance")
-    result = run_realization(spec, d, 0, 0)
-    path = _output_dir(spec) / "distance.csv"
-    fh, writer = _open_csv(path)
-    with fh:
-        writer.writerow(DISTANCE_HEADER)
-        for hamming in sorted(result.distance_bins):
-            mean, count = result.distance_bins[hamming]
-            writer.writerow([_fmt(d), _fmt(hamming), _fmt(mean), _fmt(count)])
-    _maybe_dump_df(spec, d)
-    print(path)
+    spec, d, df = _single_system_df(args, "distance")
+    rows = [
+        [_fmt(d), _fmt(hamming), _fmt(mean), _fmt(count)]
+        for hamming, (mean, count) in sorted(epsilon_by_distance(df).items())
+    ]
+    _write_csv(_output_dir(spec) / "distance.csv", DISTANCE_HEADER, rows)
     return 0
 
 
 def _cmd_dump_df(args) -> int:
-    spec, d = _single_realization(args, "dump-df")
-    df, _, _ = compute_realization_df(spec, d, 0, 0)
-    path = _output_dir(spec) / "df.json"
-    _write_df_json(path, df)
-    print(path)
+    spec, _, _ = _single_system_df(args, "dump-df")
+    print(_output_dir(spec) / "df.json")
     return 0
 
 

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -71,6 +72,7 @@ __all__ = [
     "run_realization",
     "run_sweep",
     "fit_scaling",
+    "fit_points",
     "FIT_METRICS",
 ]
 
@@ -154,23 +156,24 @@ class SweepSpec:
             raise ValueError(
                 f"num_steps must lie in [1, {MAX_LENGTH - 1}], got {self.num_steps}"
             )
+        # The number checks below are written so that NaN fails them.
         if isinstance(self.step_mode, str):
             if self.step_mode != "tau":
                 raise ValueError(f"unknown step mode {self.step_mode!r}")
         elif isinstance(self.step_mode, (int, float)):
-            if self.step_mode <= 0:
-                raise ValueError("explicit grid step must be positive")
+            if not 0 < self.step_mode < math.inf:
+                raise ValueError("explicit grid step must be positive and finite")
         elif isinstance(self.step_mode, RandomSpacing):
             lo, hi = self.step_mode.lo_tau, self.step_mode.hi_tau
-            if not 0 <= lo < hi:
-                raise ValueError(f"random_uniform needs 0 <= lo < hi, got [{lo}, {hi}]")
+            if not 0 <= lo < hi < math.inf:
+                raise ValueError(f"random_uniform [{lo}, {hi}] needs 0 <= lo < hi < inf")
         else:
             raise ValueError(f"unsupported step mode {self.step_mode!r}")
         if self.weights is not None:
             if self.init_family is InitFamily.EIGENSTATE:
                 raise ValueError("weights do not apply to the eigenstate family")
             for w in self.weights:
-                if len(w) != 3 or min(w) < 0 or abs(sum(w) - 1.0) > 1e-12:
+                if len(w) != 3 or min(w) < 0 or not abs(sum(w) - 1.0) <= 1e-12:
                     raise ValueError(
                         f"weights must be three non-negatives summing to 1, got {w}"
                     )
@@ -433,14 +436,14 @@ def compute_realization_df(
 
     Returns (df, coarsening, eigenstate_index).  A prebuilt Hamiltonian
     or decomposition may be passed in when several state seeds share one
-    matrix.
+    matrix; the Hamiltonian is only built when it has to be decomposed.
     """
     config = spec.model_config(d, h_index)
     coupling = derive_coupling(config)
-    if hamiltonian is None:
-        hamiltonian = build_hamiltonian(config)
     if sd is None:
-        sd = eigendecompose(hamiltonian)
+        sd = eigendecompose(
+            build_hamiltonian(config) if hamiltonian is None else hamiltonian
+        )
     coarsening = build_coarsening(config)
 
     state_seed = spec.state_seed(h_index, s_index)
@@ -495,13 +498,7 @@ def run_realization(
     bins = {d_h: (mean, count) for d_h, (mean, count) in epsilon_by_distance(df).items()}
     wall = shared_time + (time.perf_counter() - start)
     return RealizationResult(
-        d=d,
-        h_index=h_index,
-        s_index=s_index,
-        hamiltonian_seed=spec.hamiltonian_seed(h_index),
-        state_seed=spec.state_seed(h_index, s_index),
-        regime=spec.regime.value,
-        init_family=spec.init_family.value,
+        **_identity(spec, d, h_index, s_index),
         eigenstate_index=eigenstate_index,
         per_length=per_length,
         distance_bins=bins,
@@ -509,17 +506,21 @@ def run_realization(
     )
 
 
+def _identity(spec: SweepSpec, d: int, h_index: int, s_index: int) -> dict:
+    """The RealizationResult fields that name a realization."""
+    return dict(
+        d=d, h_index=h_index, s_index=s_index,
+        hamiltonian_seed=spec.hamiltonian_seed(h_index),
+        state_seed=spec.state_seed(h_index, s_index),
+        regime=spec.regime.value, init_family=spec.init_family.value,
+    )
+
+
 def _error_result(
     spec: SweepSpec, d: int, h_index: int, s_index: int, exc: Exception
 ) -> RealizationResult:
     return RealizationResult(
-        d=d,
-        h_index=h_index,
-        s_index=s_index,
-        hamiltonian_seed=spec.hamiltonian_seed(h_index),
-        state_seed=spec.state_seed(h_index, s_index),
-        regime=spec.regime.value,
-        init_family=spec.init_family.value,
+        **_identity(spec, d, h_index, s_index),
         eigenstate_index=None,
         per_length={},
         distance_bins={},
@@ -689,38 +690,45 @@ def run_sweep(
 def fit_scaling(
     results: Sequence[RealizationResult], metric: str, length: int
 ) -> ScalingFit:
-    """Fit metric(D) ~ D^(-alpha) through per-dimension means.
-
-    Raw metric values are averaged over the successful realizations of
-    each dimension; the fit is ordinary least squares on (log10 D,
-    log10 mean).  Requires at least three distinct dimensions and
-    strictly positive means.
-    """
+    """fit_points over the successful realizations' (D, metric) points."""
     if metric not in FIT_METRICS:
         raise ValueError(f"metric must be one of {FIT_METRICS}, got {metric!r}")
-    by_d: dict[int, list[float]] = {}
+    points = []
     for result in results:
         if result.failed:
             continue
         if length not in result.per_length:
-            raise ValueError(
-                f"realization {result.key} has no grid length {length}"
-            )
+            raise ValueError(f"realization {result.key} has no grid length {length}")
         m = result.per_length[length]
         value = m.epsilon_avg if metric == "epsilon" else m.delta_max
-        by_d.setdefault(result.d, []).append(value)
+        points.append((result.d, value))
+    return fit_points(points, metric, length)
+
+
+def fit_points(
+    points: Iterable[tuple[int, float]], metric: str, length: int
+) -> ScalingFit:
+    """Fit metric(D) ~ D^(-alpha) through per-dimension means.
+
+    Values are averaged per dimension in the order given; the fit is
+    ordinary least squares on (log10 D, log10 mean).  Requires at least
+    three distinct dimensions and positive, finite means.
+    """
+    by_d: dict[int, list[float]] = {}
+    for d, value in points:
+        by_d.setdefault(d, []).append(value)
     if len(by_d) < 3:
         raise ValueError(
             f"need at least 3 distinct dimensions with successful realizations, "
             f"got {sorted(by_d)}"
         )
-    points = tuple(
+    averaged = tuple(
         (d, float(np.mean(values))) for d, values in sorted(by_d.items())
     )
-    means = np.array([mean for _, mean in points])
-    if np.any(means <= 0):
-        raise ValueError("per-dimension means must be positive for a log-log fit")
-    x = np.log10([d for d, _ in points])
+    means = np.array([mean for _, mean in averaged])
+    if not np.all((means > 0) & (means < np.inf)):
+        raise ValueError("per-dimension means must be positive and finite")
+    x = np.log10([d for d, _ in averaged])
     y = np.log10(means)
     xc = x - x.mean()
     yc = y - y.mean()
@@ -729,10 +737,7 @@ def fit_scaling(
     residual = y - (slope * x + intercept)
     ss_res = float((residual * residual).sum())
     ss_tot = float((yc * yc).sum())
-    if ss_tot > 0.0:
-        r_squared = 1.0 - ss_res / ss_tot
-    else:
-        r_squared = 1.0 if ss_res == 0.0 else 0.0
+    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else float(ss_res == 0.0)
     return ScalingFit(
         length=length,
         metric=metric,
@@ -740,5 +745,5 @@ def fit_scaling(
         alpha=-slope + 0.0,
         intercept=intercept,
         r_squared=r_squared,
-        points=points,
+        points=averaged,
     )

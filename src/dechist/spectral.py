@@ -123,7 +123,8 @@ def sample_haar_state(
     consumes randomness when its weight is positive.
     """
     w = np.asarray(weights, dtype=float)
-    if w.shape != (NUM_MACROSTATES,) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
+    bad_sum = not abs(w.sum() - 1.0) <= 1e-12  # written so that NaN fails
+    if w.shape != (NUM_MACROSTATES,) or np.any(w < 0) or bad_sum:
         raise ValueError(f"weights must be three non-negatives summing to 1, got {weights}")
     rng = np.random.default_rng(state_seed)
     psi = np.zeros(coarsening.dimension, dtype=np.complex128)

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dechist import cli, experiments, spectral
 from dechist.cli import (
     DISTANCE_HEADER,
     DYNAMICS_HEADER,
@@ -133,6 +134,12 @@ class TestConfigParsing:
             {"model": {"v_minus": 1}, "init": {"family": "eigenstate", "weights": [0.2, 0.6, 0.2]}},
             {"model": {"v_minus": 1}, "sweep": {"base_seed": -1}},
             {"model": {"v_minus": 1}, "output": {"dump_df": "yes"}},
+            {"model": {"d_grid": [5]}, "init": {"weights": [float("nan"), 0.5, 0.5]}},
+            {"model": {"v_minus": 1}, "grid": {"step_mode": float("nan")}},
+            {
+                "model": {"v_minus": 1},
+                "grid": {"step_mode": {"random_uniform": [0, float("inf")]}},
+            },
         ]
         for doc in cases:
             with pytest.raises(ConfigError):
@@ -321,7 +328,15 @@ class TestFitCommand:
         results = tmp_path / "results.csv"
         shutil.copy(FIXTURE, results)
         assert main(["fit", "--results", str(results), "--metric", "epsilon", "--l", "4"]) == 2
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        # The first realization in file order, named by (d, h_seed, s_seed).
+        assert "(d, h_seed, s_seed) = (100, 101, 201)" in err
+        assert err.count("\n") == 1
+
+        comment, header, *rows = FIXTURE.read_text().splitlines(keepends=True)
+        results.write_text(comment + header + "".join(reversed(rows)))
+        assert main(["fit", "--results", str(results), "--metric", "epsilon", "--l", "4"]) == 2
+        assert "(d, h_seed, s_seed) = (1000000, 103, 203)" in capsys.readouterr().err
 
     def test_header_mismatch_rejected(self, tmp_path, capsys):
         results = tmp_path / "results.csv"
@@ -388,6 +403,36 @@ class TestDumpDfCommand:
         assert main(["histogram", "--config", str(config)]) == 0
         capsys.readouterr()
         assert (tmp_path / "out" / "df.json").exists()
+
+
+class TestSingleSystemFunctional:
+    @pytest.mark.parametrize("command", ["histogram", "distance", "dump-df"])
+    def test_one_eigensolve_and_same_df(self, tmp_path, capsys, monkeypatch, command):
+        calls = []
+
+        def counting(hamiltonian):
+            calls.append(hamiltonian.dimension)
+            return spectral.eigendecompose(hamiltonian)
+
+        monkeypatch.setattr(experiments, "eigendecompose", counting)
+        monkeypatch.setattr(cli, "eigendecompose", counting)
+        config = write_config(
+            tmp_path,
+            grid={"num_steps": 2},
+            output={"directory": str(tmp_path / "out"), "dump_df": True},
+        )
+        assert main([command, "--config", str(config)]) == 0
+        assert calls == [5]
+        written = (tmp_path / "out" / "df.json").read_bytes()
+
+        config = write_config(
+            tmp_path,
+            grid={"num_steps": 2},
+            output={"directory": str(tmp_path / "reference")},
+        )
+        assert main(["dump-df", "--config", str(config)]) == 0
+        capsys.readouterr()
+        assert written == (tmp_path / "reference" / "df.json").read_bytes()
 
 
 class TestErrorSurface:

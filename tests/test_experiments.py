@@ -424,6 +424,10 @@ class TestFitScaling:
         results = [synth_result(d, 0.0) for d in (5, 50, 500)]
         with pytest.raises(ValueError):
             fit_scaling(results, "epsilon", 3)
+        for bad in (np.nan, np.inf):
+            results = [synth_result(d, 0.1) for d in (5, 50)] + [synth_result(500, bad)]
+            with pytest.raises(ValueError):
+                fit_scaling(results, "epsilon", 3)
 
 
 class TestSerialization:
