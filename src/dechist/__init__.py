@@ -6,8 +6,6 @@ from .model import (
     CouplingParameters,
     Ensemble,
     ModelConfig,
-    Perturbation,
-    PerturbationKind,
     Regime,
     Spacing,
     build_coarsening,

@@ -463,19 +463,18 @@ def run_realization(
     d: int,
     h_index: int,
     s_index: int,
-    hamiltonian: BlockHamiltonian | None = None,
     sd: SpectralDecomposition | None = None,
     shared_time: float = 0.0,
 ) -> RealizationResult:
     """Run one realization end to end.
 
-    A prebuilt Hamiltonian/decomposition may be passed in when several
-    state seeds share one matrix; `shared_time` is the amortized share
-    of that setup charged to this realization's wall time.
+    A prebuilt decomposition may be passed in when several state seeds
+    share one matrix; `shared_time` is the amortized share of that setup
+    charged to this realization's wall time.
     """
     start = time.perf_counter()
     df, coarsening, eigenstate_index = compute_realization_df(
-        spec, d, h_index, s_index, hamiltonian=hamiltonian, sd=sd
+        spec, d, h_index, s_index, sd=sd
     )
 
     per_length: dict[int, PerLengthMetrics] = {}
@@ -535,9 +534,7 @@ def _run_group(
     """All state seeds for one (d, h_index): one eigensolve, many states."""
     start = time.perf_counter()
     try:
-        config = spec.model_config(d, h_index)
-        hamiltonian = build_hamiltonian(config)
-        sd = eigendecompose(hamiltonian)
+        sd = eigendecompose(build_hamiltonian(spec.model_config(d, h_index)))
     except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
         return [_error_result(spec, d, h_index, s, exc) for s in s_indices]
     shared = (time.perf_counter() - start) / max(len(s_indices), 1)
@@ -545,10 +542,7 @@ def _run_group(
     for s_index in s_indices:
         try:
             results.append(
-                run_realization(
-                    spec, d, h_index, s_index,
-                    hamiltonian=hamiltonian, sd=sd, shared_time=shared,
-                )
+                run_realization(spec, d, h_index, s_index, sd=sd, shared_time=shared)
             )
         except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
             results.append(_error_result(spec, d, h_index, s_index, exc))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -263,7 +263,7 @@ def branch_histogram(df: DecoherenceFunctional) -> dict[str, float]:
     return {history_string(h, length): float(diag[h]) for h in range(diag.size)}
 
 
-def arrow_score(labels: tuple[int, ...], volumes: tuple[int, ...]) -> int:
+def arrow_score(labels: Sequence[int], volumes: tuple[int, ...]) -> int:
     """Net count of volume-increasing minus volume-decreasing steps."""
     score = 0
     for a, b in zip(labels, labels[1:]):
@@ -281,15 +281,12 @@ def arrow_classification(
     if df.length < 2:
         raise ValueError("arrow classification needs at least two grid times")
     volumes = coarsening.volumes
-    diag = df.diagonal()
     totals = [0.0, 0.0, 0.0]  # forward, none, backward
-    for h in range(diag.size):
-        labels = tuple(
-            (h // M**k) % M for k in range(df.length)
-        )
+    digits = _digit_matrix(df.length).tolist()
+    for labels, weight in zip(digits, df.diagonal().tolist()):
         score = arrow_score(labels, volumes)
         slot = 0 if score > 0 else (2 if score < 0 else 1)
-        totals[slot] += float(diag[h])
+        totals[slot] += weight
     return ArrowReport(
         p_forward=totals[0], p_noarrow=totals[1], p_backward=totals[2]
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,12 +19,10 @@ __all__ = [
     "Regime",
     "Ensemble",
     "Spacing",
-    "PerturbationKind",
     "ModelConfig",
     "CouplingParameters",
     "BlockHamiltonian",
     "Coarsening",
-    "Perturbation",
     "MACROSTATE_LABELS",
     "NUM_MACROSTATES",
     "derive_coupling",
@@ -36,12 +34,11 @@ __all__ = [
 MACROSTATE_LABELS = ("-", "0", "+")
 NUM_MACROSTATES = 3
 
-# Stream tags so that independent draws (matrix, state, grid, projector
-# perturbation) never share a generator even for equal integer seeds.
+# Stream tags so that independent draws (matrix, state, grid) never
+# share a generator even for equal integer seeds.
 HAMILTONIAN_STREAM = 1
 STATE_STREAM = 2
 GRID_STREAM = 3
-PERTURBATION_STREAM = 4
 
 
 def derive_seed(*parts: int) -> int:
@@ -69,12 +66,6 @@ class Ensemble(enum.Enum):
 class Spacing(enum.Enum):
     EQUAL = "equal"
     RANDOM = "random"
-
-
-class PerturbationKind(enum.Enum):
-    NEAREST_NEIGHBOR = "nearest_neighbor"
-    ANTI_DIAGONAL = "anti_diagonal"
-    RANDOM_LIKE_INTERACTION = "random_like_interaction"
 
 
 @dataclass(frozen=True)
@@ -251,14 +242,14 @@ def build_hamiltonian(config: ModelConfig) -> BlockHamiltonian:
 class Coarsening:
     """Three-outcome projective coarse-graining of the shell.
 
-    Unperturbed projectors are pure index-range masks and `projectors`
-    is None.  Perturbed (or otherwise rotated) coarsenings carry dense
+    The band coarse-graining uses index-range masks and `projectors` is
+    None.  A coarsening that does not commute with the band layout (for
+    example projectors onto groups of energy eigenvectors) carries dense
     rank-V_x Hermitian idempotents instead.
     """
 
     ranges: tuple[tuple[int, int], ...]
     projectors: tuple[np.ndarray, ...] | None = None
-    labels: tuple[str, ...] = MACROSTATE_LABELS
 
     def __post_init__(self) -> None:
         if len(self.ranges) != NUM_MACROSTATES:
@@ -279,71 +270,6 @@ class Coarsening:
         return self.projectors is not None
 
 
-@dataclass(frozen=True)
-class Perturbation:
-    """Projector perturbation V Pi V^dag with V = exp(i * generator * delta)."""
-
-    kind: PerturbationKind
-    delta: float
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.delta):
-            raise ValueError("perturbation delta must be finite")
-
-
-def _perturbation_generator(
-    config: ModelConfig, perturbation: Perturbation
-) -> np.ndarray:
-    d = config.dimension
-    if perturbation.kind is PerturbationKind.NEAREST_NEIGHBOR:
-        a = np.zeros((d, d))
-        idx = np.arange(d - 1)
-        a[idx, idx + 1] = 1.0
-        a[idx + 1, idx] = 1.0
-        return a
-    if perturbation.kind is PerturbationKind.ANTI_DIAGONAL:
-        return np.fliplr(np.eye(d))
-    # Same block structure and entry distribution as the interaction
-    # part of the Hamiltonian, at unit coupling.
-    rng = np.random.default_rng(
-        derive_seed(PERTURBATION_STREAM, perturbation.seed)
-    )
-    (m0, m1), (z0, z1), (p0, p1) = config.block_layout
-    dtype = np.float64 if config.ensemble is Ensemble.GOE else np.complex128
-    a = np.zeros((d, d), dtype=dtype)
-    b_mz = _coupling_block(config, (config.v_minus, config.v_zero), rng)
-    b_zp = _coupling_block(config, (config.v_zero, config.v_plus), rng)
-    a[m0:m1, z0:z1] = b_mz
-    a[z0:z1, m0:m1] = b_mz.conj().T
-    a[z0:z1, p0:p1] = b_zp
-    a[p0:p1, z0:z1] = b_zp.conj().T
-    return a
-
-
-def build_coarsening(
-    config: ModelConfig,
-    perturbation: Perturbation | None = None,
-    basis: np.ndarray | None = None,
-) -> Coarsening:
-    """Build the (-, 0, +) coarse-graining, optionally rotated.
-
-    With no perturbation (or delta == 0) the projectors are exact index
-    range masks.  Otherwise each projector becomes V Pi V^dag with
-    V = exp(i * A * delta), A from the requested generator, computed via
-    a Hermitian eigendecomposition of A.  `basis` expresses A in another
-    orthonormal basis (columns), e.g. the Hamiltonian eigenbasis.
-    """
-    ranges = config.block_layout
-    if perturbation is None or perturbation.delta == 0.0:
-        return Coarsening(ranges=ranges)
-    a = _perturbation_generator(config, perturbation)
-    if basis is not None:
-        a = basis @ a @ basis.conj().T
-    evals, evecs = np.linalg.eigh(a)
-    v_delta = (evecs * np.exp(1j * perturbation.delta * evals)) @ evecs.conj().T
-    projectors = []
-    for start, stop in ranges:
-        rotated = v_delta[:, start:stop]
-        projectors.append(rotated @ rotated.conj().T)
-    return Coarsening(ranges=ranges, projectors=tuple(projectors))
+def build_coarsening(config: ModelConfig) -> Coarsening:
+    """The (-, 0, +) band coarse-graining: exact index-range masks."""
+    return Coarsening(ranges=config.block_layout)

@@ -29,6 +29,18 @@ def range_projectors(ranges) -> list[np.ndarray]:
     return projs
 
 
+def rotated_projectors(ranges, seed) -> list[np.ndarray]:
+    """Dense projectors Q[:, a:b] Q[:, a:b]^T onto blocks of a random basis.
+
+    Q is the orthogonal factor of a seeded Gaussian matrix, so the
+    projectors are complete and mutually orthogonal but commute with
+    neither the band masks nor the Hamiltonian.
+    """
+    dim = ranges[-1][1]
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((dim, dim)))
+    return [q[:, start:stop] @ q[:, start:stop].T for start, stop in ranges]
+
+
 def chain_operator(h, projectors, times, labels) -> np.ndarray:
     """C(x) = Pi_{x_n} U(t_n, t_n-1) ... Pi_{x_1} U(t_1, t_0) Pi_{x_0}."""
     op = projectors[labels[0]].astype(complex)

@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from dechist.model import ModelConfig, build_coarsening, build_hamiltonian
+from dechist.model import Coarsening, ModelConfig, build_coarsening, build_hamiltonian
 from dechist.spectral import eigendecompose, evolve, sample_haar_state
 from dechist.histories import (
     HistoryGrid,
@@ -20,7 +20,7 @@ from dechist.histories import (
     num_histories,
 )
 
-from oracles import df_by_chains, range_projectors
+from oracles import df_by_chains, range_projectors, rotated_projectors
 
 
 def realization(v_minus=1, seed=0, state_seed=1, weights=(0.2, 0.6, 0.2)):
@@ -119,8 +119,6 @@ class TestBranchStates:
         projs = tuple(
             sd.eigenvectors[:, a:b] @ sd.eigenvectors[:, a:b].conj().T for a, b in groups
         )
-        from dechist.model import Coarsening
-
         coarsening = Coarsening(ranges=groups, projectors=projs)
         psi0 = sample_haar_state(coarsening, (0.2, 0.6, 0.2), 5)
         grid = HistoryGrid.constant(3, 2.0)
@@ -143,6 +141,20 @@ class TestDecoherenceFunctional:
         oracle = df_by_chains(
             ham.matrix, range_projectors(coarsening.ranges), grid.times, psi0
         )
+        assert np.abs(df.entries - oracle).max() <= 1e-10
+
+    def test_dense_coarsening_matches_oracle(self):
+        # Projectors onto blocks of a random basis commute with neither
+        # H nor the band masks, so the dense projector path runs at every
+        # level of the branch tree with no history forced to zero.
+        config, ham, sd, _, _ = realization(v_minus=2, seed=3)
+        projs = rotated_projectors(config.block_layout, seed=11)
+        assert np.abs(ham.matrix @ projs[0] - projs[0] @ ham.matrix).max() > 1e-3
+        coarsening = Coarsening(ranges=config.block_layout, projectors=tuple(projs))
+        psi0 = sample_haar_state(coarsening, (0.2, 0.6, 0.2), 6)
+        grid = HistoryGrid.constant(3, 2.0)
+        df = compute_df(compute_branch_states(sd, coarsening, psi0, grid))
+        oracle = df_by_chains(ham.matrix, projs, grid.times, psi0)
         assert np.abs(df.entries - oracle).max() <= 1e-10
 
     def test_invariants(self):

@@ -11,8 +11,6 @@ from dechist.model import (
     Coarsening,
     Ensemble,
     ModelConfig,
-    Perturbation,
-    PerturbationKind,
     Regime,
     Spacing,
     build_coarsening,
@@ -158,62 +156,9 @@ class TestCoarsening:
         assert not coarsening.is_dense
         assert coarsening.volumes == (1, 3, 1)
 
-    def test_zero_delta_short_circuits(self):
-        for kind in PerturbationKind:
-            coarsening = build_coarsening(
-                make_config(v_minus=2),
-                Perturbation(kind=kind, delta=0.0, seed=4),
-            )
-            assert not coarsening.is_dense
-
-    @pytest.mark.parametrize("kind", list(PerturbationKind))
-    def test_perturbed_projectors_are_projective(self, kind):
-        config = make_config(v_minus=2, hamiltonian_seed=8)
-        coarsening = build_coarsening(config, Perturbation(kind=kind, delta=0.3, seed=1))
-        assert coarsening.is_dense
-        total = np.zeros((10, 10), dtype=complex)
-        for label, p in enumerate(coarsening.projectors):
-            assert np.abs(p - p.conj().T).max() <= 1e-10
-            assert np.abs(p @ p - p).max() <= 1e-10
-            assert np.trace(p).real == pytest.approx(coarsening.volumes[label], abs=1e-9)
-            total += p
-        assert np.abs(total - np.eye(10)).max() <= 1e-10
-
-    def test_perturbed_projectors_differ_from_masks(self):
-        config = make_config(v_minus=2, hamiltonian_seed=8)
-        coarsening = build_coarsening(
-            config,
-            Perturbation(kind=PerturbationKind.NEAREST_NEIGHBOR, delta=0.5),
-        )
-        mask = np.zeros((10, 10))
-        mask[:2, :2] = np.eye(2)
-        assert np.abs(coarsening.projectors[0] - mask).max() > 1e-3
-
-    def test_generator_in_custom_basis(self):
-        config = make_config(v_minus=2, hamiltonian_seed=8)
-        rng = np.random.default_rng(9)
-        basis, _ = np.linalg.qr(rng.standard_normal((10, 10)))
-        coarsening = build_coarsening(
-            config,
-            Perturbation(kind=PerturbationKind.ANTI_DIAGONAL, delta=0.4),
-            basis=basis,
-        )
-        total = sum(coarsening.projectors)
-        assert np.abs(total - np.eye(10)).max() <= 1e-10
-
-    def test_random_generator_deterministic(self):
-        config = make_config(v_minus=2)
-        pert = Perturbation(kind=PerturbationKind.RANDOM_LIKE_INTERACTION, delta=0.2, seed=6)
-        c1 = build_coarsening(config, pert)
-        c2 = build_coarsening(config, pert)
-        for p1, p2 in zip(c1.projectors, c2.projectors):
-            np.testing.assert_array_equal(p1, p2)
-
     def test_coarsening_validation(self):
         with pytest.raises(ValueError):
             Coarsening(ranges=((0, 1), (1, 2)))
-        with pytest.raises(ValueError):
-            Perturbation(kind=PerturbationKind.ANTI_DIAGONAL, delta=math.inf)
 
 
 class TestSeedDerivation:

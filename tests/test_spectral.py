@@ -7,10 +7,9 @@ import pytest
 
 from dechist.model import (
     BlockHamiltonian,
+    Coarsening,
     Ensemble,
     ModelConfig,
-    Perturbation,
-    PerturbationKind,
     build_coarsening,
     build_hamiltonian,
     derive_coupling,
@@ -25,7 +24,7 @@ from dechist.spectral import (
     select_eigenstate,
 )
 
-from oracles import propagator
+from oracles import propagator, rotated_projectors
 
 
 def model_parts(v_minus=2, seed=0, **kwargs):
@@ -38,6 +37,11 @@ def random_state(dim, seed=0):
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return psi / np.linalg.norm(psi)
+
+
+def rotated_coarsening(config, seed):
+    ranges = config.block_layout
+    return Coarsening(ranges=ranges, projectors=tuple(rotated_projectors(ranges, seed)))
 
 
 class TestEigendecompose:
@@ -140,10 +144,7 @@ class TestProjectors:
                     assert np.all(apply_projector(coarsening, y, once) == 0)
 
     def test_dense_projector_batch(self):
-        config = ModelConfig(v_minus=2, hamiltonian_seed=8)
-        coarsening = build_coarsening(
-            config, Perturbation(kind=PerturbationKind.NEAREST_NEIGHBOR, delta=0.4)
-        )
+        coarsening = rotated_coarsening(ModelConfig(v_minus=2), seed=4)
         rng = np.random.default_rng(2)
         states = rng.standard_normal((4, 10)) + 1j * rng.standard_normal((4, 10))
         total = sum(apply_projector_batch(coarsening, x, states) for x in range(3))
@@ -207,10 +208,7 @@ class TestInitialStates:
         )
 
     def test_dense_coarsening_sampling(self):
-        config = ModelConfig(v_minus=2, hamiltonian_seed=8)
-        coarsening = build_coarsening(
-            config, Perturbation(kind=PerturbationKind.ANTI_DIAGONAL, delta=0.3)
-        )
+        coarsening = rotated_coarsening(ModelConfig(v_minus=2), seed=3)
         psi = sample_haar_state(coarsening, (0.2, 0.6, 0.2), state_seed=4)
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-10)
         for label, p in enumerate(coarsening.projectors):
