@@ -30,7 +30,6 @@ from .model import (
     HAMILTONIAN_STREAM,
     STATE_STREAM,
     BlockHamiltonian,
-    Coarsening,
     Ensemble,
     ModelConfig,
     Regime,
@@ -46,14 +45,19 @@ from .spectral import (
     sample_haar_state,
     select_eigenstate,
 )
-from .histories import HistoryGrid, MAX_LENGTH, compute_branch_states, compute_df
+from .histories import (
+    HistoryGrid,
+    MAX_LENGTH,
+    compute_branch_states,
+    compute_df,
+    marginalize,
+)
 from .metrics import (
     arrow_classification,
     branch_histogram,
     delta_max,
     epsilon_average,
     epsilon_by_distance,
-    marginalize,
 )
 
 __all__ = [

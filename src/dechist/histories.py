@@ -212,13 +212,27 @@ def compute_df(branches: BranchStates) -> DecoherenceFunctional:
     return DecoherenceFunctional(entries=entries, grid=branches.grid)
 
 
-def _reduction_index(length: int, kept: tuple[int, ...]) -> np.ndarray:
-    """Map each full code to its reduced code over the kept positions."""
-    digits = _digit_matrix(length)
-    ridx = np.zeros(M**length, dtype=np.int64)
-    for pos, k in enumerate(kept):
-        ridx += digits[:, k] * M**pos
-    return ridx
+def _sum_out(
+    values: np.ndarray, length: int, kept: tuple[int, ...], tie: bool = False
+) -> np.ndarray:
+    """Sum a per-history vector or (ket, bra) matrix over the dropped times.
+
+    A code is viewed as L base-3 axes, axis j holding digit L-1-j since
+    x_0 is least significant.  Dropped bra and ket digits are summed
+    independently; tie=True also ties each kept bra digit to its ket
+    digit, which leaves only the diagonal of the reduced functional.
+    """
+    if not kept or kept[0] < 0 or kept[-1] >= length:
+        raise ValueError(f"t_subset {kept} must name grid times in 0..{length - 1}")
+    axes = list(range(values.ndim * length))  # ket digits, then bra digits
+    out = [length - 1 - k for k in reversed(kept)]
+    if values.ndim == 2 and tie:
+        for a in out:
+            axes[length + a] = a
+    elif values.ndim == 2:
+        out += [length + a for a in out]
+    reduced = np.einsum(values.reshape((M,) * len(axes)), axes, out)
+    return reduced.reshape((M ** len(kept),) * (len(out) // len(kept)))
 
 
 def marginalize(
@@ -232,16 +246,8 @@ def marginalize(
     projected there.
     """
     kept = tuple(sorted(set(int(k) for k in t_subset)))
-    length = df.length
-    if not kept:
-        raise ValueError("t_subset must name at least one grid time")
-    if kept[0] < 0 or kept[-1] >= length:
-        raise ValueError(f"t_subset {kept} out of range for L={length}")
-    if len(kept) == length:
+    if kept == tuple(range(df.length)):
         return df
-    ridx = _reduction_index(length, kept)
-    z = np.zeros((M**length, M ** len(kept)))
-    z[np.arange(M**length), ridx] = 1.0
-    reduced = z.T @ (df.entries @ z)
+    reduced = _sum_out(df.entries, df.length, kept)
     grid = HistoryGrid.from_times([df.grid.times[k] for k in kept])
     return DecoherenceFunctional(entries=reduced, grid=grid)

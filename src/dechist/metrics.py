@@ -13,9 +13,8 @@ from .histories import (
     DecoherenceFunctional,
     M,
     _digit_matrix,
-    _reduction_index,
+    _sum_out,
     history_string,
-    marginalize,
 )
 
 __all__ = [
@@ -49,7 +48,6 @@ class EpsilonReport:
     epsilon_avg: float
     pair_count: int
     skipped_pairs: int
-    per_pair: list[tuple[int, int, float]] | None = None
 
 
 @dataclass(frozen=True)
@@ -110,9 +108,7 @@ def epsilon_pair(df: DecoherenceFunctional, x: int, y: int) -> float:
     return float(np.abs(df.entries[x, y]) / np.sqrt(diag[x] * diag[y]))
 
 
-def epsilon_average(
-    df: DecoherenceFunctional, collect_pairs: bool = False
-) -> EpsilonReport:
+def epsilon_average(df: DecoherenceFunctional) -> EpsilonReport:
     """Mean violation over ordered pairs x != y sharing the final label.
 
     The divisor is the full pair count 3^(2L-1) - 3^L; dead pairs
@@ -125,15 +121,10 @@ def epsilon_average(
     pair_count = M ** (2 * length - 1) - M**length
     total = float(eps[eligible].sum())
     skipped = int((eligible & dead).sum())
-    per_pair = None
-    if collect_pairs:
-        xs, ys = np.nonzero(eligible)
-        per_pair = [(int(x), int(y), float(eps[x, y])) for x, y in zip(xs, ys)]
     return EpsilonReport(
         epsilon_avg=total / pair_count,
         pair_count=pair_count,
         skipped_pairs=skipped,
-        per_pair=per_pair,
     )
 
 
@@ -158,12 +149,10 @@ def marginal_probabilities(
     kept = tuple(sorted(set(int(k) for k in t_subset)))
     if not kept or kept[-1] != df.length - 1:
         raise ValueError(f"t_subset {kept} must contain the final time index")
-    reduced = marginalize(df, kept)
-    p = _real_probabilities(reduced.entries.diagonal(), "Born probabilities")
+    born = _sum_out(df.entries, df.length, kept, tie=True)
+    p = _real_probabilities(born, "Born probabilities")
     # Classical: marginalize the diagonal weights alone.
-    ridx = _reduction_index(df.length, kept)
-    p_cl = np.zeros(M ** len(kept))
-    np.add.at(p_cl, ridx, df.diagonal())
+    p_cl = _sum_out(df.diagonal(), df.length, kept)
     return p, p_cl
 
 

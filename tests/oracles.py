@@ -13,6 +13,8 @@ import itertools
 import numpy as np
 from scipy.linalg import expm
 
+from dechist.histories import decode_history
+
 
 def propagator(h: np.ndarray, dt: float) -> np.ndarray:
     return expm(-1j * np.asarray(h) * dt)
@@ -66,6 +68,25 @@ def df_by_chains(h, projectors, times, psi0) -> np.ndarray:
     for x in range(n):
         for y in range(n):
             out[x, y] = np.vdot(branches[y], branches[x])
+    return out
+
+
+def marginal_by_loops(entries, length, kept) -> np.ndarray:
+    """Functional over the kept times by an explicit double loop over (x, y).
+
+    Each full entry (x, y) is added to the reduced entry whose ket and
+    bra codes are the base-3 codes of the labels of x and y at the kept
+    times, with kept[0] least significant.
+    """
+    n = 3**length
+    reduced = []
+    for h in range(n):
+        labels = decode_history(h, length)
+        reduced.append(sum(labels[k] * 3**pos for pos, k in enumerate(kept)))
+    out = np.zeros((3 ** len(kept), 3 ** len(kept)), dtype=complex)
+    for x in range(n):
+        for y in range(n):
+            out[reduced[x], reduced[y]] += entries[x, y]
     return out
 
 

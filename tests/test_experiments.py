@@ -18,7 +18,6 @@ from dechist.experiments import (
     RandomSpacing,
     RealizationResult,
     SweepSpec,
-    compute_realization_df,
     fit_scaling,
     run_realization,
     run_sweep,

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -20,7 +18,7 @@ from dechist.histories import (
     num_histories,
 )
 
-from oracles import df_by_chains, range_projectors, rotated_projectors
+from oracles import df_by_chains, marginal_by_loops, range_projectors, rotated_projectors
 
 
 def realization(v_minus=1, seed=0, state_seed=1, weights=(0.2, 0.6, 0.2)):
@@ -234,6 +232,13 @@ class TestMarginalize:
         for subset in [(3,), (0, 3), (1, 2), (0,)]:
             reduced = marginalize(df, subset)
             assert np.trace(reduced.entries).real == pytest.approx(1.0, abs=1e-10)
+
+    def test_matches_loop_oracle(self, functional_l4):
+        df = functional_l4
+        for mask in range(1, 2**4):
+            kept = tuple(k for k in range(4) if mask >> k & 1)
+            expected = marginal_by_loops(df.entries, 4, kept)
+            assert np.abs(marginalize(df, kept).entries - expected).max() <= 1e-12
 
     def test_rejects_bad_subsets(self):
         _, _, sd, coarsening, psi0 = realization()

@@ -1,0 +1,50 @@
+"""Every imported name is read in its module or re-exported through __all__."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(
+    p for p in (ROOT / "src" / "dechist").glob("*.py") if p.name != "__init__.py"
+) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by import statements that the module never reads."""
+    tree = ast.parse(source)
+    imported: list[str] = []
+    exported: set[str] = set()
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= set(ast.literal_eval(node.value))
+    return [name for name in imported if name not in read | exported]
+
+
+def test_scanner_flags_only_unread_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, os.path as osp\n"
+        "import json\n"
+        "from math import pi, tau as full_turn\n"
+        "__all__ = ['pi']\n"
+        "print(os.sep, full_turn)\n"
+    )
+    assert unused_imports(source) == ["osp", "json"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

@@ -37,7 +37,7 @@ from dechist.metrics import (
     trace_distance,
 )
 
-from oracles import born_probability_subset, df_by_chains, range_projectors
+from oracles import born_probability_subset, marginal_by_loops, range_projectors
 
 
 def make_df(v_minus=1, seed=0, state_seed=1, num_steps=2, step=3.0,
@@ -95,7 +95,7 @@ class TestEpsilon:
 
     def test_pair_count_matches_enumeration(self):
         df, *_ = make_df(v_minus=1, seed=2, num_steps=2)
-        report = epsilon_average(df, collect_pairs=True)
+        report = epsilon_average(df)
         n = num_histories(3)
         ordered = [
             (x, y)
@@ -103,7 +103,7 @@ class TestEpsilon:
             if x != y and x // 9 == y // 9
         ]
         assert len(ordered) == report.pair_count
-        total = sum(val for _, _, val in report.per_pair)
+        total = sum(epsilon_pair(df, x, y) for x, y in ordered)
         assert report.epsilon_avg == pytest.approx(total / len(ordered), rel=1e-12)
 
     def test_average_in_unit_interval(self):
@@ -188,6 +188,8 @@ class TestMarginals:
         df, *_ = make_df()
         with pytest.raises(ValueError):
             marginal_probabilities(df, (0, 1))
+        with pytest.raises(ValueError):
+            marginal_probabilities(df, (-1, df.length - 1))
 
     def test_against_projected_chain_oracle(self):
         # Born weights of a marginalized functional equal probabilities
@@ -202,6 +204,17 @@ class TestMarginals:
             )
             code = labels[0] + 3 * labels[1]
             assert p[code] == pytest.approx(expected, abs=1e-10)
+
+    def test_matches_loop_oracle(self, functional_l4):
+        df = functional_l4
+        weights = np.diag(df.diagonal())
+        for prefix_bits in range(2**3):
+            kept = tuple(k for k in range(3) if prefix_bits >> k & 1) + (3,)
+            p, p_cl = marginal_probabilities(df, kept)
+            born = marginal_by_loops(df.entries, 4, kept).diagonal()
+            classical = marginal_by_loops(weights, 4, kept).diagonal()
+            assert np.abs(p - born).max() <= 1e-12
+            assert np.abs(p_cl - classical).max() <= 1e-12
 
     def test_classical_reduction(self):
         df, *_ = make_df(v_minus=2, seed=8, num_steps=2)
