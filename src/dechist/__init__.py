@@ -42,7 +42,6 @@ from .metrics import (
     epsilon_average,
     epsilon_by_distance,
     epsilon_pair,
-    hamming_distance,
     macro_dynamics,
     marginal_probabilities,
     trace_distance,

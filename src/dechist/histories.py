@@ -118,6 +118,16 @@ def _digit_matrix(length: int) -> np.ndarray:
     return np.stack([(codes // M**k) % M for k in range(length)], axis=1)
 
 
+def _final_blocks(entries: np.ndarray, length: int) -> np.ndarray:
+    """Writable (3, b, b) view of the blocks whose final labels agree.
+
+    The final label is the most significant digit, so with b = 3^(L-1)
+    entry [c, i, j] is entries[c*b + i, c*b + j].
+    """
+    b = M ** (length - 1)
+    return np.einsum("ijik->ijk", entries.reshape(M, b, M, b))
+
+
 @dataclass(frozen=True)
 class BranchStates:
     """All 3^L branch leaves for one grid, indexed by encoded history.
@@ -177,7 +187,8 @@ class DecoherenceFunctional:
     """Hermitian (3^L, 3^L) matrix of branch overlaps <psi(y)|psi(x)>.
 
     entry(x, y) is exactly zero whenever the final-time labels differ,
-    provided the final grid time was kept when marginalizing.
+    provided the final grid time was kept when marginalizing, so the
+    nonzero entries live in the three blocks of _final_blocks.
     """
 
     entries: np.ndarray
@@ -200,15 +211,11 @@ def compute_df(branches: BranchStates) -> DecoherenceFunctional:
     the inner products.
     """
     leaves = branches.states
-    n = leaves.shape[0]
-    length = branches.length
-    block = M ** (length - 1)
-    entries = np.zeros((n, n), dtype=np.complex128)
-    for c in range(M):
-        sl = slice(c * block, (c + 1) * block)
-        b = leaves[sl]
+    entries = np.zeros((leaves.shape[0],) * 2, dtype=np.complex128)
+    blocks = _final_blocks(entries, branches.length)
+    for c, b in enumerate(leaves.reshape(M, -1, leaves.shape[1])):
         # entry(x, y) = <psi_y | psi_x> = sum_i psi_x[i] conj(psi_y[i]).
-        entries[sl, sl] = b @ b.conj().T
+        blocks[c] = b @ b.conj().T
     return DecoherenceFunctional(entries=entries, grid=branches.grid)
 
 

@@ -11,8 +11,8 @@ from .model import Coarsening, NUM_MACROSTATES
 from .spectral import SpectralDecomposition, _rows_times_matrix, apply_projector_batch
 from .histories import (
     DecoherenceFunctional,
-    M,
     _digit_matrix,
+    _final_blocks,
     _sum_out,
     history_string,
 )
@@ -27,7 +27,6 @@ __all__ = [
     "trace_distance",
     "delta_max",
     "epsilon_by_distance",
-    "hamming_distance",
     "macro_dynamics",
     "branch_histogram",
     "arrow_score",
@@ -75,23 +74,22 @@ class ArrowReport:
 def _normalized_overlaps(
     df: DecoherenceFunctional,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(eps, eligible, dead) over all ordered pairs of histories.
+    """(eps, eligible, dead) over the pairs sharing the final label.
 
-    eps is |entry(x, y)| / sqrt(w_x w_y), zero on dead pairs (either
-    weight below 1e-300); eligible marks x != y sharing the final label.
+    All three are (3, b, b) arrays with b = 3^(L-1), indexed like
+    _final_blocks(df.entries, L).  eps is |entry(x, y)| / sqrt(w_x w_y),
+    zero on dead pairs (either weight below 1e-300); eligible marks
+    x != y.
     """
-    n = df.entries.shape[0]
-    block = M ** (df.length - 1)
-    final = np.arange(n) // block
-    same_final = final[:, None] == final[None, :]
-    off_diag = ~np.eye(n, dtype=bool)
-    diag = df.diagonal()
+    blocks = _final_blocks(df.entries, df.length)
+    diag = df.diagonal().reshape(blocks.shape[:2])
     degenerate = diag < DEGENERATE_WEIGHT
-    dead = degenerate[:, None] | degenerate[None, :]
+    dead = degenerate[:, :, None] | degenerate[:, None, :]
     safe = np.where(degenerate, 1.0, diag)
-    eps = np.abs(df.entries) / np.sqrt(np.outer(safe, safe))
+    eps = np.abs(blocks) / np.sqrt(safe[:, :, None] * safe[:, None, :])
     eps[dead] = 0.0
-    return eps, same_final & off_diag, dead
+    eligible = np.broadcast_to(~np.eye(blocks.shape[1], dtype=bool), eps.shape)
+    return eps, eligible, dead
 
 
 def epsilon_pair(df: DecoherenceFunctional, x: int, y: int) -> float:
@@ -103,6 +101,8 @@ def epsilon_pair(df: DecoherenceFunctional, x: int, y: int) -> float:
     if x == y:
         raise ValueError("epsilon is defined for distinct histories only")
     diag = df.diagonal()
+    if not (0 <= x < diag.size and 0 <= y < diag.size):
+        raise ValueError(f"histories ({x}, {y}) out of range 0..{diag.size - 1}")
     if diag[x] < DEGENERATE_WEIGHT or diag[y] < DEGENERATE_WEIGHT:
         return 0.0
     return float(np.abs(df.entries[x, y]) / np.sqrt(diag[x] * diag[y]))
@@ -114,11 +114,10 @@ def epsilon_average(df: DecoherenceFunctional) -> EpsilonReport:
     The divisor is the full pair count 3^(2L-1) - 3^L; dead pairs
     contribute zero and are tallied in skipped_pairs.
     """
-    length = df.length
-    if length < 2:
+    if df.length < 2:
         raise ValueError("epsilon_average needs at least two grid times")
     eps, eligible, dead = _normalized_overlaps(df)
-    pair_count = M ** (2 * length - 1) - M**length
+    pair_count = int(eligible.sum())
     total = float(eps[eligible].sum())
     skipped = int((eligible & dead).sum())
     return EpsilonReport(
@@ -184,12 +183,6 @@ def delta_max(df: DecoherenceFunctional) -> TraceDistanceReport:
     )
 
 
-def hamming_distance(x: tuple[int, ...], y: tuple[int, ...]) -> int:
-    if len(x) != len(y):
-        raise ValueError("histories must share a length")
-    return sum(a != b for a, b in zip(x, y))
-
-
 def epsilon_by_distance(df: DecoherenceFunctional) -> dict[int, tuple[float, int]]:
     """Mean violation binned by Hamming distance.
 
@@ -201,7 +194,7 @@ def epsilon_by_distance(df: DecoherenceFunctional) -> dict[int, tuple[float, int
     if length < 2:
         raise ValueError("distance binning needs at least two grid times")
     eps, eligible, _ = _normalized_overlaps(df)
-    digits = _digit_matrix(length)
+    digits = _digit_matrix(length - 1)  # final labels agree inside a block
     dist = (digits[:, None, :] != digits[None, :, :]).sum(axis=2)
     out: dict[int, tuple[float, int]] = {}
     for d in range(1, length):
@@ -234,7 +227,7 @@ def macro_dynamics(
         coeff0 = basis.conj().T @ psi0
     else:
         coeff0 = basis.T @ psi0
-    phases = np.exp(-1j * np.outer(times, sd.eigenvalues))
+    phases = np.exp(-1j * (times[:, None] * sd.eigenvalues))
     states = _rows_times_matrix(phases * coeff0, basis.T)
     out = np.empty((times.size, 1 + NUM_MACROSTATES))
     out[:, 0] = times

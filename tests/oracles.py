@@ -90,6 +90,31 @@ def marginal_by_loops(entries, length, kept) -> np.ndarray:
     return out
 
 
+def epsilon_by_distance_by_loops(entries, length) -> dict:
+    """{distance: (mean epsilon, pair count, dead pairs)} by a loop over code pairs.
+
+    Ordered pairs x != y with equal final labels are binned by the
+    number of grid times at which their labels differ.  A pair in which
+    either weight is below 1e-300 is dead: it counts as zero in the mean
+    and is tallied as dead.
+    """
+    n = 3**length
+    labels = [decode_history(h, length) for h in range(n)]
+    weights = [entries[h, h].real for h in range(n)]
+    bins = {d: [0.0, 0, 0] for d in range(1, length)}
+    for x in range(n):
+        for y in range(n):
+            if x == y or labels[x][-1] != labels[y][-1]:
+                continue
+            tally = bins[sum(a != b for a, b in zip(labels[x], labels[y]))]
+            tally[1] += 1
+            if weights[x] < 1e-300 or weights[y] < 1e-300:
+                tally[2] += 1
+            else:
+                tally[0] += abs(entries[x, y]) / np.sqrt(weights[x] * weights[y])
+    return {d: (s / c if c else 0.0, c, dead) for d, (s, c, dead) in bins.items()}
+
+
 def born_probability_subset(h, projectors, times, psi0, kept, labels) -> float:
     """p(z) by inserting projectors only at the kept times.
 

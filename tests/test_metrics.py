@@ -21,6 +21,7 @@ from dechist.histories import (
     compute_df,
     decode_history,
     encode_history,
+    marginalize,
     num_histories,
 )
 from dechist.metrics import (
@@ -31,13 +32,17 @@ from dechist.metrics import (
     epsilon_average,
     epsilon_by_distance,
     epsilon_pair,
-    hamming_distance,
     macro_dynamics,
     marginal_probabilities,
     trace_distance,
 )
 
-from oracles import born_probability_subset, marginal_by_loops, range_projectors
+from oracles import (
+    born_probability_subset,
+    epsilon_by_distance_by_loops,
+    marginal_by_loops,
+    range_projectors,
+)
 
 
 def make_df(v_minus=1, seed=0, state_seed=1, num_steps=2, step=3.0,
@@ -74,6 +79,13 @@ class TestEpsilon:
         df, *_ = make_df()
         with pytest.raises(ValueError):
             epsilon_pair(df, 0, 0)
+
+    def test_pair_rejects_codes_out_of_range(self):
+        df, *_ = make_df(num_steps=2)
+        with pytest.raises(ValueError):
+            epsilon_pair(df, -1, 25)
+        with pytest.raises(ValueError):
+            epsilon_pair(df, 27, 0)
 
     def test_pair_matches_definition(self):
         df, *_ = make_df(v_minus=2, seed=1)
@@ -255,12 +267,37 @@ class TestTraceDistance:
         assert report.delta_max == 0.0
 
 
+def assert_matches_loop_oracle(df):
+    expected = epsilon_by_distance_by_loops(df.entries, df.length)
+    bins = epsilon_by_distance(df)
+    assert bins.keys() == expected.keys()
+    for d, (mean, count, _) in expected.items():
+        assert bins[d][0] == pytest.approx(mean, rel=0, abs=1e-12)
+        assert bins[d][1] == count
+    report = epsilon_average(df)
+    pairs = sum(count for _, count, _ in expected.values())
+    total = sum(mean * count for mean, count, _ in expected.values())
+    assert report.epsilon_avg == pytest.approx(total / pairs, rel=0, abs=1e-12)
+    assert report.pair_count == pairs
+    assert report.skipped_pairs == sum(dead for _, _, dead in expected.values())
+
+
 class TestDistanceBins:
-    def test_hamming_hand_example(self):
-        # (0,+,0,-,0) vs (0,-,+,0,0): three positions differ.
-        assert hamming_distance((1, 2, 1, 0, 1), (1, 0, 2, 1, 1)) == 3
-        with pytest.raises(ValueError):
-            hamming_distance((0, 1), (0, 1, 2))
+    def test_matches_loop_oracle(self, functional_l4):
+        assert_matches_loop_oracle(functional_l4)
+
+    def test_marginal_matches_loop_oracle(self, functional_l4):
+        # Without the final time, the blocks that mix final labels hold
+        # rounding noise instead of exact zeros; the metrics must not
+        # read them.
+        df = marginalize(functional_l4, range(3))
+        assert np.abs(df.entries[:9, 9:]).max() > 0.0
+        assert_matches_loop_oracle(df)
+
+    def test_dead_branches_match_loop_oracle(self):
+        df, _ = conserved_df((1.0, 0.0, 0.0), 3)
+        assert_matches_loop_oracle(df)
+        assert epsilon_average(df).skipped_pairs > 0
 
     def test_bins_cover_all_pairs(self):
         df, *_ = make_df(v_minus=1, seed=2, num_steps=2)
