@@ -54,6 +54,7 @@ from .experiments import (
     SweepSpec,
     compute_realization_df,
     fit_scaling,
+    run_dynamics,
     run_realization,
     run_sweep,
 )

@@ -1,11 +1,12 @@
 """Command line front end and on-disk schemas.
 
-Every command reads one JSON config (parsed into a SweepSpec by
-dechist.experiments: strictly validated, unknown keys rejected) and
-writes CSV/JSON files whose float fields round-trip exactly via repr.
-Each CSV starts with a `# schema_version=N` comment line.  Exit codes:
-0 success, 2 config or file problems, 1 anything else; failures print a
-single `error: ...` line to stderr.
+Every command parses one JSON config (into a SweepSpec by
+dechist.experiments: strictly validated, unknown keys rejected), calls
+dechist.experiments for the numbers, and writes CSV/JSON files whose
+float fields round-trip exactly via repr; the path of each file written
+is printed.  Each CSV starts with a `# schema_version=N` comment line.
+Exit codes: 0 success, 2 config or file problems, 1 anything else;
+failures print a single `error: ...` line to stderr.
 """
 
 from __future__ import annotations
@@ -19,19 +20,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ModelConfig, build_coarsening, build_hamiltonian, derive_coupling
-from .spectral import eigendecompose, sample_haar_state, select_eigenstate
-from .metrics import branch_histogram, epsilon_by_distance, macro_dynamics
+from .model import ModelConfig, derive_coupling
+from .metrics import branch_histogram, epsilon_by_distance
 from .experiments import (
     FIT_METRICS,
     ConfigError,
-    InitFamily,
     SweepSpec,
     compute_realization_df,
     fit_points,
-    initial_weights,
     parse_config,
     parse_config_dict,
+    run_dynamics,
     run_sweep,
 )
 
@@ -50,10 +49,6 @@ DYNAMICS_HEADER = ["t", "p_minus", "p_zero", "p_plus"]
 FIT_HEADER = ["l", "metric", "alpha", "intercept", "r_squared", "n_points"]
 HISTOGRAM_HEADER = ["history", "probability"]
 DISTANCE_HEADER = ["d", "hamming", "eps_mean", "pair_count"]
-
-# Sampling window for the dynamics command, in units of tau.
-DYNAMICS_T_MAX_TAU = 20.0
-DYNAMICS_DT_TAU = 0.1
 
 
 def _require_v_minus(spec: SweepSpec, command: str) -> int:
@@ -88,25 +83,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _open_csv(path: Path):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fh = path.open("w", newline="")
-    fh.write(f"# schema_version={SCHEMA_VERSION}\n")
-    return fh, csv.writer(fh)
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    fh, writer = _open_csv(path)
-    with fh:
+    """Schema comment, header, then rows; a str row is a `# ...` comment line."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as fh:
+        fh.write(f"# schema_version={SCHEMA_VERSION}\n")
+        writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        for row in rows:
+            if isinstance(row, str):
+                fh.write(f"# {row}\n")
+            else:
+                writer.writerow(row)
     print(path)
-
-
-def _output_dir(spec: SweepSpec) -> Path:
-    out = Path(spec.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _write_df_json(path: Path, df) -> None:
@@ -122,43 +111,21 @@ def _write_df_json(path: Path, df) -> None:
         "histories": list(range(n)),
         "entries": entries,
     }
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc) + "\n")
+    print(path)
 
 
 def _cmd_dynamics(args) -> int:
     spec = parse_config(args.config)
-    v_minus = _require_v_minus(spec, "dynamics")
-    config = spec.model_config(5 * v_minus, 0)
-    _warn_interaction(config)
-    coupling = derive_coupling(config)
-    sd = eigendecompose(build_hamiltonian(config))
-    coarsening = build_coarsening(config)
-    state_seed = spec.state_seed(0, 0)
-
-    if spec.init_family is InitFamily.EIGENSTATE:
-        starts = [(None, select_eigenstate(sd, state_seed)[0])]
-    else:
-        # Several triples mean several trajectory blocks in one file.
-        triples = spec.weights or (initial_weights(spec, config),)
-        starts = [
-            (w, sample_haar_state(coarsening, w, state_seed)) for w in triples
-        ]
-
-    out = _output_dir(spec) / "dynamics.csv"
-    fh, writer = _open_csv(out)
-    with fh:
-        writer.writerow(DYNAMICS_HEADER)
-        for weights, psi0 in starts:
-            tag = "eigenstate" if weights is None else ",".join(_fmt(w) for w in weights)
-            fh.write(f"# init {tag}\n")
-            series = macro_dynamics(
-                sd, coarsening, psi0,
-                t_max=DYNAMICS_T_MAX_TAU * coupling.tau,
-                dt=DYNAMICS_DT_TAU * coupling.tau,
-            )
-            for row in series:
-                writer.writerow([_fmt(v) for v in row])
-    print(out)
+    _warn_interaction(spec.model_config(5 * _require_v_minus(spec, "dynamics"), 0))
+    # One trajectory block per start, each introduced by an `# init` line.
+    rows = []
+    for weights, series in run_dynamics(spec):
+        tag = "eigenstate" if weights is None else ",".join(_fmt(w) for w in weights)
+        rows.append(f"init {tag}")
+        rows += [[_fmt(v) for v in row] for row in series]
+    _write_csv(Path(spec.output_dir) / "dynamics.csv", DYNAMICS_HEADER, rows)
     return 0
 
 
@@ -201,7 +168,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("model.d_grid: required by the sweep command")
     _require_one_triple(spec)
     _warn_interaction(spec.model_config(spec.d_grid[0], 0))
-    out = _output_dir(spec)
+    out = Path(spec.output_dir)
     results = run_sweep(spec, output_dir=out, workers=_resolve_workers(args))
     failed = [r for r in results if r.failed]
     for r in failed:
@@ -227,7 +194,7 @@ def _read_fit_points(path: Path, metric: str, length: int) -> list[tuple[int, fl
         reader = csv.DictReader([line for line in fh if not line.startswith("#")])
     if reader.fieldnames != RESULTS_HEADER:
         raise ConfigError(f"{path}: unexpected results.csv header")
-    column = "epsilon_avg" if metric == "epsilon" else "delta_max"
+    column = FIT_METRICS[metric]
     points = []
     lengths: dict[tuple[int, int, int], set[int]] = {}
     for row in reader:
@@ -254,55 +221,52 @@ def _cmd_fit(args) -> int:
         fit = fit_points(points, args.metric, args.l)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    path = Path(args.results).parent / "fit.csv"
-    fh, writer = _open_csv(path)
-    with fh:
-        writer.writerow(FIT_HEADER)
-        writer.writerow([
+    rows = [
+        [
             _fmt(fit.length), fit.metric, _fmt(fit.alpha), _fmt(fit.intercept),
             _fmt(fit.r_squared), _fmt(len(fit.points)),
-        ])
-        fh.write("# points\n")
-        writer.writerow(["d", "mean"])
-        for d, mean in fit.points:
-            writer.writerow([_fmt(d), _fmt(mean)])
-    print(path)
+        ],
+        "points",
+        ["d", "mean"],
+        *([_fmt(d), _fmt(mean)] for d, mean in fit.points),
+    ]
+    _write_csv(Path(args.results).parent / "fit.csv", FIT_HEADER, rows)
     return 0
 
 
 def _single_system_df(args, command: str):
-    """(spec, d, df) for one realization at D = 5 * v_minus; df.json is
-    written when the command is dump-df or the config sets dump_df."""
+    """(output directory, d, df) for one realization at D = 5 * v_minus;
+    df.json is written when the command is dump-df or the config sets dump_df."""
     spec = parse_config(args.config)
     d = 5 * _require_v_minus(spec, command)
     _require_one_triple(spec)
     _warn_interaction(spec.model_config(d, 0))
     df, _, _ = compute_realization_df(spec, d, 0, 0)
+    out = Path(spec.output_dir)
     if spec.dump_df or command == "dump-df":
-        _write_df_json(_output_dir(spec) / "df.json", df)
-    return spec, d, df
+        _write_df_json(out / "df.json", df)
+    return out, d, df
 
 
 def _cmd_histogram(args) -> int:
-    spec, _, df = _single_system_df(args, "histogram")
+    out, _, df = _single_system_df(args, "histogram")
     rows = [[history, _fmt(p)] for history, p in branch_histogram(df).items()]
-    _write_csv(_output_dir(spec) / "histogram.csv", HISTOGRAM_HEADER, rows)
+    _write_csv(out / "histogram.csv", HISTOGRAM_HEADER, rows)
     return 0
 
 
 def _cmd_distance(args) -> int:
-    spec, d, df = _single_system_df(args, "distance")
+    out, d, df = _single_system_df(args, "distance")
     rows = [
         [_fmt(d), _fmt(hamming), _fmt(mean), _fmt(count)]
         for hamming, (mean, count) in sorted(epsilon_by_distance(df).items())
     ]
-    _write_csv(_output_dir(spec) / "distance.csv", DISTANCE_HEADER, rows)
+    _write_csv(out / "distance.csv", DISTANCE_HEADER, rows)
     return 0
 
 
 def _cmd_dump_df(args) -> int:
-    spec, _, _ = _single_system_df(args, "dump-df")
-    print(_output_dir(spec) / "df.json")
+    _single_system_df(args, "dump-df")
     return 0
 
 

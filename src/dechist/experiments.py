@@ -1,10 +1,12 @@
-"""Finite-size sweeps, their run config, and power-law scaling fits.
+"""Realization setup, sweeps, dynamics, their run config, and power-law fits.
 
-A sweep runs one realization per (dimension, hamiltonian seed, state
-seed) triple, computes a single decoherence functional at the longest
-grid, and derives every shorter-grid record from it by trailing
-marginalization.  Records stream to a JSONL file as they finish, so an
-interrupted sweep resumes without recomputing completed keys.
+_prepare sets up every realization: it decomposes the random matrix and
+chooses the initial states.  A sweep runs one realization per (dimension,
+hamiltonian seed, state seed) triple, computes a single decoherence
+functional at the longest grid, and derives every shorter-grid record
+from it by trailing marginalization.  Records stream to a JSONL file as
+they finish, so an interrupted sweep resumes without recomputing
+completed keys.
 
 SweepSpec is the run config of every command.  Its config-file JSON is
 laid out by CONFIG_FIELDS, which drives parsing, the unknown-key check
@@ -58,6 +60,7 @@ from .metrics import (
     delta_max,
     epsilon_average,
     epsilon_by_distance,
+    macro_dynamics,
 )
 
 __all__ = [
@@ -71,16 +74,21 @@ __all__ = [
     "PerLengthMetrics",
     "RealizationResult",
     "ScalingFit",
-    "initial_weights",
     "compute_realization_df",
     "run_realization",
     "run_sweep",
+    "run_dynamics",
     "fit_scaling",
     "fit_points",
     "FIT_METRICS",
 ]
 
-FIT_METRICS = ("epsilon", "delta")
+# Fit metric -> the PerLengthMetrics field (and results.csv column) it fits.
+FIT_METRICS = {"epsilon": "epsilon_avg", "delta": "delta_max"}
+
+# Sampling window of run_dynamics, in units of tau.
+DYNAMICS_T_MAX_TAU = 20.0
+DYNAMICS_DT_TAU = 0.1
 
 RECORDS_FILENAME = "realizations.jsonl"
 SPEC_FILENAME = "sweep_spec.json"
@@ -404,15 +412,37 @@ class ScalingFit:
     points: tuple[tuple[int, float], ...]
 
 
-def initial_weights(spec: SweepSpec, config: ModelConfig) -> tuple[float, float, float]:
-    """Band weights of a Haar start: the first configured triple, else
-    equilibrium weights or, out of equilibrium, all weight on '-'."""
-    if spec.weights is not None:
-        return spec.weights[0]
-    if spec.init_family is InitFamily.HAAR_EQUILIBRIUM:
-        d = config.dimension
-        return tuple(v / d for v in config.volumes)
-    return (1.0, 0.0, 0.0)
+def _prepare(
+    spec: SweepSpec, d: int, h_index: int, s_index: int,
+    hamiltonian: BlockHamiltonian | None = None, sd: SpectralDecomposition | None = None,
+):
+    """(tau, sd, coarsening, starts) of one realization.
+
+    Each start is (weights, psi0, eigenstate_index): a seeded eigenstate
+    (weights None), or one Haar state per weight triple (default:
+    equilibrium weights, or all weight on '-' out of equilibrium), each
+    drawn from the state seed.  A decomposition shared by several state
+    seeds may be passed in, or a Hamiltonian to decompose.
+    """
+    config = spec.model_config(d, h_index)
+    if sd is None:
+        sd = eigendecompose(
+            build_hamiltonian(config) if hamiltonian is None else hamiltonian
+        )
+    coarsening = build_coarsening(config)
+    state_seed = spec.state_seed(h_index, s_index)
+    if spec.init_family is InitFamily.EIGENSTATE:
+        psi0, eigenstate_index = select_eigenstate(sd, state_seed)
+        starts = [(None, psi0, eigenstate_index)]
+    else:
+        default = (1.0, 0.0, 0.0)
+        if spec.init_family is InitFamily.HAAR_EQUILIBRIUM:
+            default = tuple(v / config.dimension for v in config.volumes)
+        triples = spec.weights or (default,)
+        starts = [
+            (w, sample_haar_state(coarsening, w, state_seed), None) for w in triples
+        ]
+    return derive_coupling(config).tau, sd, coarsening, starts
 
 
 def _make_grid(spec: SweepSpec, tau: float, h_index: int, s_index: int) -> HistoryGrid:
@@ -436,30 +466,29 @@ def compute_realization_df(
     hamiltonian: BlockHamiltonian | None = None,
     sd: SpectralDecomposition | None = None,
 ):
-    """Decoherence functional of one realization at the full grid.
-
-    Returns (df, coarsening, eigenstate_index).  A prebuilt Hamiltonian
-    or decomposition may be passed in when several state seeds share one
-    matrix; the Hamiltonian is only built when it has to be decomposed.
+    """Decoherence functional of one realization at the full grid, from
+    the first start of _prepare (which takes the same optional Hamiltonian
+    or decomposition).  Returns (df, coarsening, eigenstate_index).
     """
-    config = spec.model_config(d, h_index)
-    coupling = derive_coupling(config)
-    if sd is None:
-        sd = eigendecompose(
-            build_hamiltonian(config) if hamiltonian is None else hamiltonian
-        )
-    coarsening = build_coarsening(config)
-
-    state_seed = spec.state_seed(h_index, s_index)
-    eigenstate_index: int | None = None
-    if spec.init_family is InitFamily.EIGENSTATE:
-        psi0, eigenstate_index = select_eigenstate(sd, state_seed)
-    else:
-        psi0 = sample_haar_state(coarsening, initial_weights(spec, config), state_seed)
-
-    grid = _make_grid(spec, coupling.tau, h_index, s_index)
+    tau, sd, coarsening, starts = _prepare(spec, d, h_index, s_index, hamiltonian, sd)
+    _, psi0, eigenstate_index = starts[0]
+    grid = _make_grid(spec, tau, h_index, s_index)
     branches = compute_branch_states(sd, coarsening, psi0, grid)
     return compute_df(branches), coarsening, eigenstate_index
+
+
+def run_dynamics(spec: SweepSpec) -> list[tuple[tuple[float, ...] | None, np.ndarray]]:
+    """Macrostate weights of one realization at D = 5 * v_minus.
+
+    One (weights, series) block per start of _prepare, weights None for
+    an eigenstate; each series holds (t, p_minus, p_zero, p_plus) rows
+    over [0, 20 tau] every tau / 10.
+    """
+    if spec.v_minus is None:
+        raise ConfigError("model.v_minus: required by the dynamics command")
+    tau, sd, coarsening, starts = _prepare(spec, 5 * spec.v_minus, 0, 0)
+    t_max, dt = DYNAMICS_T_MAX_TAU * tau, DYNAMICS_DT_TAU * tau
+    return [(w, macro_dynamics(sd, coarsening, psi0, t_max, dt)) for w, psi0, _ in starts]
 
 
 def run_realization(
@@ -624,6 +653,8 @@ def run_sweep(
     count or completion order.  A group lost to a crashed worker comes
     back as failed results that are not written, so a rerun retries it.
     """
+    if spec.d_grid is None:
+        raise ConfigError("model.d_grid: required by the sweep command")
     records: dict[tuple[int, int, int], dict] = {}
     records_path = None
     if output_dir is not None:
@@ -690,16 +721,14 @@ def fit_scaling(
 ) -> ScalingFit:
     """fit_points over the successful realizations' (D, metric) points."""
     if metric not in FIT_METRICS:
-        raise ValueError(f"metric must be one of {FIT_METRICS}, got {metric!r}")
+        raise ValueError(f"metric must be one of {tuple(FIT_METRICS)}, got {metric!r}")
     points = []
     for result in results:
         if result.failed:
             continue
         if length not in result.per_length:
             raise ValueError(f"realization {result.key} has no grid length {length}")
-        m = result.per_length[length]
-        value = m.epsilon_avg if metric == "epsilon" else m.delta_max
-        points.append((result.d, value))
+        points.append((result.d, getattr(result.per_length[length], FIT_METRICS[metric])))
     return fit_points(points, metric, length)
 
 

@@ -34,8 +34,8 @@ __all__ = [
 M = NUM_MACROSTATES
 MAX_LENGTH = 6
 
-# Default cap on the leaf array (3^L * D complex entries): 2 GiB.
-DEFAULT_MEMORY_BUDGET = 2 << 30
+# Cap on the leaf array (3^L * D complex entries): 2 GiB.
+MEMORY_BUDGET = 2 << 30
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,6 @@ def compute_branch_states(
     coarsening: Coarsening,
     psi0: np.ndarray,
     grid: HistoryGrid,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> BranchStates:
     """Grow the branch tree level by level.
 
@@ -161,10 +160,10 @@ def compute_branch_states(
     d = sd.dimension
     length = grid.length
     needed = 16 * num_histories(length) * d
-    if needed > memory_budget:
+    if needed > MEMORY_BUDGET:
         raise MemoryError(
             f"branch tree needs {needed} bytes for 3^{length} x {d} leaves, "
-            f"budget is {memory_budget}"
+            f"budget is {MEMORY_BUDGET}"
         )
     psi0 = np.asarray(psi0, dtype=np.complex128)
     # Level 0: split the initial state at t_0.

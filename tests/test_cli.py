@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dechist import cli, experiments, spectral
+from dechist import experiments, spectral
 from dechist.cli import (
     DISTANCE_HEADER,
     DYNAMICS_HEADER,
@@ -404,6 +404,17 @@ class TestDumpDfCommand:
         capsys.readouterr()
         assert (tmp_path / "out" / "df.json").exists()
 
+    def test_dump_df_flag_prints_every_path(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = write_config(
+            tmp_path,
+            grid={"num_steps": 1},
+            output={"directory": str(out), "dump_df": True},
+        )
+        assert main(["histogram", "--config", str(config)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == [str(out / "df.json"), str(out / "histogram.csv")]
+
 
 class TestSingleSystemFunctional:
     @pytest.mark.parametrize("command", ["histogram", "distance", "dump-df"])
@@ -415,7 +426,6 @@ class TestSingleSystemFunctional:
             return spectral.eigendecompose(hamiltonian)
 
         monkeypatch.setattr(experiments, "eigendecompose", counting)
-        monkeypatch.setattr(cli, "eigendecompose", counting)
         config = write_config(
             tmp_path,
             grid={"num_steps": 2},

@@ -168,6 +168,13 @@ class TestRunRealization:
         result = run_realization(small_spec(), 5, 0, 0)
         assert result.eigenstate_index is None
 
+    def test_functional_uses_first_weight_triple(self):
+        first = ((0.2, 0.6, 0.2),)
+        df, _, _ = experiments.compute_realization_df(small_spec(weights=first), 5, 0, 0)
+        both = small_spec(weights=first + ((1.0, 0.0, 0.0),))
+        again, _, _ = experiments.compute_realization_df(both, 5, 0, 0)
+        assert np.array_equal(again.entries, df.entries)
+
     def test_random_spacing_deterministic(self):
         spec = small_spec(step_mode=RandomSpacing(0.5, 1.5))
         a = run_realization(spec, 5, 0, 0)
@@ -283,6 +290,14 @@ class TestRunSweep:
         monkeypatch.setattr(experiments, "_run_group", lambda *args: [])
         run_sweep(spec, output_dir=tmp_path)
         assert (tmp_path / "sweep_spec.json").read_text() == SPEC_V1.read_text()
+
+    def test_spec_of_the_wrong_kind_is_rejected_before_any_write(self, tmp_path):
+        out = tmp_path / "sweep"
+        with pytest.raises(ValueError):
+            run_sweep(SweepSpec(v_minus=2), output_dir=out)
+        assert not (out / "sweep_spec.json").exists()
+        with pytest.raises(ValueError):
+            experiments.run_dynamics(small_spec())
 
     def test_spec_guard_rejects_mismatched_directory(self, tmp_path):
         out = tmp_path / "sweep"

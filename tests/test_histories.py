@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dechist import histories
 from dechist.model import Coarsening, ModelConfig, build_coarsening, build_hamiltonian
 from dechist.spectral import eigendecompose, evolve, sample_haar_state
 from dechist.histories import (
@@ -103,11 +104,12 @@ class TestBranchStates:
         expected = evolve(sd, evolve(sd, psi0, 4.0), 4.0)
         assert np.abs(total - expected).max() <= 1e-9
 
-    def test_memory_guard(self):
+    def test_memory_guard(self, monkeypatch):
         _, _, sd, coarsening, psi0 = realization()
         grid = HistoryGrid.constant(4, 1.0)
+        monkeypatch.setattr(histories, "MEMORY_BUDGET", 1024)
         with pytest.raises(MemoryError):
-            compute_branch_states(sd, coarsening, psi0, grid, memory_budget=1024)
+            compute_branch_states(sd, coarsening, psi0, grid)
 
     def test_conserved_coarsening_kills_mixed_histories(self):
         # Projectors onto eigenvector groups commute with the evolution,

@@ -48,3 +48,24 @@ def test_scanner_flags_only_unread_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# Realization setup belongs to dechist.experiments; the CLI only parses,
+# calls and writes, so it cannot start an eigensolve of its own.
+SETUP_NAMES = {
+    "eigendecompose", "build_hamiltonian", "build_coarsening",
+    "sample_haar_state", "select_eigenstate", "macro_dynamics",
+}
+
+
+def test_cli_imports_no_realization_setup():
+    tree = ast.parse((ROOT / "src" / "dechist" / "cli.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.name.split(".")[-1] for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    assert names & SETUP_NAMES == set()
