@@ -152,10 +152,13 @@ def compute_branch_states(
 ) -> BranchStates:
     """Grow the branch tree level by level.
 
-    Each tree node is evolved once and then split by the three
-    projectors, so the work is sum_k 3^k propagations rather than
-    L * 3^L.  Summing the leaves over all histories reproduces the
-    unitarily evolved state.
+    Each live tree node is evolved once and then split by the three
+    projectors, so the work is at most sum_k 3^k propagations rather
+    than L * 3^L; nodes that are exactly zero (a start with no weight
+    in some band) are never evolved.  Under the band masks a level's
+    three child chunks each live in one band, so their forward
+    transforms read only that band's eigenvector rows.  Summing the
+    leaves over all histories reproduces the unitarily evolved state.
     """
     d = sd.dimension
     length = grid.length
@@ -170,9 +173,10 @@ def compute_branch_states(
     states = np.concatenate(
         [apply_projector_batch(coarsening, x, psi0[None, :]) for x in range(M)], axis=0
     )
+    ranges = None if coarsening.is_dense else coarsening.ranges
     for k in range(1, length):
         dt = grid.times[k] - grid.times[k - 1]
-        evolved = evolve_batch(sd, states, dt)
+        evolved = evolve_batch(sd, states, dt, ranges=ranges)
         # Child with label x at time t_k sits at parent_code + x * 3^k,
         # so the three projected copies stack contiguously.
         states = np.concatenate(

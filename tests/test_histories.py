@@ -5,9 +5,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dechist import histories
-from dechist.model import Coarsening, ModelConfig, build_coarsening, build_hamiltonian
-from dechist.spectral import eigendecompose, evolve, sample_haar_state
+from dechist import histories, spectral
+from dechist.model import (
+    Coarsening,
+    Ensemble,
+    ModelConfig,
+    build_coarsening,
+    build_hamiltonian,
+)
+from dechist.spectral import (
+    eigendecompose,
+    evolve,
+    sample_haar_state,
+    select_eigenstate,
+)
 from dechist.histories import (
     HistoryGrid,
     compute_branch_states,
@@ -130,6 +141,56 @@ class TestBranchStates:
                 assert norm <= 1e-12
             else:
                 assert norm > 1e-3
+
+    @pytest.mark.parametrize(
+        "ensemble,start",
+        [
+            (Ensemble.GOE, "minus"),
+            (Ensemble.GUE, "minus"),
+            (Ensemble.GOE, "eigenstate"),
+            (Ensemble.GUE, "eigenstate"),
+        ],
+    )
+    def test_live_rows_and_band_slices_match_chain_oracle(self, ensemble, start):
+        # An all-minus start leaves every history with x_0 != - exactly
+        # dead, so the tree skips those rows; an eigenstate start has
+        # no dead rows and exercises only the per-band slicing.
+        config = ModelConfig(v_minus=2, ensemble=ensemble, hamiltonian_seed=5)
+        ham = build_hamiltonian(config)
+        sd = eigendecompose(ham)
+        coarsening = build_coarsening(config)
+        if start == "minus":
+            psi0 = sample_haar_state(coarsening, (1.0, 0.0, 0.0), 2)
+        else:
+            psi0, _ = select_eigenstate(sd, 2)
+        grid = HistoryGrid.constant(3, 2.0)
+        branches = compute_branch_states(sd, coarsening, psi0, grid)
+        oracle = df_by_chains(
+            ham.matrix, range_projectors(coarsening.ranges), grid.times, psi0
+        )
+        assert np.abs(compute_df(branches).entries - oracle).max() <= 1e-12
+        first = np.arange(num_histories(4)) % 3
+        dead = first != 0 if start == "minus" else np.zeros_like(first, dtype=bool)
+        assert np.all(branches.states[dead] == 0)
+        assert np.all(np.any(branches.states[~dead] != 0, axis=1))
+
+    def test_dead_rows_skip_the_forward_transform(self, monkeypatch):
+        # All-minus start at L=4: levels 1..3 hold 3 + 9 + 27 rows, of
+        # which 1 + 3 + 9 are live.  Only live rows may reach the
+        # products, each forward product on one band's eigenvector rows.
+        _, _, sd, coarsening, psi0 = realization(v_minus=2, weights=(1.0, 0.0, 0.0))
+        d = sd.dimension
+        forward, backward = [], []
+        product = spectral._rows_times_matrix
+
+        def counting(rows, mat):
+            (backward if mat.shape == (d, d) else forward).append(rows.shape[0])
+            return product(rows, mat)
+
+        monkeypatch.setattr(spectral, "_rows_times_matrix", counting)
+        compute_branch_states(sd, coarsening, psi0, HistoryGrid.constant(3, 2.0))
+        assert sum(forward) == 13
+        assert backward == [1, 3, 9]
 
 
 class TestDecoherenceFunctional:

@@ -123,6 +123,31 @@ class TestEvolve:
             single = evolve(sd, states[i], 1.7)
             assert np.abs(batch[i] - single).max() <= 1e-12
 
+    @pytest.mark.parametrize("ensemble", [Ensemble.GOE, Ensemble.GUE])
+    def test_band_ranges_match_full_rows(self, ensemble):
+        # Three chunks of three rows, chunk x supported on band x, with
+        # exact-zero rows in two chunks; the band-sliced forward
+        # transform must agree with the full-row one.
+        config, _, sd = model_parts(v_minus=3, seed=4, ensemble=ensemble)
+        ranges = config.block_layout
+        rng = np.random.default_rng(6)
+        states = np.zeros((9, sd.dimension), dtype=complex)
+        for x, (a, b) in enumerate(ranges):
+            states[3 * x : 3 * x + 3, a:b] = rng.standard_normal(
+                (3, b - a)
+            ) + 1j * rng.standard_normal((3, b - a))
+        states[[1, 6, 8]] = 0.0
+        banded = evolve_batch(sd, states, 1.3, ranges=ranges)
+        full = evolve_batch(sd, states, 1.3)
+        assert np.abs(banded - full).max() <= 1e-12
+        assert np.all(banded[[1, 6, 8]] == 0)
+        assert np.all(np.any(banded[[0, 2, 3, 4, 5, 7]] != 0, axis=1))
+
+    def test_ranges_must_split_rows_evenly(self):
+        config, _, sd = model_parts()
+        with pytest.raises(ValueError):
+            evolve_batch(sd, np.ones((4, sd.dimension)), 1.0, ranges=config.block_layout)
+
 
 class TestProjectors:
     def test_completeness_exact(self):
