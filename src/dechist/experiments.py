@@ -691,7 +691,7 @@ def run_sweep(
                     fh.write(json.dumps(data, sort_keys=True) + "\n")
 
     if workers > 1 and groups:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(groups))) as pool:
             futures = {
                 pool.submit(_run_group, spec, d, h_index, pending): (d, h_index, pending)
                 for d, h_index, pending in groups

@@ -9,6 +9,7 @@ the least significant digit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -107,15 +108,22 @@ def decode_history(h: int, length: int) -> tuple[int, ...]:
     return tuple((h // M**k) % M for k in range(length))
 
 
+@functools.lru_cache(maxsize=sum(M**k for k in range(1, MAX_LENGTH + 1)))
 def history_string(h: int, length: int) -> str:
-    """Comma-joined labels, oldest first, e.g. '0,+,0'."""
+    """Comma-joined labels, oldest first, e.g. '0,+,0'.
+
+    Memoised with room for every code of every grid length.
+    """
     return ",".join(MACROSTATE_LABELS[x] for x in decode_history(h, length))
 
 
+@functools.lru_cache(maxsize=MAX_LENGTH + 1)
 def _digit_matrix(length: int) -> np.ndarray:
-    """(3^L, L) array of base-3 digits for every encoded history."""
+    """Read-only (3^L, L) base-3 digits of every code, memoised per length."""
     codes = np.arange(M**length)
-    return np.stack([(codes // M**k) % M for k in range(length)], axis=1)
+    digits = np.stack([(codes // M**k) % M for k in range(length)], axis=1)
+    digits.flags.writeable = False
+    return digits
 
 
 def _final_blocks(entries: np.ndarray, length: int) -> np.ndarray:

@@ -193,16 +193,12 @@ def epsilon_by_distance(df: DecoherenceFunctional) -> dict[int, tuple[float, int
     length = df.length
     if length < 2:
         raise ValueError("distance binning needs at least two grid times")
-    eps, eligible, _ = _normalized_overlaps(df)
+    eps, _, _ = _normalized_overlaps(df)
     digits = _digit_matrix(length - 1)  # final labels agree inside a block
     dist = (digits[:, None, :] != digits[None, :, :]).sum(axis=2)
-    out: dict[int, tuple[float, int]] = {}
-    for d in range(1, length):
-        sel = eligible & (dist == d)
-        count = int(sel.sum())
-        mean = float(eps[sel].sum() / count) if count else 0.0
-        out[d] = (mean, count)
-    return out
+    # d >= 1 already excludes x == y, and no bin is empty.
+    bins = {d: np.broadcast_to(dist == d, eps.shape) for d in range(1, length)}
+    return {d: (float(eps[sel].mean()), int(sel.sum())) for d, sel in bins.items()}
 
 
 def macro_dynamics(
@@ -241,19 +237,17 @@ def macro_dynamics(
 def branch_histogram(df: DecoherenceFunctional) -> dict[str, float]:
     """Diagonal weights keyed by label string, oldest label first."""
     diag = df.diagonal()
-    length = df.length
-    return {history_string(h, length): float(diag[h]) for h in range(diag.size)}
+    return {history_string(h, df.length): float(diag[h]) for h in range(diag.size)}
 
 
-def arrow_score(labels: Sequence[int], volumes: tuple[int, ...]) -> int:
-    """Net count of volume-increasing minus volume-decreasing steps."""
-    score = 0
-    for a, b in zip(labels, labels[1:]):
-        if volumes[b] > volumes[a]:
-            score += 1
-        elif volumes[b] < volumes[a]:
-            score -= 1
-    return score
+def arrow_score(labels: Sequence[int] | np.ndarray, volumes: tuple[int, ...]):
+    """Net count of volume-increasing minus volume-decreasing steps.
+
+    labels is one label sequence, which gives a NumPy integer, or an
+    (n, L) label array, which gives one score per row.
+    """
+    steps = np.diff(np.asarray(volumes)[np.asarray(labels, dtype=np.intp)], axis=-1)
+    return np.sign(steps).sum(axis=-1)
 
 
 def arrow_classification(
@@ -262,13 +256,7 @@ def arrow_classification(
     """Split the diagonal mass by the sign of the volume arrow."""
     if df.length < 2:
         raise ValueError("arrow classification needs at least two grid times")
-    volumes = coarsening.volumes
-    totals = [0.0, 0.0, 0.0]  # forward, none, backward
-    digits = _digit_matrix(df.length).tolist()
-    for labels, weight in zip(digits, df.diagonal().tolist()):
-        score = arrow_score(labels, volumes)
-        slot = 0 if score > 0 else (2 if score < 0 else 1)
-        totals[slot] += weight
-    return ArrowReport(
-        p_forward=totals[0], p_noarrow=totals[1], p_backward=totals[2]
-    )
+    scores = arrow_score(_digit_matrix(df.length), coarsening.volumes)
+    # Slot 0 forward, 1 none, 2 backward; bincount adds in code order.
+    totals = np.bincount(1 - np.sign(scores), weights=df.diagonal(), minlength=3)
+    return ArrowReport(*totals.tolist())

@@ -115,6 +115,27 @@ def epsilon_by_distance_by_loops(entries, length) -> dict:
     return {d: (s / c if c else 0.0, c, dead) for d, (s, c, dead) in bins.items()}
 
 
+def arrow_by_loops(entries, length, volumes) -> tuple[float, float, float]:
+    """(p_forward, p_noarrow, p_backward) by a loop over history codes.
+
+    Each step x_k -> x_k+1 scores +1 when the band volume grows and -1
+    when it shrinks; a history's weight goes to the forward, no-arrow or
+    backward total by the sign of its net score, added in code order.
+    """
+    totals = [0.0, 0.0, 0.0]
+    for h in range(3**length):
+        labels = decode_history(h, length)
+        score = 0
+        for a, b in zip(labels, labels[1:]):
+            if volumes[b] > volumes[a]:
+                score += 1
+            elif volumes[b] < volumes[a]:
+                score -= 1
+        slot = 0 if score > 0 else (2 if score < 0 else 1)
+        totals[slot] += entries[h, h].real
+    return tuple(totals)
+
+
 def born_probability_subset(h, projectors, times, psi0, kept, labels) -> float:
     """p(z) by inserting projectors only at the kept times.
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import functools
 import json
 import os
@@ -202,6 +203,32 @@ class TestRunSweep:
         serial = run_sweep(spec, workers=1)
         parallel = run_sweep(spec, workers=2)
         assert [strip_wall(r) for r in serial] == [strip_wall(r) for r in parallel]
+
+    def test_pool_never_exceeds_group_count(self, monkeypatch):
+        # The stub pool runs each group in-process, so no worker starts.
+        pool_sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pool_sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        spec = small_spec(d_grid=(5, 10), base_seed=21)
+        serial = run_sweep(spec)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        pooled = run_sweep(spec, workers=64)
+        assert pool_sizes == [2]
+        assert [strip_wall(r) for r in pooled] == [strip_wall(r) for r in serial]
 
     def test_resume_skips_completed_work(self, tmp_path, monkeypatch):
         spec = small_spec(d_grid=(5, 10), base_seed=9)

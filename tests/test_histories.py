@@ -93,6 +93,23 @@ class TestEncoding:
             encode_history((0, 3))
         with pytest.raises(ValueError):
             decode_history(27, 3)
+        with pytest.raises(ValueError):
+            history_string(27, 3)
+
+    def test_digit_table_is_shared_and_read_only(self):
+        table = histories._digit_matrix(4)
+        assert table is histories._digit_matrix(4)
+        assert table.tolist() == [list(decode_history(h, 4)) for h in range(81)]
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+    def test_strings_of_every_grid_length_stay_memoised(self):
+        history_string.cache_clear()
+        lengths = range(1, histories.MAX_LENGTH + 1)
+        for length in lengths:
+            for h in range(num_histories(length)):
+                history_string(h, length)
+        assert history_string.cache_info().currsize == sum(3**n for n in lengths)
 
 
 class TestBranchStates:

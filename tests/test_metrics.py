@@ -17,6 +17,7 @@ from dechist.model import (
 from dechist.spectral import eigendecompose, sample_haar_state
 from dechist.histories import (
     HistoryGrid,
+    _digit_matrix,
     compute_branch_states,
     compute_df,
     decode_history,
@@ -38,6 +39,7 @@ from dechist.metrics import (
 )
 
 from oracles import (
+    arrow_by_loops,
     born_probability_subset,
     epsilon_by_distance_by_loops,
     marginal_by_loops,
@@ -356,6 +358,29 @@ class TestHistogramAndArrow:
         assert arrow_score((1, 1, 1), volumes) == 0
         # V_+ = V_-, so hopping between the small bands scores nothing.
         assert arrow_score((0, 2), volumes) == 0
+        assert arrow_score((2,), volumes) == 0
+        assert arrow_score((), volumes) == 0
+
+    def test_score_rows_match_single_sequences(self):
+        volumes = (5, 15, 5)
+        table = _digit_matrix(4)
+        scores = arrow_score(table, volumes)
+        assert scores.shape == (81,)
+        assert scores.tolist() == [arrow_score(row, volumes) for row in table.tolist()]
+
+    def test_classification_matches_loop_oracle(self, functional_l4):
+        # Rotated or not, the fixture's band volumes are those of v_minus=2.
+        coarsening = build_coarsening(ModelConfig(v_minus=2))
+        report = arrow_classification(functional_l4, coarsening)
+        expected = arrow_by_loops(functional_l4.entries, 4, coarsening.volumes)
+        # Both sides add the weights in code order, so they agree exactly.
+        assert (report.p_forward, report.p_noarrow, report.p_backward) == expected
+
+    def test_classification_matches_loop_oracle_l6(self):
+        df, _, coarsening, _ = make_df(v_minus=2, seed=5, num_steps=5)
+        report = arrow_classification(df, coarsening)
+        expected = arrow_by_loops(df.entries, 6, coarsening.volumes)
+        assert (report.p_forward, report.p_noarrow, report.p_backward) == expected
 
     def test_classification_sums_to_one(self):
         df, _, coarsening, _ = make_df(v_minus=2, seed=5, num_steps=3)
