@@ -8,6 +8,10 @@ from it by trailing marginalization.  Records stream to a JSONL file as
 they finish, so an interrupted sweep resumes without recomputing
 completed keys.
 
+Every decomposition goes through _decomposition, which keeps it in a
+per-process store on disk, so a matrix that the weak, eigenstate and
+dynamics runs share is decomposed once per process.
+
 SweepSpec is the run config of every command.  Its config-file JSON is
 laid out by CONFIG_FIELDS, which drives parsing, the unknown-key check
 and SweepSpec.to_dict.
@@ -15,9 +19,15 @@ and SweepSpec.to_dict.
 
 from __future__ import annotations
 
+import atexit
 import enum
+import hashlib
 import json
 import math
+import multiprocessing
+import os
+import shutil
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
@@ -92,6 +102,10 @@ DYNAMICS_DT_TAU = 0.1
 
 RECORDS_FILENAME = "realizations.jsonl"
 SPEC_FILENAME = "sweep_spec.json"
+
+# Most bytes the decomposition store holds on disk; past it, decompositions
+# stay in memory only.
+_STORE_BUDGET_BYTES = 4 << 30
 
 
 class ConfigError(ValueError):
@@ -412,9 +426,87 @@ class ScalingFit:
     points: tuple[tuple[int, float], ...]
 
 
+# Directory of the decomposition store: None until first use, "" when off.
+_store_dir: str | None = None
+
+
+def _store_directory() -> str:
+    """This process's store directory, made on first use.
+
+    The process that makes it removes it at exit.  A sweep worker never
+    makes one, since it ends without running atexit: a forked worker
+    uses the directory of the process that started it, if that existed
+    at the fork, and any other worker stores nothing.
+    """
+    global _store_dir
+    if _store_dir is None:
+        _store_dir = ""
+        if multiprocessing.parent_process() is None:
+            try:
+                _store_dir = tempfile.mkdtemp(prefix="dechist-eig")
+            except OSError:
+                pass
+            else:
+                atexit.register(_remove_store, _store_dir, os.getpid())
+    return _store_dir
+
+
+def _remove_store(path: str, owner: int) -> None:
+    if os.getpid() == owner:
+        shutil.rmtree(path, ignore_errors=True)
+
+
+def _save(path: str, array: np.ndarray) -> None:
+    """np.save to path through a temporary name, so readers never see half a file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.save(fh, array)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _decomposition(config: ModelConfig) -> SpectralDecomposition:
+    """Decomposition of config's matrix, computed once per process.
+
+    Files are named by a digest of every ModelConfig field.  A hit maps
+    the eigenvectors read-only from disk; a miss decomposes and stores
+    them unless the store would pass _STORE_BUDGET_BYTES or a write
+    fails.  Eigenvectors are read-only on both paths.
+    """
+    directory = _store_directory()
+    key = hashlib.sha256(repr(config).encode()).hexdigest()[:32]
+    stem = os.path.join(directory, key)
+    if directory:
+        try:
+            evals = np.load(f"{stem}.evals.npy")
+            evecs = np.load(f"{stem}.evecs.npy", mmap_mode="r")
+        except OSError:
+            pass
+        else:
+            evals.flags.writeable = False
+            return SpectralDecomposition(evals, np.asarray(evecs))
+    sd = eigendecompose(build_hamiltonian(config))
+    sd.eigenvalues.flags.writeable = False
+    sd.eigenvectors.flags.writeable = False
+    if directory:
+        try:
+            used = sum(e.stat().st_size for e in os.scandir(directory))
+            used += sd.eigenvalues.nbytes + sd.eigenvectors.nbytes
+            if used <= _STORE_BUDGET_BYTES:
+                # Eigenvalues first: a present eigenvector file means both are.
+                _save(f"{stem}.evals.npy", sd.eigenvalues)
+                _save(f"{stem}.evecs.npy", sd.eigenvectors)
+        except OSError:
+            pass
+    return sd
+
+
 def _prepare(
     spec: SweepSpec, d: int, h_index: int, s_index: int,
-    hamiltonian: BlockHamiltonian | None = None, sd: SpectralDecomposition | None = None,
+    sd: SpectralDecomposition | None = None,
 ):
     """(tau, sd, coarsening, starts) of one realization.
 
@@ -422,13 +514,11 @@ def _prepare(
     (weights None), or one Haar state per weight triple (default:
     equilibrium weights, or all weight on '-' out of equilibrium), each
     drawn from the state seed.  A decomposition shared by several state
-    seeds may be passed in, or a Hamiltonian to decompose.
+    seeds may be passed in; otherwise it comes from _decomposition.
     """
     config = spec.model_config(d, h_index)
     if sd is None:
-        sd = eigendecompose(
-            build_hamiltonian(config) if hamiltonian is None else hamiltonian
-        )
+        sd = _decomposition(config)
     coarsening = build_coarsening(config)
     state_seed = spec.state_seed(h_index, s_index)
     if spec.init_family is InitFamily.EIGENSTATE:
@@ -467,10 +557,15 @@ def compute_realization_df(
     sd: SpectralDecomposition | None = None,
 ):
     """Decoherence functional of one realization at the full grid, from
-    the first start of _prepare (which takes the same optional Hamiltonian
-    or decomposition).  Returns (df, coarsening, eigenstate_index).
+    the first start of _prepare (which takes the same optional
+    decomposition).  Returns (df, coarsening, eigenstate_index).
+
+    `hamiltonian` is read only when `sd` is None; it stays in the
+    signature for callers that pass (hamiltonian, sd) positionally.
     """
-    tau, sd, coarsening, starts = _prepare(spec, d, h_index, s_index, hamiltonian, sd)
+    if sd is None and hamiltonian is not None:
+        sd = eigendecompose(hamiltonian)
+    tau, sd, coarsening, starts = _prepare(spec, d, h_index, s_index, sd)
     _, psi0, eigenstate_index = starts[0]
     grid = _make_grid(spec, tau, h_index, s_index)
     branches = compute_branch_states(sd, coarsening, psi0, grid)
@@ -567,7 +662,7 @@ def _run_group(
     """All state seeds for one (d, h_index): one eigensolve, many states."""
     start = time.perf_counter()
     try:
-        sd = eigendecompose(build_hamiltonian(spec.model_config(d, h_index)))
+        sd = _decomposition(spec.model_config(d, h_index))
     except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
         return [_error_result(spec, d, h_index, s, exc) for s in s_indices]
     shared = (time.perf_counter() - start) / max(len(s_indices), 1)
@@ -691,6 +786,7 @@ def run_sweep(
                     fh.write(json.dumps(data, sort_keys=True) + "\n")
 
     if workers > 1 and groups:
+        _store_directory()  # before the fork, so workers share it
         with ProcessPoolExecutor(max_workers=min(workers, len(groups))) as pool:
             futures = {
                 pool.submit(_run_group, spec, d, h_index, pending): (d, h_index, pending)

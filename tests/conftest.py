@@ -1,9 +1,10 @@
-"""Fixtures shared by the history and metric tests."""
+"""Fixtures shared by the history, metric, experiment and CLI tests."""
 
 from __future__ import annotations
 
 import pytest
 
+from dechist import experiments
 from dechist.histories import HistoryGrid, compute_branch_states, compute_df
 from dechist.model import (
     Coarsening,
@@ -34,3 +35,16 @@ def functional_l4(request):
     psi0 = sample_haar_state(coarsening, (0.2, 0.6, 0.2), 6)
     grid = HistoryGrid.constant(3, 2.0)
     return compute_df(compute_branch_states(sd, coarsening, psi0, grid))
+
+
+@pytest.fixture
+def empty_store(tmp_path, monkeypatch):
+    """An empty decomposition store for one test; returns its directory.
+
+    The process-wide store outlives single tests, so a test that counts
+    eigensolves or needs a miss starts from this one instead.
+    """
+    store = tmp_path / "decompositions"
+    store.mkdir()
+    monkeypatch.setattr(experiments, "_store_dir", str(store))
+    return store

@@ -416,6 +416,7 @@ class TestDumpDfCommand:
         assert printed == [str(out / "df.json"), str(out / "histogram.csv")]
 
 
+@pytest.mark.usefixtures("empty_store")
 class TestSingleSystemFunctional:
     @pytest.mark.parametrize("command", ["histogram", "distance", "dump-df"])
     def test_one_eigensolve_and_same_df(self, tmp_path, capsys, monkeypatch, command):

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import functools
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -13,6 +16,7 @@ import numpy as np
 import pytest
 
 import dechist.experiments as experiments
+from dechist import spectral
 from dechist.experiments import (
     InitFamily,
     PerLengthMetrics,
@@ -353,7 +357,7 @@ class TestRunSweep:
         assert "synthetic failure" in bad.error
         assert bad.per_length == {}
 
-    def test_group_level_failure_marks_all_states(self, monkeypatch):
+    def test_group_level_failure_marks_all_states(self, monkeypatch, empty_store):
         spec = SweepSpec(
             d_grid=(5,), num_hamiltonian_seeds=1, num_state_seeds=2,
             base_seed=4, num_steps=2,
@@ -366,6 +370,100 @@ class TestRunSweep:
         results = run_sweep(spec)
         assert len(results) == 2
         assert all(r.failed for r in results)
+
+
+def count_eigensolves(monkeypatch) -> list[bytes]:
+    """The matrices experiments decomposes from now on, in call order."""
+    calls = []
+
+    def counting(hamiltonian):
+        calls.append(hamiltonian.matrix.tobytes())
+        return spectral.eigendecompose(hamiltonian)
+
+    monkeypatch.setattr(experiments, "eigendecompose", counting)
+    return calls
+
+
+class TestDecompositionStore:
+    @pytest.mark.parametrize("ensemble", [Ensemble.GOE, Ensemble.GUE])
+    def test_hit_equals_fresh_and_is_read_only(self, empty_store, monkeypatch, ensemble):
+        config = small_spec(ensemble=ensemble).model_config(50, 0)
+        calls = count_eigensolves(monkeypatch)
+        miss = experiments._decomposition(config)
+        hit = experiments._decomposition(config)
+        assert len(calls) == 1
+        fresh = eigendecompose(build_hamiltonian(config))
+        for sd in (miss, hit):
+            assert np.array_equal(sd.eigenvalues, fresh.eigenvalues)
+            assert np.array_equal(sd.eigenvectors, fresh.eigenvectors)
+            assert sd.eigenvectors.dtype == fresh.eigenvectors.dtype
+            assert not sd.eigenvectors.flags.writeable
+
+    def test_one_eigensolve_per_model_config(self, empty_store, monkeypatch):
+        calls = count_eigensolves(monkeypatch)
+        weak = SweepSpec(
+            d_grid=(5, 10), num_hamiltonian_seeds=2, num_state_seeds=2,
+            base_seed=23, num_steps=2,
+        )
+        run_sweep(weak)
+        run_sweep(dataclasses.replace(weak, init_family=InitFamily.EIGENSTATE))
+        experiments.run_dynamics(SweepSpec(v_minus=2, base_seed=23))
+        # The dynamics matrix is the weak sweep's (D=10, h_index=0).
+        assert len(calls) == len(set(calls)) == 4
+
+    @pytest.mark.parametrize("store", ["zero_budget", "missing_directory", "disk_full"])
+    def test_store_that_cannot_write_changes_nothing(
+        self, tmp_path, monkeypatch, empty_store, store
+    ):
+        spec = small_spec(d_grid=(5, 10), num_state_seeds=2, base_seed=29)
+        expected = [strip_wall(r) for r in run_sweep(spec)]
+        directory = tmp_path / "off"
+        if store != "missing_directory":
+            directory.mkdir()
+        monkeypatch.setattr(experiments, "_store_dir", str(directory))
+        if store == "zero_budget":
+            monkeypatch.setattr(experiments, "_STORE_BUDGET_BYTES", 0)
+        elif store == "disk_full":
+            def full(fh, array):
+                fh.write(b"\x93NUMPY")
+                raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(np, "save", full)
+        calls = count_eigensolves(monkeypatch)
+        for _ in range(2):
+            assert [strip_wall(r) for r in run_sweep(spec)] == expected
+        assert len(calls) == 4
+        assert not directory.exists() or list(directory.iterdir()) == []
+
+    def test_no_directory_left_after_sweeps(self, tmp_path):
+        config = {
+            "model": {"d_grid": [5, 10]},
+            "grid": {"num_steps": 2},
+            "sweep": {"num_hamiltonian_seeds": 2, "num_state_seeds": 1},
+        }
+        for workers in (2, 1):
+            config["output"] = {"directory": str(tmp_path / f"out{workers}")}
+            (tmp_path / f"w{workers}.json").write_text(json.dumps(config))
+        script = (
+            "import sys\n"
+            "from dechist import experiments\n"
+            "from dechist.cli import main\n"
+            "for w in ('2', '1'):\n"
+            "    assert main(['sweep', '--config', f'w{w}.json', '--workers', w]) == 0\n"
+            "print(experiments._store_dir)\n"
+        )
+        env = {
+            **os.environ,
+            "TMPDIR": str(tmp_path),
+            "PYTHONPATH": str(Path(experiments.__file__).parents[1]),
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, env=env,
+            capture_output=True, text=True, check=True,
+        )
+        store = Path(proc.stdout.splitlines()[-1])
+        assert store.parent == tmp_path and store.name.startswith("dechist-eig")
+        assert list(tmp_path.glob("dechist-eig*")) == []
 
 
 def synth_result(d, epsilon, delta=None, s_index=0, error=None, length=3):

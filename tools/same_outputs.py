@@ -5,7 +5,10 @@ Usage: python tools/same_outputs.py OLD_ROOT NEW_ROOT
 
 Each root is a checkout holding `src/dechist`.  A fixed list of dechist
 commands runs against each tree's `src/`, every case in a fresh
-temporary directory, sweeps with `--workers 1`.  The `wall_time_s`
+temporary directory, sweeps with `--workers 1`.  Each command of CASES
+runs in its own process, so every decomposition in it is fresh; the
+commands of a case in ONE_PROCESS_CASES share one process, so later
+commands read the matrices that earlier ones stored.  The `wall_time_s`
 field is removed from `results.csv` and `realizations.jsonl`; every
 other file must match byte for byte.  One line per file reports `same`
 or `DIFF`; the exit code is 1 on any difference and 2 when a command
@@ -97,26 +100,86 @@ CASES = [
 ]
 
 
+def _sweep_and_eigenstate(name: str, model: dict) -> dict:
+    """Configs of a weak sweep and an eigenstate sweep on the same matrices."""
+    return {
+        f"{name}_{family}.json": {
+            "model": model,
+            "grid": {"num_steps": 4},
+            "init": {"family": family},
+            "sweep": {"num_hamiltonian_seeds": 2, "num_state_seeds": 3},
+            "output": {"directory": f"{name}_{family}"},
+        }
+        for family in ("haar_equilibrium", "eigenstate")
+    }
+
+
+# (name, {config file: config}, argv of each command in run order).
+ONE_PROCESS_CASES = [
+    (
+        "shared_matrices_one_process",
+        {
+            **_sweep_and_eigenstate("goe", {"d_grid": [5, 50, 250]}),
+            **_sweep_and_eigenstate("gue", {"d_grid": [5, 50], "ensemble": "gue"}),
+            # D=50 with base seed 0 is the sweeps' (D=50, h_index=0) matrix.
+            "dynamics.json": {
+                "model": {"v_minus": 10},
+                "init": {"weights": [[1.0, 0.0, 0.0], [0.2, 0.6, 0.2]]},
+                "output": {"directory": "dynamics"},
+            },
+        },
+        [
+            ["sweep", "--config", "goe_haar_equilibrium.json", "--workers", "1"],
+            ["sweep", "--config", "goe_eigenstate.json", "--workers", "1"],
+            ["dynamics", "--config", "dynamics.json"],
+            ["sweep", "--config", "gue_haar_equilibrium.json", "--workers", "1"],
+            ["sweep", "--config", "gue_eigenstate.json", "--workers", "1"],
+        ],
+    ),
+]
+
+# Runs dechist.cli.main on each argv of a JSON list, in this one process.
+_ONE_PROCESS = (
+    "import json, sys\n"
+    "from dechist.cli import main\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    if main(argv):\n"
+    "        sys.exit(f'dechist {argv} failed')\n"
+)
+
+
+def _python(root: Path, workdir: Path, args: list[str], what: str) -> None:
+    """Run python with root/src on the path and workdir as cwd."""
+    proc = subprocess.run(
+        [sys.executable, *args],
+        cwd=workdir, env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(
+            f"{root}: {what} exited {proc.returncode}: {proc.stderr.strip()}"
+        )
+
+
 def run_case(root: Path, workdir: Path, config: dict, commands) -> None:
     """Run one case's commands against root/src with workdir as cwd."""
     workdir.mkdir()
     config = {**config, "output": {"directory": "out"}}
     (workdir / "config.json").write_text(json.dumps(config, indent=2) + "\n")
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
     for argv, fit_name in commands:
         if argv[0] != "fit":
             argv = [argv[0], "--config", "config.json", *argv[1:]]
-        proc = subprocess.run(
-            [sys.executable, "-m", "dechist.cli", *argv],
-            cwd=workdir, env=env, capture_output=True, text=True,
-        )
-        if proc.returncode != 0:
-            raise RuntimeError(
-                f"{root}: dechist {' '.join(argv)} exited {proc.returncode}: "
-                f"{proc.stderr.strip()}"
-            )
+        _python(root, workdir, ["-m", "dechist.cli", *argv], f"dechist {' '.join(argv)}")
         if fit_name is not None:
             (workdir / "out" / "fit.csv").rename(workdir / "out" / fit_name)
+
+
+def run_one_process_case(root: Path, workdir: Path, configs: dict, commands) -> None:
+    """Run a ONE_PROCESS_CASES entry against root/src with workdir as cwd."""
+    workdir.mkdir()
+    for name, config in configs.items():
+        (workdir / name).write_text(json.dumps(config, indent=2) + "\n")
+    _python(root, workdir, ["-c", _ONE_PROCESS, json.dumps(commands)], "one process")
 
 
 def _strip_timing(path: Path) -> bytes:
@@ -147,11 +210,13 @@ def main(argv: list[str]) -> int:
     old_root, new_root = (Path(a).resolve() for a in argv)
     differ = False
     with tempfile.TemporaryDirectory() as old_tmp, tempfile.TemporaryDirectory() as new_tmp:
-        for name, config, commands in CASES:
+        runs = [(run_case, *case) for case in CASES]
+        runs += [(run_one_process_case, *case) for case in ONE_PROCESS_CASES]
+        for run, name, config, commands in runs:
             old_dir, new_dir = Path(old_tmp) / name, Path(new_tmp) / name
             try:
-                run_case(old_root, old_dir, config, commands)
-                run_case(new_root, new_dir, config, commands)
+                run(old_root, old_dir, config, commands)
+                run(new_root, new_dir, config, commands)
             except RuntimeError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
