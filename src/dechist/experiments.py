@@ -26,6 +26,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import shutil
 import tempfile
 import time
@@ -103,8 +104,8 @@ DYNAMICS_DT_TAU = 0.1
 RECORDS_FILENAME = "realizations.jsonl"
 SPEC_FILENAME = "sweep_spec.json"
 
-# Most bytes the decomposition store holds on disk; past it, decompositions
-# stay in memory only.
+# Most bytes the decomposition store holds on disk; past it, or when a write
+# would leave less free space than it takes, decompositions stay in memory only.
 _STORE_BUDGET_BYTES = 4 << 30
 
 
@@ -431,19 +432,22 @@ _store_dir: str | None = None
 
 
 def _store_directory() -> str:
-    """This process's store directory, made on first use.
+    """This process's store directory, dechist-eig-<pid>-*, made on first use.
 
-    The process that makes it removes it at exit.  A sweep worker never
-    makes one, since it ends without running atexit: a forked worker
-    uses the directory of the process that started it, if that existed
-    at the fork, and any other worker stores nothing.
+    The process that makes it removes it at exit, and first removes the
+    stores of processes that no longer run, which a kill left behind.
+    A sweep worker never makes one, since it ends without running
+    atexit: a forked worker uses the directory of the process that
+    started it, if that existed at the fork, and any other worker stores
+    nothing.
     """
     global _store_dir
     if _store_dir is None:
         _store_dir = ""
         if multiprocessing.parent_process() is None:
+            _remove_stale_stores()
             try:
-                _store_dir = tempfile.mkdtemp(prefix="dechist-eig")
+                _store_dir = tempfile.mkdtemp(prefix=f"dechist-eig-{os.getpid()}-")
             except OSError:
                 pass
             else:
@@ -454,6 +458,29 @@ def _store_directory() -> str:
 def _remove_store(path: str, owner: int) -> None:
     if os.getpid() == owner:
         shutil.rmtree(path, ignore_errors=True)
+
+
+def _remove_stale_stores() -> None:
+    """Remove every store in the temporary directory whose owner pid is gone."""
+    parent = tempfile.gettempdir()
+    try:
+        names = os.listdir(parent)
+    except OSError:
+        return
+    for name in names:
+        match = re.fullmatch(r"dechist-eig-(\d+)-\w+", name)
+        if match and not _pid_alive(int(match.group(1))):
+            shutil.rmtree(os.path.join(parent, name), ignore_errors=True)
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except OSError:  # e.g. another user's process
+        pass
+    return True
 
 
 def _save(path: str, array: np.ndarray) -> None:
@@ -473,8 +500,10 @@ def _decomposition(config: ModelConfig) -> SpectralDecomposition:
 
     Files are named by a digest of every ModelConfig field.  A hit maps
     the eigenvectors read-only from disk; a miss decomposes and stores
-    them unless the store would pass _STORE_BUDGET_BYTES or a write
-    fails.  Eigenvectors are read-only on both paths.
+    them unless the store would pass _STORE_BUDGET_BYTES, the write would
+    take more than half the free space, or a write fails.  Workers check
+    the budget independently, so concurrent writes can pass it by up to
+    one matrix per worker.  Eigenvectors are read-only on both paths.
     """
     directory = _store_directory()
     key = hashlib.sha256(repr(config).encode()).hexdigest()[:32]
@@ -493,9 +522,10 @@ def _decomposition(config: ModelConfig) -> SpectralDecomposition:
     sd.eigenvectors.flags.writeable = False
     if directory:
         try:
+            size = sd.eigenvalues.nbytes + sd.eigenvectors.nbytes
             used = sum(e.stat().st_size for e in os.scandir(directory))
-            used += sd.eigenvalues.nbytes + sd.eigenvectors.nbytes
-            if used <= _STORE_BUDGET_BYTES:
+            if (used + size <= _STORE_BUDGET_BYTES
+                    and 2 * size <= shutil.disk_usage(directory).free):
                 # Eigenvalues first: a present eigenvector file means both are.
                 _save(f"{stem}.evals.npy", sd.eigenvalues)
                 _save(f"{stem}.evecs.npy", sd.eigenvectors)
@@ -560,11 +590,8 @@ def compute_realization_df(
     the first start of _prepare (which takes the same optional
     decomposition).  Returns (df, coarsening, eigenstate_index).
 
-    `hamiltonian` is read only when `sd` is None; it stays in the
-    signature for callers that pass (hamiltonian, sd) positionally.
+    `hamiltonian` is not read.
     """
-    if sd is None and hamiltonian is not None:
-        sd = eigendecompose(hamiltonian)
     tau, sd, coarsening, starts = _prepare(spec, d, h_index, s_index, sd)
     _, psi0, eigenstate_index = starts[0]
     grid = _make_grid(spec, tau, h_index, s_index)

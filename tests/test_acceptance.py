@@ -369,7 +369,10 @@ def test_criterion_9_synthetic_fit_recovery(capsys):
     assert ok
 
 
-def test_criterion_9_determinism_and_scheduling(capsys):
+def test_criterion_9_determinism_and_scheduling(capsys, monkeypatch):
+    # No decomposition store, so every run decomposes afresh: serially, and
+    # inside the forked workers of the workers=2 run.
+    monkeypatch.setattr(experiments, "_store_dir", "")
     spec = SweepSpec(
         d_grid=(5, 50), num_hamiltonian_seeds=2, num_state_seeds=2,
         base_seed=BASE_SEED,

@@ -7,10 +7,13 @@ import dataclasses
 import functools
 import json
 import os
+import shutil
+import signal
 import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -411,7 +414,9 @@ class TestDecompositionStore:
         # The dynamics matrix is the weak sweep's (D=10, h_index=0).
         assert len(calls) == len(set(calls)) == 4
 
-    @pytest.mark.parametrize("store", ["zero_budget", "missing_directory", "disk_full"])
+    @pytest.mark.parametrize(
+        "store", ["zero_budget", "no_free_space", "missing_directory", "disk_full"]
+    )
     def test_store_that_cannot_write_changes_nothing(
         self, tmp_path, monkeypatch, empty_store, store
     ):
@@ -423,6 +428,8 @@ class TestDecompositionStore:
         monkeypatch.setattr(experiments, "_store_dir", str(directory))
         if store == "zero_budget":
             monkeypatch.setattr(experiments, "_STORE_BUDGET_BYTES", 0)
+        elif store == "no_free_space":
+            monkeypatch.setattr(shutil, "disk_usage", lambda path: SimpleNamespace(free=0))
         elif store == "disk_full":
             def full(fh, array):
                 fh.write(b"\x93NUMPY")
@@ -436,34 +443,69 @@ class TestDecompositionStore:
         assert not directory.exists() or list(directory.iterdir()) == []
 
     def test_no_directory_left_after_sweeps(self, tmp_path):
-        config = {
-            "model": {"d_grid": [5, 10]},
-            "grid": {"num_steps": 2},
-            "sweep": {"num_hamiltonian_seeds": 2, "num_state_seeds": 1},
-        }
-        for workers in (2, 1):
-            config["output"] = {"directory": str(tmp_path / f"out{workers}")}
-            (tmp_path / f"w{workers}.json").write_text(json.dumps(config))
-        script = (
-            "import sys\n"
+        write_store_configs(tmp_path)
+        proc = run_python(tmp_path, (
             "from dechist import experiments\n"
             "from dechist.cli import main\n"
             "for w in ('2', '1'):\n"
             "    assert main(['sweep', '--config', f'w{w}.json', '--workers', w]) == 0\n"
             "print(experiments._store_dir)\n"
-        )
-        env = {
-            **os.environ,
-            "TMPDIR": str(tmp_path),
-            "PYTHONPATH": str(Path(experiments.__file__).parents[1]),
-        }
-        proc = subprocess.run(
-            [sys.executable, "-c", script], cwd=tmp_path, env=env,
-            capture_output=True, text=True, check=True,
-        )
+        ))
         store = Path(proc.stdout.splitlines()[-1])
         assert store.parent == tmp_path and store.name.startswith("dechist-eig")
         assert list(tmp_path.glob("dechist-eig*")) == []
+
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGKILL], ids=["term", "kill"])
+    def test_next_process_removes_store_of_killed_one(self, tmp_path, signum):
+        """A killed process skips atexit; the next store removes what it left."""
+        write_store_configs(tmp_path)
+        killed = run_python(tmp_path, (
+            "import os\n"
+            "from dechist import experiments, spectral\n"
+            "from dechist.cli import main\n"
+            "def dying(hamiltonian, calls=[]):\n"
+            "    calls.append(hamiltonian)\n"
+            "    if len(calls) == 2:\n"
+            f"        os.kill(os.getpid(), {int(signum)})\n"
+            "    return spectral.eigendecompose(hamiltonian)\n"
+            "experiments.eigendecompose = dying\n"
+            "main(['sweep', '--config', 'w1.json', '--workers', '1'])\n"
+        ), check=False)
+        assert killed.returncode == -signum
+        (stale,) = tmp_path.glob("dechist-eig*")
+        assert len(list(stale.glob("*.npy"))) == 2
+        live = tmp_path / f"dechist-eig-{os.getpid()}-live"
+        live.mkdir()
+        run_python(tmp_path, (
+            "from dechist.cli import main\n"
+            "assert main(['sweep', '--config', 'w2.json', '--workers', '2']) == 0\n"
+        ))
+        assert list(tmp_path.glob("dechist-eig*")) == [live]
+
+
+def write_store_configs(directory):
+    """w1.json and w2.json: small sweeps with two matrices per dimension."""
+    config = {
+        "model": {"d_grid": [5, 10]},
+        "grid": {"num_steps": 2},
+        "sweep": {"num_hamiltonian_seeds": 2, "num_state_seeds": 1},
+    }
+    for workers in (2, 1):
+        config["output"] = {"directory": str(directory / f"out{workers}")}
+        (directory / f"w{workers}.json").write_text(json.dumps(config))
+
+
+def run_python(directory, script, check=True):
+    """Run script in a fresh interpreter whose cwd and TMPDIR are directory."""
+    env = {
+        **os.environ,
+        "TMPDIR": str(directory),
+        "PYTHONPATH": str(Path(experiments.__file__).parents[1]),
+    }
+    return subprocess.run(
+        [sys.executable, "-c", script], cwd=directory, env=env,
+        capture_output=True, text=True, check=check,
+    )
 
 
 def synth_result(d, epsilon, delta=None, s_index=0, error=None, length=3):
