@@ -8,9 +8,10 @@ from it by trailing marginalization.  Records stream to a JSONL file as
 they finish, so an interrupted sweep resumes without recomputing
 completed keys.
 
-Every decomposition goes through _decomposition, which keeps it in a
-per-process store on disk, so a matrix that the weak, eigenstate and
-dynamics runs share is decomposed once per process.
+Every decomposition goes through _decomposition, which keeps its
+eigenvectors in an unlinked temporary file of the process, so a matrix
+that the weak, eigenstate and dynamics runs share is decomposed once per
+process.
 
 SweepSpec is the run config of every command.  Its config-file JSON is
 laid out by CONFIG_FIELDS, which drives parsing, the unknown-key check
@@ -19,14 +20,10 @@ and SweepSpec.to_dict.
 
 from __future__ import annotations
 
-import atexit
 import enum
-import hashlib
 import json
 import math
-import multiprocessing
 import os
-import re
 import shutil
 import tempfile
 import time
@@ -34,7 +31,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 
@@ -104,8 +101,9 @@ DYNAMICS_DT_TAU = 0.1
 RECORDS_FILENAME = "realizations.jsonl"
 SPEC_FILENAME = "sweep_spec.json"
 
-# Most bytes the decomposition store holds on disk; past it, or when a write
-# would leave less free space than it takes, decompositions stay in memory only.
+# Most bytes a process's decomposition store file holds; past it, or when a
+# write would leave less free space than it takes, decompositions stay in
+# memory only.
 _STORE_BUDGET_BYTES = 4 << 30
 
 
@@ -427,110 +425,44 @@ class ScalingFit:
     points: tuple[tuple[int, float], ...]
 
 
-# Directory of the decomposition store: None until first use, "" when off.
-_store_dir: str | None = None
-
-
-def _store_directory() -> str:
-    """This process's store directory, dechist-eig-<pid>-*, made on first use.
-
-    The process that makes it removes it at exit, and first removes the
-    stores of processes that no longer run, which a kill left behind.
-    A sweep worker never makes one, since it ends without running
-    atexit: a forked worker uses the directory of the process that
-    started it, if that existed at the fork, and any other worker stores
-    nothing.
-    """
-    global _store_dir
-    if _store_dir is None:
-        _store_dir = ""
-        if multiprocessing.parent_process() is None:
-            _remove_stale_stores()
-            try:
-                _store_dir = tempfile.mkdtemp(prefix=f"dechist-eig-{os.getpid()}-")
-            except OSError:
-                pass
-            else:
-                atexit.register(_remove_store, _store_dir, os.getpid())
-    return _store_dir
-
-
-def _remove_store(path: str, owner: int) -> None:
-    if os.getpid() == owner:
-        shutil.rmtree(path, ignore_errors=True)
-
-
-def _remove_stale_stores() -> None:
-    """Remove every store in the temporary directory whose owner pid is gone."""
-    parent = tempfile.gettempdir()
-    try:
-        names = os.listdir(parent)
-    except OSError:
-        return
-    for name in names:
-        match = re.fullmatch(r"dechist-eig-(\d+)-\w+", name)
-        if match and not _pid_alive(int(match.group(1))):
-            shutil.rmtree(os.path.join(parent, name), ignore_errors=True)
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except OSError:  # e.g. another user's process
-        pass
-    return True
-
-
-def _save(path: str, array: np.ndarray) -> None:
-    """np.save to path through a temporary name, so readers never see half a file."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            np.save(fh, array)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+# ModelConfig -> (eigenvalues, file, offset, dtype) of each stored
+# decomposition, and (owner pid, file) of the file this process appends to.
+_store: dict[ModelConfig, tuple[np.ndarray, BinaryIO, int, np.dtype]] = {}
+_store_file: tuple[int, BinaryIO] | None = None
 
 
 def _decomposition(config: ModelConfig) -> SpectralDecomposition:
     """Decomposition of config's matrix, computed once per process.
 
-    Files are named by a digest of every ModelConfig field.  A hit maps
-    the eigenvectors read-only from disk; a miss decomposes and stores
-    them unless the store would pass _STORE_BUDGET_BYTES, the write would
-    take more than half the free space, or a write fails.  Workers check
-    the budget independently, so concurrent writes can pass it by up to
-    one matrix per worker.  Eigenvectors are read-only on both paths.
+    Eigenvectors are appended to one unlinked temporary file per process,
+    which never shows in the temporary directory and is freed however the
+    process ends; a hit maps them read-only from it.  A forked worker
+    reads the entries it inherited from its parent's file and appends to
+    its own.  A miss is stored unless the file would pass
+    _STORE_BUDGET_BYTES, the write would take more than half the free
+    space, or a write fails.  Eigenvectors are read-only on both paths.
     """
-    directory = _store_directory()
-    key = hashlib.sha256(repr(config).encode()).hexdigest()[:32]
-    stem = os.path.join(directory, key)
-    if directory:
-        try:
-            evals = np.load(f"{stem}.evals.npy")
-            evecs = np.load(f"{stem}.evecs.npy", mmap_mode="r")
-        except OSError:
-            pass
-        else:
-            evals.flags.writeable = False
-            return SpectralDecomposition(evals, np.asarray(evecs))
+    global _store_file
+    if config in _store:
+        evals, fh, offset, dtype = _store[config]
+        evecs = np.memmap(fh, dtype, "r", offset, (evals.size, evals.size))
+        return SpectralDecomposition(evals, np.asarray(evecs))
     sd = eigendecompose(build_hamiltonian(config))
     sd.eigenvalues.flags.writeable = False
     sd.eigenvectors.flags.writeable = False
-    if directory:
-        try:
-            size = sd.eigenvalues.nbytes + sd.eigenvectors.nbytes
-            used = sum(e.stat().st_size for e in os.scandir(directory))
-            if (used + size <= _STORE_BUDGET_BYTES
-                    and 2 * size <= shutil.disk_usage(directory).free):
-                # Eigenvalues first: a present eigenvector file means both are.
-                _save(f"{stem}.evals.npy", sd.eigenvalues)
-                _save(f"{stem}.evecs.npy", sd.eigenvectors)
-        except OSError:
-            pass
+    try:
+        if _store_file is None or _store_file[0] != os.getpid():
+            _store_file = (os.getpid(), tempfile.TemporaryFile())
+        fh = _store_file[1]
+        offset = fh.seek(0, os.SEEK_END)
+        size = sd.eigenvectors.nbytes
+        if (offset + size <= _STORE_BUDGET_BYTES
+                and 2 * size <= shutil.disk_usage(tempfile.gettempdir()).free):
+            fh.write(sd.eigenvectors)
+            fh.flush()
+            _store[config] = (sd.eigenvalues, fh, offset, sd.eigenvectors.dtype)
+    except OSError:
+        pass
     return sd
 
 
@@ -804,7 +736,7 @@ def run_sweep(
             if pending:
                 groups.append((d, h_index, pending))
 
-    def _store(batch: list[RealizationResult]) -> None:
+    def _record(batch: list[RealizationResult]) -> None:
         for result in batch:
             data = result_to_dict(result)
             records[result.key] = data
@@ -813,7 +745,6 @@ def run_sweep(
                     fh.write(json.dumps(data, sort_keys=True) + "\n")
 
     if workers > 1 and groups:
-        _store_directory()  # before the fork, so workers share it
         with ProcessPoolExecutor(max_workers=min(workers, len(groups))) as pool:
             futures = {
                 pool.submit(_run_group, spec, d, h_index, pending): (d, h_index, pending)
@@ -830,10 +761,10 @@ def run_sweep(
                         lost = _error_result(spec, d, h_index, s, exc)
                         records[lost.key] = result_to_dict(lost)
                 else:
-                    _store(batch)
+                    _record(batch)
     else:
         for d, h_index, pending in groups:
-            _store(_run_group(spec, d, h_index, pending))
+            _record(_run_group(spec, d, h_index, pending))
 
     results = [result_from_dict(records[key]) for key in sorted(records)]
     return results

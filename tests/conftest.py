@@ -38,13 +38,14 @@ def functional_l4(request):
 
 
 @pytest.fixture
-def empty_store(tmp_path, monkeypatch):
-    """An empty decomposition store for one test; returns its directory.
+def empty_store(monkeypatch):
+    """An empty decomposition store, with a file of its own, for one test.
 
     The process-wide store outlives single tests, so a test that counts
     eigensolves or needs a miss starts from this one instead.
     """
-    store = tmp_path / "decompositions"
-    store.mkdir()
-    monkeypatch.setattr(experiments, "_store_dir", str(store))
-    return store
+    monkeypatch.setattr(experiments, "_store", {})
+    monkeypatch.setattr(experiments, "_store_file", None)
+    yield
+    if experiments._store_file is not None:
+        experiments._store_file[1].close()

@@ -370,9 +370,11 @@ def test_criterion_9_synthetic_fit_recovery(capsys):
 
 
 def test_criterion_9_determinism_and_scheduling(capsys, monkeypatch):
-    # No decomposition store, so every run decomposes afresh: serially, and
-    # inside the forked workers of the workers=2 run.
-    monkeypatch.setattr(experiments, "_store_dir", "")
+    # An empty decomposition store that stores nothing, so every run
+    # decomposes afresh: serially, and inside the forked workers of the
+    # workers=2 run.
+    monkeypatch.setattr(experiments, "_store", {})
+    monkeypatch.setattr(experiments, "_STORE_BUDGET_BYTES", 0)
     spec = SweepSpec(
         d_grid=(5, 50), num_hamiltonian_seeds=2, num_state_seeds=2,
         base_seed=BASE_SEED,

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import errno
 import functools
+import io
 import json
+import math
 import os
 import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -422,65 +426,106 @@ class TestDecompositionStore:
     ):
         spec = small_spec(d_grid=(5, 10), num_state_seeds=2, base_seed=29)
         expected = [strip_wall(r) for r in run_sweep(spec)]
-        directory = tmp_path / "off"
-        if store != "missing_directory":
-            directory.mkdir()
-        monkeypatch.setattr(experiments, "_store_dir", str(directory))
+        experiments._store_file[1].close()  # replaced by the broken store below
+        monkeypatch.setattr(experiments, "_store", {})
+        monkeypatch.setattr(experiments, "_store_file", None)
         if store == "zero_budget":
             monkeypatch.setattr(experiments, "_STORE_BUDGET_BYTES", 0)
         elif store == "no_free_space":
             monkeypatch.setattr(shutil, "disk_usage", lambda path: SimpleNamespace(free=0))
+        elif store == "missing_directory":
+            monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
         elif store == "disk_full":
-            def full(fh, array):
-                fh.write(b"\x93NUMPY")
-                raise OSError(28, "No space left on device")
-
-            monkeypatch.setattr(np, "save", full)
+            half_writes(monkeypatch, failures=math.inf)
         calls = count_eigensolves(monkeypatch)
         for _ in range(2):
             assert [strip_wall(r) for r in run_sweep(spec)] == expected
         assert len(calls) == 4
-        assert not directory.exists() or list(directory.iterdir()) == []
+        assert experiments._store == {}
+
+    def test_failed_append_leaves_later_entries_intact(self, empty_store, monkeypatch):
+        half_writes(monkeypatch, failures=1)
+        lost, kept = (small_spec().model_config(d, 0) for d in (10, 5))
+        experiments._decomposition(lost)
+        experiments._decomposition(kept)
+        assert list(experiments._store) == [kept]
+        assert experiments._store[kept][2] > 0
+        hit = experiments._decomposition(kept)
+        fresh = eigendecompose(build_hamiltonian(kept))
+        assert np.array_equal(hit.eigenvalues, fresh.eigenvalues)
+        assert np.array_equal(hit.eigenvectors, fresh.eigenvectors)
+
+    def test_forked_workers_read_and_extend_the_store(self, empty_store):
+        spec = small_spec(d_grid=(5, 10), num_hamiltonian_seeds=2, num_state_seeds=2)
+        runs = [run_sweep(spec), run_sweep(spec, workers=2)]  # workers hit
+        experiments._store.clear()
+        runs.append(run_sweep(spec, workers=2))  # workers store in their own files
+        assert experiments._store == {}
+        runs += [run_sweep(spec), run_sweep(spec)]  # parent misses, then hits
+        first, *rest = ([strip_wall(r) for r in results] for results in runs)
+        assert all(other == first for other in rest)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    def test_one_descriptor_for_every_entry(self, empty_store):
+        before = len(os.listdir("/proc/self/fd"))
+        for d in (5, 10):
+            for h_index in range(10):
+                config = small_spec().model_config(d, h_index)
+                experiments._decomposition(config)
+                experiments._decomposition(config)
+        assert len(experiments._store) == 20
+        assert len(os.listdir("/proc/self/fd")) <= before + 1
 
     def test_no_directory_left_after_sweeps(self, tmp_path):
         write_store_configs(tmp_path)
+        before = set(os.listdir(tmp_path))
         proc = run_python(tmp_path, (
             "from dechist import experiments\n"
             "from dechist.cli import main\n"
             "for w in ('2', '1'):\n"
             "    assert main(['sweep', '--config', f'w{w}.json', '--workers', w]) == 0\n"
-            "print(experiments._store_dir)\n"
+            "print(len(experiments._store))\n"
         ))
-        store = Path(proc.stdout.splitlines()[-1])
-        assert store.parent == tmp_path and store.name.startswith("dechist-eig")
-        assert list(tmp_path.glob("dechist-eig*")) == []
+        assert int(proc.stdout.splitlines()[-1]) == 4
+        assert set(os.listdir(tmp_path)) == before | {"out1", "out2"}
 
     @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGKILL], ids=["term", "kill"])
-    def test_next_process_removes_store_of_killed_one(self, tmp_path, signum):
-        """A killed process skips atexit; the next store removes what it left."""
+    def test_killed_sweep_leaves_nothing(self, tmp_path, signum):
+        """A sweep killed after two stores leaves no store behind."""
         write_store_configs(tmp_path)
         killed = run_python(tmp_path, (
             "import os\n"
             "from dechist import experiments, spectral\n"
             "from dechist.cli import main\n"
-            "def dying(hamiltonian, calls=[]):\n"
-            "    calls.append(hamiltonian)\n"
-            "    if len(calls) == 2:\n"
+            "def dying(hamiltonian):\n"
+            "    if len(experiments._store) == 2:\n"
+            "        print(experiments._store_file[1].seek(0, os.SEEK_END), flush=True)\n"
             f"        os.kill(os.getpid(), {int(signum)})\n"
             "    return spectral.eigendecompose(hamiltonian)\n"
             "experiments.eigendecompose = dying\n"
             "main(['sweep', '--config', 'w1.json', '--workers', '1'])\n"
         ), check=False)
         assert killed.returncode == -signum
-        (stale,) = tmp_path.glob("dechist-eig*")
-        assert len(list(stale.glob("*.npy"))) == 2
-        live = tmp_path / f"dechist-eig-{os.getpid()}-live"
-        live.mkdir()
-        run_python(tmp_path, (
-            "from dechist.cli import main\n"
-            "assert main(['sweep', '--config', 'w2.json', '--workers', '2']) == 0\n"
-        ))
-        assert list(tmp_path.glob("dechist-eig*")) == [live]
+        assert int(killed.stdout) > 0
+        assert sorted(os.listdir(tmp_path)) == ["out1", "w1.json", "w2.json"]
+
+
+def half_writes(monkeypatch, failures):
+    """Store files made from now on stop their first `failures` writes halfway."""
+    make = tempfile.TemporaryFile
+
+    class HalfWrites(io.BufferedRandom):
+        left = failures
+
+        def write(self, data):
+            if not HalfWrites.left:
+                return super().write(data)
+            HalfWrites.left -= 1
+            data = memoryview(data).cast("B")
+            super().write(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", lambda: HalfWrites(make(buffering=0)))
 
 
 def write_store_configs(directory):

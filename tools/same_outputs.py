@@ -5,11 +5,13 @@ Usage: python tools/same_outputs.py OLD_ROOT NEW_ROOT
 
 Each root is a checkout holding `src/dechist`.  A fixed list of dechist
 commands runs against each tree's `src/`, every case in a fresh
-temporary directory, sweeps with `--workers 1`.  Each command of CASES
-runs in its own process, so every decomposition in it is fresh; the
-commands of a case in ONE_PROCESS_CASES share one process, so later
-commands read the matrices that earlier ones stored.  The `wall_time_s`
-field is removed from `results.csv` and `realizations.jsonl`; every
+temporary directory.  Each command of CASES runs in its own process, so
+every decomposition in it is fresh; the commands of a case in
+ONE_PROCESS_CASES share one process, so later commands read the matrices
+that earlier ones stored; its last sweep runs in forked `--workers 2`
+workers, which read them too.  Every other sweep runs with `--workers 1`.
+The `wall_time_s` field is removed from `results.csv` and
+`realizations.jsonl`, whose lines are compared in sorted order; every
 other file must match byte for byte.  One line per file reports `same`
 or `DIFF`; the exit code is 1 on any difference and 2 when a command
 fails.
@@ -114,12 +116,20 @@ def _sweep_and_eigenstate(name: str, model: dict) -> dict:
     }
 
 
+_GOE = _sweep_and_eigenstate("goe", {"d_grid": [5, 50, 250]})
+
 # (name, {config file: config}, argv of each command in run order).
 ONE_PROCESS_CASES = [
     (
         "shared_matrices_one_process",
         {
-            **_sweep_and_eigenstate("goe", {"d_grid": [5, 50, 250]}),
+            **_GOE,
+            # The weak GOE sweep again, by forked workers that read the
+            # matrices this process stored.
+            "goe_workers2.json": {
+                **_GOE["goe_haar_equilibrium.json"],
+                "output": {"directory": "goe_workers2"},
+            },
             **_sweep_and_eigenstate("gue", {"d_grid": [5, 50], "ensemble": "gue"}),
             # D=50 with base seed 0 is the sweeps' (D=50, h_index=0) matrix.
             "dynamics.json": {
@@ -134,6 +144,7 @@ ONE_PROCESS_CASES = [
             ["dynamics", "--config", "dynamics.json"],
             ["sweep", "--config", "gue_haar_equilibrium.json", "--workers", "1"],
             ["sweep", "--config", "gue_eigenstate.json", "--workers", "1"],
+            ["sweep", "--config", "goe_workers2.json", "--workers", "2"],
         ],
     ),
 ]
@@ -183,7 +194,7 @@ def run_one_process_case(root: Path, workdir: Path, configs: dict, commands) -> 
 
 
 def _strip_timing(path: Path) -> bytes:
-    """File bytes, with the timing field removed where it is written."""
+    """File bytes, without the timing field and with JSONL lines sorted."""
     data = path.read_bytes()
     if path.name == "results.csv":
         lines = data.decode().splitlines(keepends=True)
@@ -199,7 +210,9 @@ def _strip_timing(path: Path) -> bytes:
             out.write(line)
         return out.getvalue().encode()
     if path.name == "realizations.jsonl":
-        return re.sub(rb'(, )?"%s": [^,}]*' % TIMING.encode(), b"", data)
+        # Sorted: a multi-worker sweep appends groups as they finish.
+        data = re.sub(rb'(, )?"%s": [^,}]*' % TIMING.encode(), b"", data)
+        return b"".join(sorted(data.splitlines(keepends=True)))
     return data
 
 
