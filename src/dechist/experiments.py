@@ -4,9 +4,10 @@ _prepare sets up every realization: it decomposes the random matrix and
 chooses the initial states.  A sweep runs one realization per (dimension,
 hamiltonian seed, state seed) triple, computes a single decoherence
 functional at the longest grid, and derives every shorter-grid record
-from it by trailing marginalization.  Records stream to a JSONL file as
-they finish, so an interrupted sweep resumes without recomputing
-completed keys.
+from it by trailing marginalization; the state seeds of one matrix grow
+their branch trees in batches (_run_group).  Records stream to a JSONL
+file in group order as groups finish, so an interrupted sweep resumes
+without recomputing completed keys.
 
 Every decomposition goes through _decomposition, which keeps its
 eigenvectors in an unlinked temporary file of the process, so a matrix
@@ -559,11 +560,20 @@ def run_realization(
     share one matrix; `shared_time` is the amortized share of that setup
     charged to this realization's wall time.
     """
-    start = time.perf_counter()
+    start = time.perf_counter() - shared_time
     df, coarsening, eigenstate_index = compute_realization_df(
         spec, d, h_index, s_index, sd=sd
     )
+    return _realization_result(
+        spec, d, h_index, s_index, df, coarsening, eigenstate_index, start
+    )
 
+
+def _realization_result(
+    spec: SweepSpec, d: int, h_index: int, s_index: int,
+    df, coarsening, eigenstate_index: int | None, start: float,
+) -> RealizationResult:
+    """Metrics of a realization's functional; its wall time runs from `start`."""
     per_length: dict[int, PerLengthMetrics] = {}
     for length in range(2, spec.l_max + 1):
         sub = marginalize(df, range(length))
@@ -582,13 +592,12 @@ def run_realization(
             histogram=branch_histogram(sub),
         )
     bins = {d_h: (mean, count) for d_h, (mean, count) in epsilon_by_distance(df).items()}
-    wall = shared_time + (time.perf_counter() - start)
     return RealizationResult(
         **_identity(spec, d, h_index, s_index),
         eigenstate_index=eigenstate_index,
         per_length=per_length,
         distance_bins=bins,
-        wall_time_s=wall,
+        wall_time_s=time.perf_counter() - start,
     )
 
 
@@ -618,22 +627,67 @@ def _error_result(
 def _run_group(
     spec: SweepSpec, d: int, h_index: int, s_indices: tuple[int, ...]
 ) -> list[RealizationResult]:
-    """All state seeds for one (d, h_index): one eigensolve, many states."""
+    """All state seeds for one (d, h_index): one eigensolve, many states.
+
+    Consecutive seeds on one grid run in batches (see _run_batch) whose
+    last tree levels together take at most a quarter of the eigenvector
+    matrix's bytes, so a batch is one seed where the matrix is small
+    enough to stay in cache.  Random spacings give each seed its own
+    grid, so there a batch is one seed too.  A batch that raises is
+    rerun one seed at a time, so a failure fails only its own
+    realization.
+    """
     start = time.perf_counter()
     try:
         sd = _decomposition(spec.model_config(d, h_index))
     except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
         return [_error_result(spec, d, h_index, s, exc) for s in s_indices]
     shared = (time.perf_counter() - start) / max(len(s_indices), 1)
+    size = max(1, sd.eigenvectors.nbytes // (4 * 16 * 3**spec.num_steps * d))
+    if isinstance(spec.step_mode, RandomSpacing):
+        size = 1
     results = []
-    for s_index in s_indices:
-        try:
-            results.append(
-                run_realization(spec, d, h_index, s_index, sd=sd, shared_time=shared)
-            )
-        except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
-            results.append(_error_result(spec, d, h_index, s_index, exc))
+    for i in range(0, len(s_indices), size):
+        batch = s_indices[i:i + size]
+        if len(batch) > 1:
+            try:
+                results += _run_batch(spec, d, h_index, batch, sd, shared)
+                continue
+            except Exception:  # noqa: BLE001 - rerun one seed at a time below
+                pass
+        for s_index in batch:
+            try:
+                results.append(
+                    run_realization(spec, d, h_index, s_index, sd=sd, shared_time=shared)
+                )
+            except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
+                results.append(_error_result(spec, d, h_index, s_index, exc))
     return results
+
+
+def _run_batch(
+    spec: SweepSpec, d: int, h_index: int, s_indices: tuple[int, ...],
+    sd: SpectralDecomposition, shared_time: float,
+) -> list[RealizationResult]:
+    """run_realization of state seeds on one grid, their trees grown together.
+
+    Each seed's wall time carries an equal share of the batch's set-up
+    and tree, as it does of the decomposition.
+    """
+    start = time.perf_counter()
+    prepared = [_prepare(spec, d, h_index, s, sd) for s in s_indices]
+    tau, _, coarsening, _ = prepared[0]
+    psi0 = np.stack([starts[0][1] for *_, starts in prepared])
+    grid = _make_grid(spec, tau, h_index, s_indices[0])
+    trees = compute_branch_states(sd, coarsening, psi0, grid)
+    shared_time += (time.perf_counter() - start) / len(s_indices)
+    return [
+        _realization_result(
+            spec, d, h_index, s_index, compute_df(tree), coarsening,
+            starts[0][2], time.perf_counter() - shared_time,
+        )
+        for s_index, tree, (*_, starts) in zip(s_indices, trees, prepared)
+    ]
 
 
 def result_to_dict(result: RealizationResult) -> dict:
@@ -700,12 +754,14 @@ def run_sweep(
 ) -> list[RealizationResult]:
     """Run (or resume) every realization of a sweep.
 
-    With an output directory, finished realizations append to
-    realizations.jsonl immediately and existing records are skipped on
-    rerun, so a completed directory costs no recomputation.  Results
-    come back sorted by (d, h_index, s_index) regardless of worker
-    count or completion order.  A group lost to a crashed worker comes
-    back as failed results that are not written, so a rerun retries it.
+    With an output directory, each finished group appends its records to
+    realizations.jsonl once every earlier group is done, so the file is
+    in group order for any worker count, and existing records are
+    skipped on rerun, so a completed directory costs no recomputation.
+    Results come back sorted by (d, h_index, s_index) regardless of
+    worker count or completion order.  A group lost to a crashed worker
+    comes back as failed results that are not written, so a rerun
+    retries it.
     """
     if spec.d_grid is None:
         raise ConfigError("model.d_grid: required by the sweep command")
@@ -736,35 +792,46 @@ def run_sweep(
             if pending:
                 groups.append((d, h_index, pending))
 
-    def _record(batch: list[RealizationResult]) -> None:
+    def _record(batch: list[RealizationResult]) -> list[str]:
+        """Keep a group's records; returns their JSONL lines."""
+        lines = []
         for result in batch:
-            data = result_to_dict(result)
-            records[result.key] = data
-            if records_path is not None:
-                with records_path.open("a") as fh:
-                    fh.write(json.dumps(data, sort_keys=True) + "\n")
+            records[result.key] = result_to_dict(result)
+            lines.append(json.dumps(records[result.key], sort_keys=True) + "\n")
+        return lines
+
+    def _write(lines: list[str]) -> None:
+        if records_path is not None and lines:
+            with records_path.open("a") as fh:
+                fh.writelines(lines)
 
     if workers > 1 and groups:
         with ProcessPoolExecutor(max_workers=min(workers, len(groups))) as pool:
             futures = {
-                pool.submit(_run_group, spec, d, h_index, pending): (d, h_index, pending)
-                for d, h_index, pending in groups
+                pool.submit(_run_group, spec, *group): i for i, group in enumerate(groups)
             }
+            # Finished groups wait here until every earlier group is done,
+            # so the stream is in group order whatever the completion order.
+            held: dict[int, list[str]] = {}
+            written = 0
             for future in as_completed(futures):
+                i = futures[future]
                 try:
-                    batch = future.result()
+                    held[i] = _record(future.result())
                 except BrokenProcessPool as exc:
                     # A worker died: report the group as failed, but keep it
                     # out of the JSONL stream so a rerun retries it.
-                    d, h_index, pending = futures[future]
+                    d, h_index, pending = groups[i]
                     for s in pending:
                         lost = _error_result(spec, d, h_index, s, exc)
                         records[lost.key] = result_to_dict(lost)
-                else:
-                    _record(batch)
+                    held[i] = []
+                while written in held:
+                    _write(held.pop(written))
+                    written += 1
     else:
-        for d, h_index, pending in groups:
-            _record(_run_group(spec, d, h_index, pending))
+        for group in groups:
+            _write(_record(_run_group(spec, *group)))
 
     results = [result_from_dict(records[key]) for key in sorted(records)]
     return results

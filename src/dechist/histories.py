@@ -5,6 +5,11 @@ time.  Its branch state is Pi_{x_n} U ... Pi_{x_1} U Pi_{x_0} |psi>,
 and the decoherence functional collects all pairwise branch overlaps
 <psi(y)|psi(x)>.  Histories are encoded as base-3 integers with x_0 as
 the least significant digit.
+
+A branch tree is kept before its last projection: each final-label
+block of the functional reads one band of the last level, so the
+two-thirds-zero leaf array is never built.  Several starts on one
+matrix and grid grow their trees in one pass.
 """
 
 from __future__ import annotations
@@ -35,7 +40,8 @@ __all__ = [
 M = NUM_MACROSTATES
 MAX_LENGTH = 6
 
-# Cap on the leaf array (3^L * D complex entries): 2 GiB.
+# Cap on a branch tree's largest array (3^L * D complex entries for
+# one start): 2 GiB.
 MEMORY_BUDGET = 2 << 30
 
 
@@ -136,20 +142,38 @@ def _final_blocks(entries: np.ndarray, length: int) -> np.ndarray:
     return np.einsum("ijik->ijk", entries.reshape(M, b, M, b))
 
 
+def _split(coarsening: Coarsening, rows: np.ndarray) -> np.ndarray:
+    """The three projections of stacked rows, label x's copies x-th.
+
+    A child with label x at time t_k then sits at parent_code + x * 3^k.
+    """
+    return np.concatenate(
+        [apply_projector_batch(coarsening, x, rows) for x in range(M)], axis=0
+    )
+
+
 @dataclass(frozen=True)
 class BranchStates:
-    """All 3^L branch leaves for one grid, indexed by encoded history.
+    """Branch tree of one start on one grid, kept before its last split.
 
-    Zero-norm branches are stored as zero rows, never pruned, so the
-    leaf array shape is always (3^L, D).
+    Row h of `final` is the branch of the code h of (x_0, ..., x_{L-2})
+    evolved to t_{L-1}; projecting it on x_{L-1} gives the leaf of the
+    history with code h + x_{L-1} * 3^(L-1).  Zero-norm branches are
+    zero rows, never pruned, so `final` is always (3^(L-1), D).
     """
 
-    states: np.ndarray
+    final: np.ndarray
+    coarsening: Coarsening
     grid: HistoryGrid
 
     @property
     def length(self) -> int:
         return self.grid.length
+
+    @property
+    def states(self) -> np.ndarray:
+        """All (3^L, D) leaves indexed by encoded history, built on demand."""
+        return _split(self.coarsening, self.final)
 
 
 def compute_branch_states(
@@ -157,40 +181,42 @@ def compute_branch_states(
     coarsening: Coarsening,
     psi0: np.ndarray,
     grid: HistoryGrid,
-) -> BranchStates:
-    """Grow the branch tree level by level.
+) -> BranchStates | list[BranchStates]:
+    """Grow the branch tree level by level: split, then evolve.
 
-    Each live tree node is evolved once and then split by the three
-    projectors, so the work is at most sum_k 3^k propagations rather
-    than L * 3^L; nodes that are exactly zero (a start with no weight
-    in some band) are never evolved.  Under the band masks a level's
-    three child chunks each live in one band, so their forward
-    transforms read only that band's eigenvector rows.  Summing the
-    leaves over all histories reproduces the unitarily evolved state.
+    Each live tree node is split by the three projectors and evolved
+    once, so the work is at most sum_k 3^k propagations rather than
+    L * 3^L; nodes that are exactly zero (a start with no weight in
+    some band) are never evolved.  Under the band masks a level's three
+    child chunks each live in one band, so their forward transforms
+    read only that band's eigenvector rows.  The split at t_{L-1} is
+    left to the readers of the tree.
+
+    A (S, D) stack of starts grows S trees in the same loop, which
+    reads the eigenvector matrix once per level for all of them: a
+    level's rows are ordered [labels][start], so the band chunks stay
+    contiguous.  It returns S BranchStates whose `final` are views into
+    one array.
     """
     d = sd.dimension
     length = grid.length
-    needed = 16 * num_histories(length) * d
+    starts = np.array(psi0, dtype=np.complex128, ndmin=2)
+    # The larger of the last level of all starts and one start's leaves.
+    needed = 16 * d * max(M ** (length - 1) * len(starts), M**length)
     if needed > MEMORY_BUDGET:
         raise MemoryError(
-            f"branch tree needs {needed} bytes for 3^{length} x {d} leaves, "
-            f"budget is {MEMORY_BUDGET}"
+            f"branch tree needs {needed} bytes for {len(starts)} start(s) with "
+            f"3^{length} x {d} leaves, budget is {MEMORY_BUDGET}"
         )
-    psi0 = np.asarray(psi0, dtype=np.complex128)
-    # Level 0: split the initial state at t_0.
-    states = np.concatenate(
-        [apply_projector_batch(coarsening, x, psi0[None, :]) for x in range(M)], axis=0
-    )
     ranges = None if coarsening.is_dense else coarsening.ranges
+    final = starts
     for k in range(1, length):
         dt = grid.times[k] - grid.times[k - 1]
-        evolved = evolve_batch(sd, states, dt, ranges=ranges)
-        # Child with label x at time t_k sits at parent_code + x * 3^k,
-        # so the three projected copies stack contiguously.
-        states = np.concatenate(
-            [apply_projector_batch(coarsening, x, evolved) for x in range(M)], axis=0
-        )
-    return BranchStates(states=states, grid=grid)
+        final = evolve_batch(sd, _split(coarsening, final), dt, ranges=ranges)
+    if np.ndim(psi0) == 1:
+        return BranchStates(final=final, coarsening=coarsening, grid=grid)
+    final = final.reshape(-1, len(starts), d)
+    return [BranchStates(final[:, s], coarsening, grid) for s in range(len(starts))]
 
 
 @dataclass(frozen=True)
@@ -215,18 +241,23 @@ class DecoherenceFunctional:
 
 
 def compute_df(branches: BranchStates) -> DecoherenceFunctional:
-    """Assemble the decoherence functional from branch leaves.
+    """Assemble the decoherence functional from a branch tree.
 
     Branches whose final labels differ live in orthogonal projector
     ranges, so those blocks are written as exact zeros without doing
-    the inner products.
+    the inner products.  Block c needs the last level projected on c:
+    under the band masks that is band c's columns of `final`, so no
+    leaf array is built; a dense projector is applied first.
     """
-    leaves = branches.states
-    entries = np.zeros((leaves.shape[0],) * 2, dtype=np.complex128)
+    final, coarsening = branches.final, branches.coarsening
+    entries = np.zeros((M * final.shape[0],) * 2, dtype=np.complex128)
     blocks = _final_blocks(entries, branches.length)
-    for c, b in enumerate(leaves.reshape(M, -1, leaves.shape[1])):
+    for c, (a, b) in enumerate(coarsening.ranges):
+        f = final[:, a:b]
+        if coarsening.is_dense:
+            f = apply_projector_batch(coarsening, c, final)
         # entry(x, y) = <psi_y | psi_x> = sum_i psi_x[i] conj(psi_y[i]).
-        blocks[c] = b @ b.conj().T
+        blocks[c] = f @ f.conj().T
     return DecoherenceFunctional(entries=entries, grid=branches.grid)
 
 

@@ -52,18 +52,25 @@ def chain_operator(h, projectors, times, labels) -> np.ndarray:
     return op
 
 
+def branches_by_chains(h, projectors, times, psi0) -> np.ndarray:
+    """Every branch C(x) psi0, row x the base-3 code of x (earliest label
+    least significant)."""
+    length = len(times)
+    branches = np.zeros((3**length, len(psi0)), dtype=complex)
+    for labels in itertools.product(range(3), repeat=length):
+        code = sum(x * 3**k for k, x in enumerate(labels))
+        branches[code] = chain_operator(h, projectors, times, labels) @ psi0
+    return branches
+
+
 def df_by_chains(h, projectors, times, psi0) -> np.ndarray:
     """Full decoherence functional from explicit operator chains.
 
     Entry (x, y) = <psi(y)|psi(x)> with histories encoded base-3,
     earliest label least significant.
     """
-    length = len(times)
-    n = 3**length
-    branches = np.zeros((n, len(psi0)), dtype=complex)
-    for labels in itertools.product(range(3), repeat=length):
-        code = sum(x * 3**k for k, x in enumerate(labels))
-        branches[code] = chain_operator(h, projectors, times, labels) @ psi0
+    branches = branches_by_chains(h, projectors, times, psi0)
+    n = len(branches)
     out = np.zeros((n, n), dtype=complex)
     for x in range(n):
         for y in range(n):

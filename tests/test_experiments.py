@@ -49,6 +49,7 @@ from oracles import df_by_chains, range_projectors
 
 SPEC_V1 = Path(__file__).parent / "data" / "sweep_spec_v1.json"
 _RUN_GROUP = experiments._run_group
+_RESULT_TO_DICT = experiments.result_to_dict
 
 
 def small_spec(**overrides):
@@ -69,16 +70,29 @@ def strip_wall(result: RealizationResult) -> dict:
     return data
 
 
-def _die_after_others(records: Path, spec, d, h_index, s_indices):
+def _die_after_others(received: Path, spec, d, h_index, s_indices):
     """Stand-in for _run_group in a forked worker: group (d=5, h=0) waits
-    until the three other groups are on disk, then kills its process."""
+    until the parent has received the three other groups, then kills its
+    process."""
     if (d, h_index) == (5, 0):
         deadline = time.monotonic() + 60
-        while time.monotonic() < deadline:
-            if records.exists() and len(records.read_text().splitlines()) >= 3:
-                break
+        while time.monotonic() < deadline and len(list(received.iterdir())) < 3:
             time.sleep(0.05)
         os._exit(1)
+    return _RUN_GROUP(spec, d, h_index, s_indices)
+
+
+def _noting_receipt(received: Path, result):
+    """Stand-in for result_to_dict in the sweep's parent: each record it
+    receives leaves a file named by its key."""
+    (received / "-".join(map(str, result.key))).touch()
+    return _RESULT_TO_DICT(result)
+
+
+def _first_group_last(spec, d, h_index, s_indices):
+    """Stand-in for _run_group: group (d=5, h=0) finishes after the others."""
+    if (d, h_index) == (5, 0):
+        time.sleep(1.0)
     return _RUN_GROUP(spec, d, h_index, s_indices)
 
 
@@ -215,6 +229,25 @@ class TestRunSweep:
         parallel = run_sweep(spec, workers=2)
         assert [strip_wall(r) for r in serial] == [strip_wall(r) for r in parallel]
 
+    def test_records_are_in_group_order_for_any_worker_count(
+        self, tmp_path, monkeypatch
+    ):
+        # The first group finishes last, so records written in completion
+        # order would put it at the end of the multi-worker stream.
+        spec = small_spec(d_grid=(5, 10), num_hamiltonian_seeds=2, base_seed=23)
+
+        def stream(workers):
+            out = tmp_path / f"workers{workers}"
+            run_sweep(spec, output_dir=out, workers=workers)
+            lines = (out / "realizations.jsonl").read_text().splitlines()
+            return [{k: v for k, v in json.loads(line).items() if k != "wall_time_s"}
+                    for line in lines]
+
+        serial = stream(1)
+        monkeypatch.setattr(experiments, "_run_group", _first_group_last)
+        assert stream(2) == serial
+        assert [(r["d"], r["h_index"]) for r in serial] == [(5, 0), (5, 1), (10, 0), (10, 1)]
+
     def test_pool_never_exceeds_group_count(self, monkeypatch):
         # The stub pool runs each group in-process, so no worker starts.
         pool_sizes = []
@@ -300,15 +333,23 @@ class TestRunSweep:
         spec = small_spec(d_grid=(5, 10), num_hamiltonian_seeds=2, base_seed=19)
         out = tmp_path / "sweep"
         records = out / "realizations.jsonl"
+        received = tmp_path / "received"
+        received.mkdir()
         monkeypatch.setattr(
-            experiments, "_run_group", functools.partial(_die_after_others, records)
+            experiments, "_run_group", functools.partial(_die_after_others, received)
+        )
+        monkeypatch.setattr(
+            experiments, "result_to_dict", functools.partial(_noting_receipt, received)
         )
         crashed = run_sweep(spec, output_dir=out, workers=2)
         assert [r.key for r in crashed] == [(5, 0, 0), (5, 1, 0), (10, 0, 0), (10, 1, 0)]
         assert [r.failed for r in crashed] == [True, False, False, False]
         assert "BrokenProcessPool" in crashed[0].error
-        # The lost group is not on disk, so the rerun retries it.
+        # The lost group is not on disk, so the rerun retries it; the groups
+        # after it are written once it is lost, in group order.
         assert len(records.read_text().splitlines()) == 3
+        written = [json.loads(line) for line in records.read_text().splitlines()]
+        assert [(r["d"], r["h_index"]) for r in written] == [(5, 1), (10, 0), (10, 1)]
 
         monkeypatch.undo()
         again = run_sweep(spec, output_dir=out, workers=2)
@@ -389,6 +430,113 @@ def count_eigensolves(monkeypatch) -> list[bytes]:
 
     monkeypatch.setattr(experiments, "eigendecompose", counting)
     return calls
+
+
+def _tree_shapes(monkeypatch) -> list[tuple[int, ...]]:
+    """Shape of the starts of every branch tree the sweep grows."""
+    shapes = []
+    grow = experiments.compute_branch_states
+
+    def recording(sd, coarsening, psi0, grid):
+        shapes.append(np.shape(psi0))
+        return grow(sd, coarsening, psi0, grid)
+
+    monkeypatch.setattr(experiments, "compute_branch_states", recording)
+    return shapes
+
+
+def _assert_close_results(got: RealizationResult, want: RealizationResult) -> None:
+    """Equal integer fields, float fields to 1e-12."""
+    a, b = strip_wall(got), strip_wall(want)
+    per_a, per_b = a.pop("per_length"), b.pop("per_length")
+    bins_a, bins_b = a.pop("distance_bins"), b.pop("distance_bins")
+    assert a == b
+    assert per_a.keys() == per_b.keys()
+    for length in per_a:
+        hist_a, hist_b = per_a[length].pop("histogram"), per_b[length].pop("histogram")
+        assert hist_a.keys() == hist_b.keys()
+        assert all(abs(hist_a[k] - hist_b[k]) <= 1e-12 for k in hist_a)
+        for name, value in per_a[length].items():
+            if isinstance(value, int):
+                assert value == per_b[length][name], name
+            else:
+                assert abs(value - per_b[length][name]) <= 1e-12, name
+    assert bins_a.keys() == bins_b.keys()
+    for k, (mean, count) in bins_a.items():
+        assert count == bins_b[k][1]
+        assert abs(mean - bins_b[k][0]) <= 1e-12
+
+
+class TestStateSeedBatches:
+    @pytest.mark.parametrize(
+        "d,num_steps,ensemble,family,batch",
+        [
+            (50, 1, Ensemble.GOE, InitFamily.HAAR_EQUILIBRIUM, 2),
+            (250, 2, Ensemble.GOE, InitFamily.EIGENSTATE, 3),
+            (50, 1, Ensemble.GUE, InitFamily.HAAR_EQUILIBRIUM, 4),
+        ],
+    )
+    def test_batched_sweep_matches_single_seeds(
+        self, monkeypatch, d, num_steps, ensemble, family, batch
+    ):
+        # The batch holds as many seeds as keep its last tree level within
+        # a quarter of the eigenvector bytes: GOE D=50 at L=2 takes 2.  No
+        # start is all '-', where subsets with and without t_0 tie and
+        # roundoff picks argmax_subset.
+        spec = small_spec(
+            d_grid=(d,), num_steps=num_steps, ensemble=ensemble, init_family=family,
+            num_state_seeds=batch + 1, base_seed=29,
+        )
+        shapes = _tree_shapes(monkeypatch)
+        swept = run_sweep(spec)
+        assert shapes == [(batch, d), (d,)]
+        assert not any(r.failed for r in swept)
+        for result in swept:
+            _assert_close_results(result, run_realization(spec, d, 0, result.s_index))
+
+    def test_random_spacing_grows_one_tree_per_seed(self, monkeypatch):
+        spec = small_spec(
+            d_grid=(50,), num_steps=1, num_state_seeds=3, step_mode=RandomSpacing(0.5, 1.5)
+        )
+        shapes = _tree_shapes(monkeypatch)
+        swept = run_sweep(spec)
+        assert shapes == [(50,)] * 3
+        assert [strip_wall(r) for r in swept] == [
+            strip_wall(run_realization(spec, 50, 0, s)) for s in range(3)
+        ]
+
+    def test_failed_batch_is_rerun_one_seed_at_a_time(self, monkeypatch):
+        spec = small_spec(d_grid=(50,), num_steps=1, num_state_seeds=2)
+        grow = experiments.compute_branch_states
+
+        def no_stacks(sd, coarsening, psi0, grid):
+            if np.ndim(psi0) == 2:
+                raise RuntimeError("synthetic batch failure")
+            return grow(sd, coarsening, psi0, grid)
+
+        monkeypatch.setattr(experiments, "compute_branch_states", no_stacks)
+        swept = run_sweep(spec)
+        assert not any(r.failed for r in swept)
+        assert [strip_wall(r) for r in swept] == [
+            strip_wall(run_realization(spec, 50, 0, s)) for s in range(2)
+        ]
+
+    def test_failed_metrics_fail_only_their_seed(self, monkeypatch):
+        spec = small_spec(d_grid=(50,), num_steps=1, num_state_seeds=2)
+        bad, _, _ = experiments.compute_realization_df(spec, 50, 0, 1)
+        distance = experiments.epsilon_by_distance
+
+        def flaky(df):
+            if np.allclose(df.entries, bad.entries, rtol=0, atol=1e-12):
+                raise RuntimeError("synthetic metric failure")
+            return distance(df)
+
+        monkeypatch.setattr(experiments, "epsilon_by_distance", flaky)
+        good, failed = run_sweep(spec)
+        assert not good.failed
+        assert failed.failed and "synthetic metric failure" in failed.error
+        monkeypatch.undo()
+        assert strip_wall(good) == strip_wall(run_realization(spec, 50, 0, 0))
 
 
 class TestDecompositionStore:

@@ -30,7 +30,13 @@ from dechist.histories import (
     num_histories,
 )
 
-from oracles import df_by_chains, marginal_by_loops, range_projectors, rotated_projectors
+from oracles import (
+    branches_by_chains,
+    df_by_chains,
+    marginal_by_loops,
+    range_projectors,
+    rotated_projectors,
+)
 
 
 def realization(v_minus=1, seed=0, state_seed=1, weights=(0.2, 0.6, 0.2)):
@@ -208,6 +214,80 @@ class TestBranchStates:
         compute_branch_states(sd, coarsening, psi0, HistoryGrid.constant(3, 2.0))
         assert sum(forward) == 13
         assert backward == [1, 3, 9]
+
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_leaves_match_chain_oracle(self, dense):
+        # The tree keeps only its last level; the leaves built from it
+        # are the branches of the explicit operator chains.
+        config, ham, sd, coarsening, _ = realization(v_minus=2, seed=3)
+        projs = range_projectors(coarsening.ranges)
+        if dense:
+            projs = rotated_projectors(config.block_layout, seed=11)
+            coarsening = Coarsening(ranges=config.block_layout, projectors=tuple(projs))
+        psi0 = sample_haar_state(coarsening, (0.2, 0.6, 0.2), 6)
+        grid = HistoryGrid.constant(3, 2.0)
+        branches = compute_branch_states(sd, coarsening, psi0, grid)
+        assert branches.final.shape == (27, 10)
+        oracle = branches_by_chains(ham.matrix, projs, grid.times, psi0)
+        assert np.abs(branches.states - oracle).max() <= 1e-12
+
+
+def _three_starts(sd, coarsening):
+    """An all-minus, an equilibrium and an eigenstate start, stacked."""
+    return np.stack([
+        sample_haar_state(coarsening, (1.0, 0.0, 0.0), 2),
+        sample_haar_state(coarsening, (0.2, 0.6, 0.2), 3),
+        select_eigenstate(sd, 4)[0],
+    ])
+
+
+class TestStackedStarts:
+    @pytest.mark.parametrize("length", [1, 2, 3, 4])
+    @pytest.mark.parametrize("ensemble", [Ensemble.GOE, Ensemble.GUE])
+    def test_stack_matches_single_starts(self, ensemble, length):
+        config = ModelConfig(v_minus=2, ensemble=ensemble, hamiltonian_seed=5)
+        sd = eigendecompose(build_hamiltonian(config))
+        coarsening = build_coarsening(config)
+        starts = _three_starts(sd, coarsening)
+        grid = HistoryGrid.constant(length - 1, 2.0)
+        stacked = compute_branch_states(sd, coarsening, starts, grid)
+        assert len(stacked) == len(starts)
+        for psi0, tree in zip(starts, stacked):
+            single = compute_branch_states(sd, coarsening, psi0, grid)
+            assert tree.final.shape == single.final.shape == (3 ** (length - 1), 10)
+            assert np.abs(tree.final - single.final).max() <= 1e-12
+            assert np.abs(compute_df(tree).entries - compute_df(single).entries).max() <= 1e-12
+
+    def test_stack_reads_the_basis_once_per_level(self, monkeypatch):
+        # S all-minus starts at L=4: each level's live rows of all S trees
+        # go through one backward product.
+        _, _, sd, coarsening, _ = realization(v_minus=2)
+        starts = np.stack([
+            sample_haar_state(coarsening, (1.0, 0.0, 0.0), seed) for seed in range(3)
+        ])
+        d = sd.dimension
+        forward, backward = [], []
+        product = spectral._rows_times_matrix
+
+        def counting(rows, mat):
+            (backward if mat.shape == (d, d) else forward).append(rows.shape[0])
+            return product(rows, mat)
+
+        monkeypatch.setattr(spectral, "_rows_times_matrix", counting)
+        compute_branch_states(sd, coarsening, starts, HistoryGrid.constant(3, 2.0))
+        assert sum(forward) == 13 * 3
+        assert backward == [3, 9, 27]
+
+    def test_stack_memory_guard_counts_every_start(self, monkeypatch):
+        _, _, sd, coarsening, psi0 = realization(v_minus=2)
+        grid = HistoryGrid.constant(2, 1.0)
+        # One start's 27 leaves fit; the last level of four starts (36 rows) does not.
+        monkeypatch.setattr(histories, "MEMORY_BUDGET", 16 * 27 * 10)
+        compute_branch_states(sd, coarsening, psi0, grid)
+        compute_branch_states(sd, coarsening, np.stack([psi0] * 3), grid)
+        with pytest.raises(MemoryError):
+            compute_branch_states(sd, coarsening, np.stack([psi0] * 4), grid)
 
 
 class TestDecoherenceFunctional:

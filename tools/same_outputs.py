@@ -11,10 +11,12 @@ ONE_PROCESS_CASES share one process, so later commands read the matrices
 that earlier ones stored; its last sweep runs in forked `--workers 2`
 workers, which read them too.  Every other sweep runs with `--workers 1`.
 The `wall_time_s` field is removed from `results.csv` and
-`realizations.jsonl`, whose lines are compared in sorted order; every
-other file must match byte for byte.  One line per file reports `same`
-or `DIFF`; the exit code is 1 on any difference and 2 when a command
-fails.
+`realizations.jsonl`; every file must then match byte for byte.  One
+line per file reports `same` or `DIFF`.  A CSV or JSON file that differs
+also reports the largest relative and absolute deviations of its floats
+and whether any other cell (an integer, a string, a key or the shape)
+differs.  The
+exit code is 1 on any difference and 2 when a command fails.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -210,10 +213,51 @@ def _strip_timing(path: Path) -> bytes:
             out.write(line)
         return out.getvalue().encode()
     if path.name == "realizations.jsonl":
-        # Sorted: a multi-worker sweep appends groups as they finish.
-        data = re.sub(rb'(, )?"%s": [^,}]*' % TIMING.encode(), b"", data)
-        return b"".join(sorted(data.splitlines(keepends=True)))
+        return re.sub(rb'(, )?"%s": [^,}]*' % TIMING.encode(), b"", data)
     return data
+
+
+def _values(path: Path, data: bytes):
+    """A CSV file's rows of cells, or a JSON or JSONL file's documents."""
+    text = data.decode()
+    if path.suffix == ".csv":
+        return list(csv.reader(text.splitlines()))
+    if path.suffix == ".jsonl":
+        return [json.loads(line) for line in text.splitlines()]
+    return json.loads(text)
+
+
+def _cell(value):
+    """A CSV cell as an int or a float where it reads as one."""
+    for kind in (int, float):
+        try:
+            return kind(value)
+        except ValueError:
+            pass
+    return value
+
+
+def _deviation(old, new) -> tuple[float, float, bool]:
+    """(largest relative and absolute float deviations, whether anything
+    else differs)."""
+    if isinstance(old, str) and isinstance(new, str):
+        old, new = _cell(old), _cell(new)
+    if isinstance(old, float) and isinstance(new, float):
+        if old == new or (math.isnan(old) and math.isnan(new)):
+            return 0.0, 0.0, False
+        return abs(old - new) / max(abs(old), abs(new)), abs(old - new), False
+    if isinstance(old, dict) and isinstance(new, dict):
+        pairs = [(old[k], new[k]) for k in old.keys() & new.keys()]
+        other = old.keys() != new.keys()
+    elif isinstance(old, list) and isinstance(new, list):
+        pairs, other = list(zip(old, new)), len(old) != len(new)
+    else:
+        return 0.0, 0.0, type(old) is not type(new) or old != new
+    rel = absolute = 0.0
+    for a, b in pairs:
+        r, d, differs = _deviation(a, b)
+        rel, absolute, other = max(rel, r), max(absolute, d), other or differs
+    return rel, absolute, other
 
 
 def main(argv: list[str]) -> int:
@@ -239,11 +283,23 @@ def main(argv: list[str]) -> int:
             )
             for rel in files:
                 old, new = old_dir / rel, new_dir / rel
-                same = old.is_file() and new.is_file() and (
-                    _strip_timing(old) == _strip_timing(new)
-                )
-                differ |= not same
-                print(f"{'same' if same else 'DIFF'} {name}/{rel}")
+                if not (old.is_file() and new.is_file()):
+                    differ = True
+                    print(f"DIFF {name}/{rel} (only in one tree)")
+                    continue
+                old_data, new_data = _strip_timing(old), _strip_timing(new)
+                if old_data == new_data:
+                    print(f"same {name}/{rel}")
+                    continue
+                differ = True
+                detail = ""
+                if rel.suffix in (".csv", ".json", ".jsonl"):
+                    dev, absolute, other = _deviation(
+                        _values(rel, old_data), _values(rel, new_data)
+                    )
+                    detail = (f"  max float deviation rel {dev:.1e} abs {absolute:.1e}, "
+                              f"other cells {'differ' if other else 'equal'}")
+                print(f"DIFF {name}/{rel}{detail}")
     return 1 if differ else 0
 
 
