@@ -4,10 +4,12 @@ _prepare sets up every realization: it decomposes the random matrix and
 chooses the initial states.  A sweep runs one realization per (dimension,
 hamiltonian seed, state seed) triple, computes a single decoherence
 functional at the longest grid, and derives every shorter-grid record
-from it by trailing marginalization; the state seeds of one matrix grow
-their branch trees in batches (_run_group).  Records stream to a JSONL
-file in group order as groups finish, so an interrupted sweep resumes
-without recomputing completed keys.
+from it by trailing marginalization.  Every functional comes from
+_functionals, which grows the branch trees of a batch of state seeds of
+one matrix together; a single seed is a batch of one, and the sweep
+sizes its batches in _run_group.  Records stream to a JSONL file in
+group order as groups finish, so an interrupted sweep resumes without
+recomputing completed keys.
 
 Every decomposition goes through _decomposition, which keeps its
 eigenvectors in an unlinked temporary file of the process, so a matrix
@@ -512,12 +514,8 @@ def _make_grid(spec: SweepSpec, tau: float, h_index: int, s_index: int) -> Histo
 
 
 def compute_realization_df(
-    spec: SweepSpec,
-    d: int,
-    h_index: int,
-    s_index: int,
-    hamiltonian: BlockHamiltonian | None = None,
-    sd: SpectralDecomposition | None = None,
+    spec: SweepSpec, d: int, h_index: int, s_index: int,
+    hamiltonian: BlockHamiltonian | None = None, sd: SpectralDecomposition | None = None,
 ):
     """Decoherence functional of one realization at the full grid, from
     the first start of _prepare (which takes the same optional
@@ -525,11 +523,27 @@ def compute_realization_df(
 
     `hamiltonian` is not read.
     """
-    tau, sd, coarsening, starts = _prepare(spec, d, h_index, s_index, sd)
-    _, psi0, eigenstate_index = starts[0]
-    grid = _make_grid(spec, tau, h_index, s_index)
-    branches = compute_branch_states(sd, coarsening, psi0, grid)
-    return compute_df(branches), coarsening, eigenstate_index
+    return _functionals(spec, d, h_index, (s_index,), sd)[0]
+
+
+def _functionals(
+    spec: SweepSpec, d: int, h_index: int, s_indices: tuple[int, ...],
+    sd: SpectralDecomposition | None = None,
+) -> list[tuple]:
+    """compute_realization_df of state seeds on one grid, their branch
+    trees grown together from a stack of first starts.
+
+    The trees are dropped on return, so only the functionals outlive it.
+    """
+    prepared = [_prepare(spec, d, h_index, s, sd) for s in s_indices]
+    tau, sd, coarsening, _ = prepared[0]
+    psi0 = np.stack([starts[0][1] for *_, starts in prepared])
+    grid = _make_grid(spec, tau, h_index, s_indices[0])
+    trees = compute_branch_states(sd, coarsening, psi0, grid)
+    return [
+        (compute_df(tree), coarsening, starts[0][2])
+        for tree, (*_, starts) in zip(trees, prepared)
+    ]
 
 
 def run_dynamics(spec: SweepSpec) -> list[tuple[tuple[float, ...] | None, np.ndarray]]:
@@ -547,26 +561,14 @@ def run_dynamics(spec: SweepSpec) -> list[tuple[tuple[float, ...] | None, np.nda
 
 
 def run_realization(
-    spec: SweepSpec,
-    d: int,
-    h_index: int,
-    s_index: int,
-    sd: SpectralDecomposition | None = None,
-    shared_time: float = 0.0,
+    spec: SweepSpec, d: int, h_index: int, s_index: int
 ) -> RealizationResult:
-    """Run one realization end to end.
+    """Run one realization end to end: a sweep's batch of one seed.
 
-    A prebuilt decomposition may be passed in when several state seeds
-    share one matrix; `shared_time` is the amortized share of that setup
-    charged to this realization's wall time.
+    Its wall time includes the decomposition.  An error in its metrics
+    comes back as a failed result, as in a sweep.
     """
-    start = time.perf_counter() - shared_time
-    df, coarsening, eigenstate_index = compute_realization_df(
-        spec, d, h_index, s_index, sd=sd
-    )
-    return _realization_result(
-        spec, d, h_index, s_index, df, coarsening, eigenstate_index, start
-    )
+    return _run_batch(spec, d, h_index, (s_index,))[0]
 
 
 def _realization_result(
@@ -633,8 +635,8 @@ def _run_group(
     last tree levels together take at most a quarter of the eigenvector
     matrix's bytes, so a batch is one seed where the matrix is small
     enough to stay in cache.  Random spacings give each seed its own
-    grid, so there a batch is one seed too.  A batch that raises is
-    rerun one seed at a time, so a failure fails only its own
+    grid, so there a batch is one seed too.  A batch whose trees raise
+    is rerun as batches of one, so a failure fails only its own
     realization.
     """
     start = time.perf_counter()
@@ -646,48 +648,44 @@ def _run_group(
     size = max(1, sd.eigenvectors.nbytes // (4 * 16 * 3**spec.num_steps * d))
     if isinstance(spec.step_mode, RandomSpacing):
         size = 1
+    batches = [s_indices[i:i + size] for i in range(0, len(s_indices), size)]
     results = []
-    for i in range(0, len(s_indices), size):
-        batch = s_indices[i:i + size]
-        if len(batch) > 1:
-            try:
-                results += _run_batch(spec, d, h_index, batch, sd, shared)
-                continue
-            except Exception:  # noqa: BLE001 - rerun one seed at a time below
-                pass
-        for s_index in batch:
-            try:
-                results.append(
-                    run_realization(spec, d, h_index, s_index, sd=sd, shared_time=shared)
-                )
-            except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
-                results.append(_error_result(spec, d, h_index, s_index, exc))
+    while batches:
+        batch = batches.pop(0)
+        try:
+            results += _run_batch(spec, d, h_index, batch, sd, shared)
+        except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
+            if len(batch) > 1:
+                batches[:0] = [(s,) for s in batch]
+            else:
+                results.append(_error_result(spec, d, h_index, batch[0], exc))
     return results
 
 
 def _run_batch(
     spec: SweepSpec, d: int, h_index: int, s_indices: tuple[int, ...],
-    sd: SpectralDecomposition, shared_time: float,
+    sd: SpectralDecomposition | None = None, shared_time: float = 0.0,
 ) -> list[RealizationResult]:
-    """run_realization of state seeds on one grid, their trees grown together.
+    """Results of state seeds on one grid, their trees grown together.
 
-    Each seed's wall time carries an equal share of the batch's set-up
-    and tree, as it does of the decomposition.
+    Each seed's wall time carries an equal share of the batch's set-up,
+    tree and functionals, as it does of the decomposition (shared_time),
+    plus its own metrics.  An error in a seed's metrics fails that seed
+    alone; any other error raises.
     """
     start = time.perf_counter()
-    prepared = [_prepare(spec, d, h_index, s, sd) for s in s_indices]
-    tau, _, coarsening, _ = prepared[0]
-    psi0 = np.stack([starts[0][1] for *_, starts in prepared])
-    grid = _make_grid(spec, tau, h_index, s_indices[0])
-    trees = compute_branch_states(sd, coarsening, psi0, grid)
+    functionals = _functionals(spec, d, h_index, s_indices, sd)
     shared_time += (time.perf_counter() - start) / len(s_indices)
-    return [
-        _realization_result(
-            spec, d, h_index, s_index, compute_df(tree), coarsening,
-            starts[0][2], time.perf_counter() - shared_time,
-        )
-        for s_index, tree, (*_, starts) in zip(s_indices, trees, prepared)
-    ]
+    results = []
+    for s_index, (df, coarsening, eigenstate_index) in zip(s_indices, functionals):
+        try:
+            results.append(_realization_result(
+                spec, d, h_index, s_index, df, coarsening, eigenstate_index,
+                time.perf_counter() - shared_time,
+            ))
+        except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
+            results.append(_error_result(spec, d, h_index, s_index, exc))
+    return results
 
 
 def result_to_dict(result: RealizationResult) -> dict:

@@ -389,14 +389,14 @@ class TestRunSweep:
             d_grid=(5,), num_hamiltonian_seeds=1, num_state_seeds=2,
             base_seed=2, num_steps=2,
         )
-        original = experiments.compute_realization_df
+        original = experiments._prepare
 
-        def flaky(spec_, d, h_index, s_index, **kwargs):
+        def flaky(spec_, d, h_index, s_index, *args):
             if s_index == 1:
                 raise RuntimeError("synthetic failure")
-            return original(spec_, d, h_index, s_index, **kwargs)
+            return original(spec_, d, h_index, s_index, *args)
 
-        monkeypatch.setattr(experiments, "compute_realization_df", flaky)
+        monkeypatch.setattr(experiments, "_prepare", flaky)
         results = run_sweep(spec)
         assert len(results) == 2
         good, bad = results
@@ -489,7 +489,7 @@ class TestStateSeedBatches:
         )
         shapes = _tree_shapes(monkeypatch)
         swept = run_sweep(spec)
-        assert shapes == [(batch, d), (d,)]
+        assert shapes == [(batch, d), (1, d)]
         assert not any(r.failed for r in swept)
         for result in swept:
             _assert_close_results(result, run_realization(spec, d, 0, result.s_index))
@@ -500,7 +500,7 @@ class TestStateSeedBatches:
         )
         shapes = _tree_shapes(monkeypatch)
         swept = run_sweep(spec)
-        assert shapes == [(50,)] * 3
+        assert shapes == [(1, 50)] * 3
         assert [strip_wall(r) for r in swept] == [
             strip_wall(run_realization(spec, 50, 0, s)) for s in range(3)
         ]
@@ -510,7 +510,7 @@ class TestStateSeedBatches:
         grow = experiments.compute_branch_states
 
         def no_stacks(sd, coarsening, psi0, grid):
-            if np.ndim(psi0) == 2:
+            if len(psi0) > 1:
                 raise RuntimeError("synthetic batch failure")
             return grow(sd, coarsening, psi0, grid)
 
@@ -532,7 +532,9 @@ class TestStateSeedBatches:
             return distance(df)
 
         monkeypatch.setattr(experiments, "epsilon_by_distance", flaky)
+        shapes = _tree_shapes(monkeypatch)
         good, failed = run_sweep(spec)
+        assert shapes == [(2, 50)]
         assert not good.failed
         assert failed.failed and "synthetic metric failure" in failed.error
         monkeypatch.undo()

@@ -102,6 +102,28 @@ CASES = [
         },
         [(["histogram"], None), (["distance"], None), (["dump-df"], None)],
     ),
+    # The two sweeps below grow state seeds' trees in batches of more than
+    # one: 6 and 2 at GOE D=500, 4 and 1 at GUE D=50, 5 at GUE D=500.
+    (
+        "goe_nonequilibrium_batched_l3",
+        {
+            "model": {"d_grid": [50, 500]},
+            "grid": {"num_steps": 2},
+            "init": {"family": "haar_nonequilibrium", "weights": [0.5, 0.25, 0.25]},
+            "sweep": {"num_hamiltonian_seeds": 1, "num_state_seeds": 8},
+        },
+        [(["sweep", "--workers", "1"], None)],
+    ),
+    (
+        "gue_eigenstate_batched_l2",
+        {
+            "model": {"d_grid": [50, 500], "ensemble": "gue"},
+            "grid": {"num_steps": 1},
+            "init": {"family": "eigenstate"},
+            "sweep": {"num_hamiltonian_seeds": 1, "num_state_seeds": 5},
+        },
+        [(["sweep", "--workers", "1"], None)],
+    ),
 ]
 
 
