@@ -575,10 +575,15 @@ def _realization_result(
     spec: SweepSpec, d: int, h_index: int, s_index: int,
     df, coarsening, eigenstate_index: int | None, start: float,
 ) -> RealizationResult:
-    """Metrics of a realization's functional; its wall time runs from `start`."""
+    """Metrics of a realization's functional; its wall time runs from `start`.
+
+    Each shorter grid's functional is marginalized from the next longer
+    one, so only the full one is read at full size.
+    """
     per_length: dict[int, PerLengthMetrics] = {}
-    for length in range(2, spec.l_max + 1):
-        sub = marginalize(df, range(length))
+    sub = df
+    for length in range(spec.l_max, 1, -1):
+        sub = marginalize(sub, range(length))
         eps = epsilon_average(sub)
         dist = delta_max(sub)
         arrow = arrow_classification(sub, coarsening)
@@ -593,12 +598,11 @@ def _realization_result(
             p_backward=arrow.p_backward,
             histogram=branch_histogram(sub),
         )
-    bins = {d_h: (mean, count) for d_h, (mean, count) in epsilon_by_distance(df).items()}
     return RealizationResult(
         **_identity(spec, d, h_index, s_index),
         eigenstate_index=eigenstate_index,
-        per_length=per_length,
-        distance_bins=bins,
+        per_length=dict(reversed(per_length.items())),
+        distance_bins=epsilon_by_distance(df),
         wall_time_s=time.perf_counter() - start,
     )
 

@@ -114,22 +114,39 @@ def decode_history(h: int, length: int) -> tuple[int, ...]:
     return tuple((h // M**k) % M for k in range(length))
 
 
-@functools.lru_cache(maxsize=sum(M**k for k in range(1, MAX_LENGTH + 1)))
 def history_string(h: int, length: int) -> str:
-    """Comma-joined labels, oldest first, e.g. '0,+,0'.
-
-    Memoised with room for every code of every grid length.
-    """
+    """Comma-joined labels, oldest first, e.g. '0,+,0'."""
     return ",".join(MACROSTATE_LABELS[x] for x in decode_history(h, length))
+
+
+@functools.lru_cache(maxsize=MAX_LENGTH + 1)
+def _history_labels(length: int) -> tuple[str, ...]:
+    """history_string of every code in code order, memoised per length."""
+    return tuple(history_string(h, length) for h in range(M**length))
 
 
 @functools.lru_cache(maxsize=MAX_LENGTH + 1)
 def _digit_matrix(length: int) -> np.ndarray:
     """Read-only (3^L, L) base-3 digits of every code, memoised per length."""
-    codes = np.arange(M**length)
-    digits = np.stack([(codes // M**k) % M for k in range(length)], axis=1)
+    digits = np.arange(M**length)[:, None] // M ** np.arange(length) % M
     digits.flags.writeable = False
     return digits
+
+
+@functools.lru_cache(maxsize=MAX_LENGTH + 1)
+def _distance_bins(length: int) -> tuple[np.ndarray, ...]:
+    """Pair indices of one final-label block by Hamming distance, per length.
+
+    Entry d-1 (d = 1..L-1) holds the read-only row-major flat indices
+    into a (b, b) block of _final_blocks, b = 3^(L-1), of the code pairs
+    whose first L-1 labels differ in d places.
+    """
+    digits = _digit_matrix(length - 1)
+    dist = (digits[:, None, :] != digits[None, :, :]).sum(axis=2).ravel()
+    bins = tuple(np.flatnonzero(dist == d) for d in range(1, length))
+    for pairs in bins:
+        pairs.flags.writeable = False
+    return bins
 
 
 def _final_blocks(entries: np.ndarray, length: int) -> np.ndarray:

@@ -12,9 +12,10 @@ from .spectral import SpectralDecomposition, _rows_times_matrix, apply_projector
 from .histories import (
     DecoherenceFunctional,
     _digit_matrix,
+    _distance_bins,
     _final_blocks,
+    _history_labels,
     _sum_out,
-    history_string,
 )
 
 __all__ = [
@@ -193,12 +194,11 @@ def epsilon_by_distance(df: DecoherenceFunctional) -> dict[int, tuple[float, int
     length = df.length
     if length < 2:
         raise ValueError("distance binning needs at least two grid times")
-    eps, _, _ = _normalized_overlaps(df)
-    digits = _digit_matrix(length - 1)  # final labels agree inside a block
-    dist = (digits[:, None, :] != digits[None, :, :]).sum(axis=2)
+    eps = _normalized_overlaps(df)[0].reshape(NUM_MACROSTATES, -1)
+    # Each bin in (block, row, column) order, as a boolean mask selects;
     # d >= 1 already excludes x == y, and no bin is empty.
-    bins = {d: np.broadcast_to(dist == d, eps.shape) for d in range(1, length)}
-    return {d: (float(eps[sel].mean()), int(sel.sum())) for d, sel in bins.items()}
+    sels = [np.take(eps, pairs, axis=1).ravel() for pairs in _distance_bins(length)]
+    return {d: (float(sel.mean()), sel.size) for d, sel in enumerate(sels, start=1)}
 
 
 def macro_dynamics(
@@ -236,8 +236,7 @@ def macro_dynamics(
 
 def branch_histogram(df: DecoherenceFunctional) -> dict[str, float]:
     """Diagonal weights keyed by label string, oldest label first."""
-    diag = df.diagonal()
-    return {history_string(h, df.length): float(diag[h]) for h in range(diag.size)}
+    return dict(zip(_history_labels(df.length), df.diagonal().tolist()))
 
 
 def arrow_score(labels: Sequence[int] | np.ndarray, volumes: tuple[int, ...]):

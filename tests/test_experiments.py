@@ -35,7 +35,12 @@ from dechist.experiments import (
     run_sweep,
 )
 from dechist.histories import HistoryGrid, compute_branch_states, compute_df
-from dechist.metrics import delta_max, epsilon_average
+from dechist.metrics import (
+    arrow_classification,
+    branch_histogram,
+    delta_max,
+    epsilon_average,
+)
 from dechist.model import (
     Ensemble,
     Spacing,
@@ -45,7 +50,7 @@ from dechist.model import (
 )
 from dechist.spectral import eigendecompose, sample_haar_state
 
-from oracles import df_by_chains, range_projectors
+from oracles import df_by_chains, epsilon_by_distance_by_loops, range_projectors
 
 SPEC_V1 = Path(__file__).parent / "data" / "sweep_spec_v1.json"
 _RUN_GROUP = experiments._run_group
@@ -160,28 +165,44 @@ class TestRunRealization:
         assert got.pair_count == expected.pair_count
 
     def test_marginalized_metrics_match_short_grids(self):
-        # Per-length records come from one functional; recomputing each
+        # Per-length records come from one functional, each shorter grid
+        # marginalized from the next longer one; recomputing each
         # shorter grid from scratch must agree.
-        spec = small_spec(d_grid=(10,), num_steps=3, base_seed=3)
-        result = run_realization(spec, 10, 0, 0)
+        for num_steps in (3, 5):
+            spec = small_spec(d_grid=(10,), num_steps=num_steps, base_seed=3)
+            result = run_realization(spec, 10, 0, 0)
+            assert list(result.per_length) == list(range(2, num_steps + 2))
 
-        config = spec.model_config(10, 0)
-        sd = eigendecompose(build_hamiltonian(config))
-        coarsening = build_coarsening(config)
-        psi0 = sample_haar_state(
-            coarsening, (0.2, 0.6, 0.2), spec.state_seed(0, 0)
-        )
-        tau = derive_coupling(config).tau
-        full = HistoryGrid.constant(3, tau)
-        for length in (2, 3, 4):
-            short = HistoryGrid.from_times(full.times[:length])
-            df = compute_df(compute_branch_states(sd, coarsening, psi0, short))
-            eps = epsilon_average(df)
-            dist = delta_max(df)
-            got = result.per_length[length]
-            assert got.epsilon_avg == pytest.approx(eps.epsilon_avg, abs=1e-10)
-            assert got.delta_max == pytest.approx(dist.delta_max, abs=1e-10)
-            assert got.argmax_subset == dist.argmax_subset
+            config = spec.model_config(10, 0)
+            sd = eigendecompose(build_hamiltonian(config))
+            coarsening = build_coarsening(config)
+            psi0 = sample_haar_state(
+                coarsening, (0.2, 0.6, 0.2), spec.state_seed(0, 0)
+            )
+            tau = derive_coupling(config).tau
+            full = HistoryGrid.constant(num_steps, tau)
+            for length in range(2, num_steps + 2):
+                short = HistoryGrid.from_times(full.times[:length])
+                df = compute_df(compute_branch_states(sd, coarsening, psi0, short))
+                eps = epsilon_average(df)
+                dist = delta_max(df)
+                arrow = arrow_classification(df, coarsening)
+                got = result.per_length[length]
+                assert got.epsilon_avg == pytest.approx(eps.epsilon_avg, abs=1e-10)
+                assert got.delta_max == pytest.approx(dist.delta_max, abs=1e-10)
+                assert got.argmax_subset == dist.argmax_subset
+                for name in ("p_forward", "p_noarrow", "p_backward"):
+                    expected = getattr(arrow, name)
+                    assert getattr(got, name) == pytest.approx(expected, abs=1e-10)
+                histogram = branch_histogram(df)
+                assert got.histogram.keys() == histogram.keys()
+                for history, weight in histogram.items():
+                    assert got.histogram[history] == pytest.approx(weight, abs=1e-10)
+            expected = epsilon_by_distance_by_loops(df.entries, df.length)
+            assert result.distance_bins.keys() == expected.keys()
+            for d, (mean, count, _) in expected.items():
+                assert result.distance_bins[d][0] == pytest.approx(mean, abs=1e-12)
+                assert result.distance_bins[d][1] == count
 
     def test_eigenstate_family_records_index(self):
         spec = small_spec(init_family=InitFamily.EIGENSTATE)

@@ -109,13 +109,30 @@ class TestEncoding:
         with pytest.raises(ValueError):
             table[0, 0] = 1
 
-    def test_strings_of_every_grid_length_stay_memoised(self):
-        history_string.cache_clear()
-        lengths = range(1, histories.MAX_LENGTH + 1)
-        for length in lengths:
-            for h in range(num_histories(length)):
-                history_string(h, length)
-        assert history_string.cache_info().currsize == sum(3**n for n in lengths)
+    def test_label_and_distance_tables_are_shared_and_read_only(self):
+        for length in range(1, histories.MAX_LENGTH + 1):
+            labels = histories._history_labels(length)
+            assert labels is histories._history_labels(length)
+            assert list(labels) == [
+                history_string(h, length) for h in range(num_histories(length))
+            ]
+            with pytest.raises(TypeError):
+                labels[0] = ""
+            # Pairs of one final-label block, by Hamming distance of
+            # their first L - 1 labels.
+            bins = histories._distance_bins(length)
+            assert bins is histories._distance_bins(length)
+            codes = [decode_history(h, length - 1) for h in range(3 ** (length - 1))]
+            expected = [[] for _ in range(1, length)]
+            for i, x in enumerate(codes):
+                for j, y in enumerate(codes):
+                    d = sum(a != b for a, b in zip(x, y))
+                    if d:
+                        expected[d - 1].append(i * len(codes) + j)
+            assert [pairs.tolist() for pairs in bins] == expected
+            for pairs in bins:
+                with pytest.raises(ValueError):
+                    pairs[0] = 0
 
 
 class TestBranchStates:
