@@ -41,7 +41,6 @@ from .metrics import (
     delta_max,
     epsilon_average,
     epsilon_by_distance,
-    epsilon_pair,
     macro_dynamics,
     marginal_probabilities,
     trace_distance,

@@ -99,10 +99,9 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _write_df_json(path: Path, df) -> None:
-    n = df.entries.shape[0]
-    entries = [
-        [float(z.real), float(z.imag)] for z in df.entries.reshape(n * n)
-    ]
+    matrix = df.entries
+    n = matrix.shape[0]
+    entries = [[float(z.real), float(z.imag)] for z in matrix.ravel()]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "grid": {"times": [float(t) for t in df.grid.times]},

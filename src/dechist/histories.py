@@ -6,10 +6,12 @@ and the decoherence functional collects all pairwise branch overlaps
 <psi(y)|psi(x)>.  Histories are encoded as base-3 integers with x_0 as
 the least significant digit.
 
-A branch tree is kept before its last projection: each final-label
-block of the functional reads one band of the last level, so the
-two-thirds-zero leaf array is never built.  Several starts on one
-matrix and grid grow their trees in one pass.
+Histories whose final labels differ have orthogonal branches, so the
+functional is stored as its three final-label blocks, never as the
+two-thirds-zero 3^L x 3^L matrix.  A branch tree is kept before its
+last projection: each block reads one band of the last level, so the
+two-thirds-zero leaf array is never built either.  Several starts on
+one matrix and grid grow their trees in one pass.
 """
 
 from __future__ import annotations
@@ -138,7 +140,7 @@ def _distance_bins(length: int) -> tuple[np.ndarray, ...]:
     """Pair indices of one final-label block by Hamming distance, per length.
 
     Entry d-1 (d = 1..L-1) holds the read-only row-major flat indices
-    into a (b, b) block of _final_blocks, b = 3^(L-1), of the code pairs
+    into a (b, b) final-label block, b = 3^(L-1), of the code pairs
     whose first L-1 labels differ in d places.
     """
     digits = _digit_matrix(length - 1)
@@ -147,16 +149,6 @@ def _distance_bins(length: int) -> tuple[np.ndarray, ...]:
     for pairs in bins:
         pairs.flags.writeable = False
     return bins
-
-
-def _final_blocks(entries: np.ndarray, length: int) -> np.ndarray:
-    """Writable (3, b, b) view of the blocks whose final labels agree.
-
-    The final label is the most significant digit, so with b = 3^(L-1)
-    entry [c, i, j] is entries[c*b + i, c*b + j].
-    """
-    b = M ** (length - 1)
-    return np.einsum("ijik->ijk", entries.reshape(M, b, M, b))
 
 
 def _split(coarsening: Coarsening, rows: np.ndarray) -> np.ndarray:
@@ -238,67 +230,77 @@ def compute_branch_states(
 
 @dataclass(frozen=True)
 class DecoherenceFunctional:
-    """Hermitian (3^L, 3^L) matrix of branch overlaps <psi(y)|psi(x)>.
+    """Branch overlaps <psi(y)|psi(x)>, kept as three final-label blocks.
 
-    entry(x, y) is exactly zero whenever the final-time labels differ,
-    provided the final grid time was kept when marginalizing, so the
-    nonzero entries live in the three blocks of _final_blocks.
+    With b = 3^(L-1), blocks[c, i, j] is entry(c*b + i, c*b + j) of the
+    Hermitian (3^L, 3^L) functional; every entry whose final labels
+    differ is zero and not stored.
     """
 
-    entries: np.ndarray
+    blocks: np.ndarray
     grid: HistoryGrid
 
     @property
     def length(self) -> int:
         return self.grid.length
 
+    @property
+    def entries(self) -> np.ndarray:
+        """The full (3^L, 3^L) matrix, zeros included, built on demand."""
+        b = self.blocks.shape[1]
+        full = np.zeros((M * b, M * b), dtype=self.blocks.dtype)
+        np.einsum("ijik->ijk", full.reshape(M, b, M, b))[...] = self.blocks
+        return full
+
     def diagonal(self) -> np.ndarray:
         """Branch weights as a real vector."""
-        return np.ascontiguousarray(self.entries.diagonal().real)
+        return np.einsum("cii->ci", self.blocks).real.ravel()
 
 
 def compute_df(branches: BranchStates) -> DecoherenceFunctional:
-    """Assemble the decoherence functional from a branch tree.
+    """Assemble the three final-label blocks from a branch tree.
 
-    Branches whose final labels differ live in orthogonal projector
-    ranges, so those blocks are written as exact zeros without doing
-    the inner products.  Block c needs the last level projected on c:
-    under the band masks that is band c's columns of `final`, so no
-    leaf array is built; a dense projector is applied first.
+    Block c needs the last level projected on c: under the band masks
+    that is band c's columns of `final`, so no leaf array is built; a
+    dense projector is applied first.
     """
     final, coarsening = branches.final, branches.coarsening
-    entries = np.zeros((M * final.shape[0],) * 2, dtype=np.complex128)
-    blocks = _final_blocks(entries, branches.length)
+    blocks = np.empty((M, final.shape[0], final.shape[0]), dtype=np.complex128)
     for c, (a, b) in enumerate(coarsening.ranges):
         f = final[:, a:b]
         if coarsening.is_dense:
             f = apply_projector_batch(coarsening, c, final)
         # entry(x, y) = <psi_y | psi_x> = sum_i psi_x[i] conj(psi_y[i]).
         blocks[c] = f @ f.conj().T
-    return DecoherenceFunctional(entries=entries, grid=branches.grid)
+    return DecoherenceFunctional(blocks=blocks, grid=branches.grid)
 
 
 def _sum_out(
     values: np.ndarray, length: int, kept: tuple[int, ...], tie: bool = False
 ) -> np.ndarray:
-    """Sum a per-history vector or (ket, bra) matrix over the dropped times.
+    """Sum a (3^L,) per-history vector or (3, b, b) blocks over the dropped times.
 
-    A code is viewed as L base-3 axes, axis j holding digit L-1-j since
-    x_0 is least significant.  Dropped bra and ket digits are summed
-    independently; tie=True also ties each kept bra digit to its ket
-    digit, which leaves only the diagonal of the reduced functional.
+    With n = L-1, axis 0 holds the final digit, ket digit k sits on
+    axis n-k and, for blocks, bra digit k on axis 2n-k.  Dropped bra and
+    ket digits are summed independently.  The bra digit of the last
+    kept time is tied to its ket digit, so blocks reduce to blocks;
+    tie=True ties every kept digit, which leaves only the diagonal of
+    the reduced functional as a vector.
     """
     if not kept or kept[0] < 0 or kept[-1] >= length:
         raise ValueError(f"t_subset {kept} must name grid times in 0..{length - 1}")
-    axes = list(range(values.ndim * length))  # ket digits, then bra digits
-    out = [length - 1 - k for k in reversed(kept)]
-    if values.ndim == 2 and tie:
-        for a in out:
-            axes[length + a] = a
-    elif values.ndim == 2:
-        out += [length + a for a in out]
+    n = length - 1
+    out = [n - k for k in reversed(kept)]
+    axes = list(range(length if values.ndim == 1 else 2 * n + 1))
+    if values.ndim == 3:
+        for k in kept if tie else kept[-1:]:
+            if k < n:
+                axes[2 * n - k] = n - k
+        if not tie:
+            out += [2 * n - k for k in reversed(kept[:-1])]
     reduced = np.einsum(values.reshape((M,) * len(axes)), axes, out)
-    return reduced.reshape((M ** len(kept),) * (len(out) // len(kept)))
+    b = M ** (len(kept) - 1)
+    return reduced.reshape(-1) if values.ndim == 1 or tie else reduced.reshape(M, b, b)
 
 
 def marginalize(
@@ -309,11 +311,12 @@ def marginalize(
     Bra and ket labels at every dropped time are summed independently.
     Keeping a trailing prefix of times reproduces the functional of the
     shorter grid; dropping interior times is equivalent to never having
-    projected there.
+    projected there.  Entries whose last kept labels differ vanish, so
+    only the reduced blocks are summed.
     """
     kept = tuple(sorted(set(int(k) for k in t_subset)))
     if kept == tuple(range(df.length)):
         return df
-    reduced = _sum_out(df.entries, df.length, kept)
+    reduced = _sum_out(df.blocks, df.length, kept)
     grid = HistoryGrid.from_times([df.grid.times[k] for k in kept])
-    return DecoherenceFunctional(entries=reduced, grid=grid)
+    return DecoherenceFunctional(blocks=reduced, grid=grid)

@@ -13,7 +13,6 @@ from .histories import (
     DecoherenceFunctional,
     _digit_matrix,
     _distance_bins,
-    _final_blocks,
     _history_labels,
     _sum_out,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "EpsilonReport",
     "TraceDistanceReport",
     "ArrowReport",
-    "epsilon_pair",
     "epsilon_average",
     "marginal_probabilities",
     "trace_distance",
@@ -78,11 +76,10 @@ def _normalized_overlaps(
     """(eps, eligible, dead) over the pairs sharing the final label.
 
     All three are (3, b, b) arrays with b = 3^(L-1), indexed like
-    _final_blocks(df.entries, L).  eps is |entry(x, y)| / sqrt(w_x w_y),
-    zero on dead pairs (either weight below 1e-300); eligible marks
-    x != y.
+    df.blocks.  eps is |entry(x, y)| / sqrt(w_x w_y), zero on dead
+    pairs (either weight below 1e-300); eligible marks x != y.
     """
-    blocks = _final_blocks(df.entries, df.length)
+    blocks = df.blocks
     diag = df.diagonal().reshape(blocks.shape[:2])
     degenerate = diag < DEGENERATE_WEIGHT
     dead = degenerate[:, :, None] | degenerate[:, None, :]
@@ -91,22 +88,6 @@ def _normalized_overlaps(
     eps[dead] = 0.0
     eligible = np.broadcast_to(~np.eye(blocks.shape[1], dtype=bool), eps.shape)
     return eps, eligible, dead
-
-
-def epsilon_pair(df: DecoherenceFunctional, x: int, y: int) -> float:
-    """|entry(x, y)| normalized by the geometric mean of the weights.
-
-    Zero for dead branches (either diagonal below 1e-300) and exactly
-    zero when the final labels differ.
-    """
-    if x == y:
-        raise ValueError("epsilon is defined for distinct histories only")
-    diag = df.diagonal()
-    if not (0 <= x < diag.size and 0 <= y < diag.size):
-        raise ValueError(f"histories ({x}, {y}) out of range 0..{diag.size - 1}")
-    if diag[x] < DEGENERATE_WEIGHT or diag[y] < DEGENERATE_WEIGHT:
-        return 0.0
-    return float(np.abs(df.entries[x, y]) / np.sqrt(diag[x] * diag[y]))
 
 
 def epsilon_average(df: DecoherenceFunctional) -> EpsilonReport:
@@ -149,7 +130,7 @@ def marginal_probabilities(
     kept = tuple(sorted(set(int(k) for k in t_subset)))
     if not kept or kept[-1] != df.length - 1:
         raise ValueError(f"t_subset {kept} must contain the final time index")
-    born = _sum_out(df.entries, df.length, kept, tie=True)
+    born = _sum_out(df.blocks, df.length, kept, tie=True)
     p = _real_probabilities(born, "Born probabilities")
     # Classical: marginalize the diagonal weights alone.
     p_cl = _sum_out(df.diagonal(), df.length, kept)

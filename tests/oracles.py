@@ -97,6 +97,17 @@ def marginal_by_loops(entries, length, kept) -> np.ndarray:
     return out
 
 
+def epsilon_pair_by_definition(entries, x, y) -> float:
+    """|entry(x, y)| over the geometric mean of the two branch weights.
+
+    Zero when either weight is below 1e-300 (a dead branch).
+    """
+    wx, wy = entries[x, x].real, entries[y, y].real
+    if wx < 1e-300 or wy < 1e-300:
+        return 0.0
+    return float(abs(entries[x, y]) / np.sqrt(wx * wy))
+
+
 def epsilon_by_distance_by_loops(entries, length) -> dict:
     """{distance: (mean epsilon, pair count, dead pairs)} by a loop over code pairs.
 

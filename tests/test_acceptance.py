@@ -80,11 +80,15 @@ def eigen_sweep():
 
 @pytest.fixture(scope="session")
 def relaxation_run():
-    """One D = 5000 model, trajectories for cold and equilibrium starts."""
+    """One D = 5000 model, trajectories for cold and equilibrium starts.
+
+    The model is the weak sweep's (D = 5000, h = 0) matrix, so its
+    decomposition comes from the store instead of a second eigensolve.
+    """
     spec = SweepSpec(d_grid=(D_LARGE,), base_seed=BASE_SEED)
     config = spec.model_config(D_LARGE, 0)
     coupling = derive_coupling(config)
-    sd = eigendecompose(build_hamiltonian(config))
+    sd = experiments._decomposition(config)
     coarsening = build_coarsening(config)
     kwargs = dict(t_max=20.0 * coupling.tau, dt=0.1 * coupling.tau)
     cold = macro_dynamics(

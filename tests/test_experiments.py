@@ -157,7 +157,8 @@ class TestRunRealization:
         from dechist.histories import DecoherenceFunctional
 
         oracle = DecoherenceFunctional(
-            entries=entries, grid=HistoryGrid.constant(1, tau)
+            blocks=np.einsum("ijik->ijk", entries.reshape(3, 3, 3, 3)),
+            grid=HistoryGrid.constant(1, tau),
         )
         expected = epsilon_average(oracle)
         got = result.per_length[2]

@@ -415,7 +415,15 @@ class TestMarginalize:
         for mask in range(1, 2**4):
             kept = tuple(k for k in range(4) if mask >> k & 1)
             expected = marginal_by_loops(df.entries, 4, kept)
-            assert np.abs(marginalize(df, kept).entries - expected).max() <= 1e-12
+            reduced = marginalize(df, kept)
+            entries = reduced.entries
+            assert np.abs(entries - expected).max() <= 1e-12
+            b = 3 ** (len(kept) - 1)
+            assert reduced.blocks.shape == (3, b, b)
+            # Entries whose last kept labels differ are exact zeros.
+            last = np.arange(3 * b) // b
+            assert np.all(entries[last[:, None] != last[None, :]] == 0)
+            np.testing.assert_array_equal(reduced.diagonal(), entries.diagonal().real)
 
     def test_rejects_bad_subsets(self):
         _, _, sd, coarsening, psi0 = realization()

@@ -32,7 +32,6 @@ from dechist.metrics import (
     delta_max,
     epsilon_average,
     epsilon_by_distance,
-    epsilon_pair,
     macro_dynamics,
     marginal_probabilities,
     trace_distance,
@@ -42,6 +41,7 @@ from oracles import (
     arrow_by_loops,
     born_probability_subset,
     epsilon_by_distance_by_loops,
+    epsilon_pair_by_definition,
     marginal_by_loops,
     range_projectors,
 )
@@ -77,25 +77,6 @@ def conserved_df(weights, state_seed, num_steps=3, step=1.0):
 
 
 class TestEpsilon:
-    def test_pair_requires_distinct(self):
-        df, *_ = make_df()
-        with pytest.raises(ValueError):
-            epsilon_pair(df, 0, 0)
-
-    def test_pair_rejects_codes_out_of_range(self):
-        df, *_ = make_df(num_steps=2)
-        with pytest.raises(ValueError):
-            epsilon_pair(df, -1, 25)
-        with pytest.raises(ValueError):
-            epsilon_pair(df, 27, 0)
-
-    def test_pair_matches_definition(self):
-        df, *_ = make_df(v_minus=2, seed=1)
-        diag = df.diagonal()
-        for x, y in [(0, 3), (1, 4), (20, 23)]:
-            expected = abs(df.entries[x, y]) / np.sqrt(diag[x] * diag[y])
-            assert epsilon_pair(df, x, y) == pytest.approx(expected, rel=1e-12)
-
     def test_pair_count_l3(self):
         df, *_ = make_df(num_steps=2)
         report = epsilon_average(df)
@@ -117,7 +98,8 @@ class TestEpsilon:
             if x != y and x // 9 == y // 9
         ]
         assert len(ordered) == report.pair_count
-        total = sum(epsilon_pair(df, x, y) for x, y in ordered)
+        entries = df.entries
+        total = sum(epsilon_pair_by_definition(entries, x, y) for x, y in ordered)
         assert report.epsilon_avg == pytest.approx(total / len(ordered), rel=1e-12)
 
     def test_average_in_unit_interval(self):
@@ -146,10 +128,11 @@ class TestEpsilon:
         assert delta_max(df).delta_max <= 1e-12
         for mean, _ in epsilon_by_distance(df).values():
             assert mean <= 1e-12
-        n = df.entries.shape[0]
+        entries = df.entries
+        n = entries.shape[0]
         for x in range(n):
             for y in range(x + 1, n):
-                assert epsilon_pair(df, x, y) <= 1e-12
+                assert epsilon_pair_by_definition(entries, x, y) <= 1e-12
 
     def test_eigenvector_group_projectors_decohere_entrywise(self):
         # Dense projectors onto eigenvector groups leave only rounding
@@ -220,13 +203,12 @@ class TestMarginals:
             assert p[code] == pytest.approx(expected, abs=1e-10)
 
     def test_matches_loop_oracle(self, functional_l4):
-        # Below the full length the blocks that mix final labels hold
-        # rounding noise, not exact zeros; Born marginals tie the final
-        # labels, so they must not read them.
+        # At every length the blocks that mix final labels are exact
+        # zeros: a marginal keeps only the blocks of equal final labels.
         for length in (4, 3, 2):
             df = marginalize(functional_l4, range(length))
             b = 3 ** (length - 1)
-            assert (np.abs(df.entries[:b, b:]).max() > 0.0) == (length < 4)
+            assert np.abs(df.entries[:b, b:]).max() == 0.0
             weights = np.diag(df.diagonal())
             n = length - 1
             for prefix_bits in range(2**n):
@@ -296,11 +278,11 @@ class TestDistanceBins:
         assert_matches_loop_oracle(functional_l4)
 
     def test_marginal_matches_loop_oracle(self, functional_l4):
-        # Without the final time, the blocks that mix final labels hold
-        # rounding noise instead of exact zeros; the metrics must not
-        # read them.
+        # Without the final time, the blocks that mix final labels are
+        # still exact zeros: only the blocks of equal final labels are
+        # summed.
         df = marginalize(functional_l4, range(3))
-        assert np.abs(df.entries[:9, 9:]).max() > 0.0
+        assert np.abs(df.entries[:9, 9:]).max() == 0.0
         assert_matches_loop_oracle(df)
 
     def test_dead_branches_match_loop_oracle(self):

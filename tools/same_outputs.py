@@ -14,8 +14,10 @@ The `wall_time_s` field is removed from `results.csv` and
 `realizations.jsonl`; every file must then match byte for byte.  One
 line per file reports `same` or `DIFF`.  A CSV or JSON file that differs
 also reports the largest relative and absolute deviations of its floats
-and whether any other cell (an integer, a string, a key or the shape)
-differs.  The
+and names the first other cell (an integer, a string, a key or the
+shape) that differs: `row N column C: old -> new` for a CSV file, N
+being the file's line number and C the header's name for the column,
+or the key path for a JSON file, led by `line N` in a JSONL file.  The
 exit code is 1 on any difference and 2 when a command fails.
 """
 
@@ -259,27 +261,41 @@ def _cell(value):
     return value
 
 
-def _deviation(old, new) -> tuple[float, float, bool]:
-    """(largest relative and absolute float deviations, whether anything
-    else differs)."""
+def _deviation(old, new, path=()) -> tuple[float, float, tuple | None]:
+    """(largest relative and absolute float deviations, the first other
+    difference as (path, description) or None)."""
     if isinstance(old, str) and isinstance(new, str):
         old, new = _cell(old), _cell(new)
     if isinstance(old, float) and isinstance(new, float):
         if old == new or (math.isnan(old) and math.isnan(new)):
-            return 0.0, 0.0, False
-        return abs(old - new) / max(abs(old), abs(new)), abs(old - new), False
+            return 0.0, 0.0, None
+        return abs(old - new) / max(abs(old), abs(new)), abs(old - new), None
     if isinstance(old, dict) and isinstance(new, dict):
-        pairs = [(old[k], new[k]) for k in old.keys() & new.keys()]
-        other = old.keys() != new.keys()
+        pairs = [(k, old[k], new[k]) for k in old if k in new]
+        only = sorted(old.keys() ^ new.keys())
+        first = (path, f"keys in one tree only: {only}") if only else None
     elif isinstance(old, list) and isinstance(new, list):
-        pairs, other = list(zip(old, new)), len(old) != len(new)
+        pairs = list(zip(range(len(old)), old, new))
+        first = None if len(old) == len(new) else (path, f"length {len(old)} -> {len(new)}")
     else:
-        return 0.0, 0.0, type(old) is not type(new) or old != new
+        differs = type(old) is not type(new) or old != new
+        return 0.0, 0.0, (path, f"{old} -> {new}") if differs else None
     rel = absolute = 0.0
-    for a, b in pairs:
-        r, d, differs = _deviation(a, b)
-        rel, absolute, other = max(rel, r), max(absolute, d), other or differs
-    return rel, absolute, other
+    for key, a, b in pairs:
+        r, d, other = _deviation(a, b, path + (key,))
+        rel, absolute, first = max(rel, r), max(absolute, d), first or other
+    return rel, absolute, first
+
+
+def _where(suffix: str, values, path: tuple) -> str:
+    """A difference's path as `row N column C` or a dotted key path."""
+    if suffix == ".jsonl" and path:
+        return f"line {path[0] + 1} {_where('.json', values, path[1:])}"
+    if suffix == ".csv" and path:
+        header = next((row for row in values if row and not row[0].startswith("#")), [])
+        column = header[path[1]] if len(path) > 1 and path[1] < len(header) else None
+        return f"row {path[0] + 1}" + (f" column {column}" if column else "")
+    return ".".join(map(str, path)) or "whole file"
 
 
 def main(argv: list[str]) -> int:
@@ -316,11 +332,14 @@ def main(argv: list[str]) -> int:
                 differ = True
                 detail = ""
                 if rel.suffix in (".csv", ".json", ".jsonl"):
-                    dev, absolute, other = _deviation(
-                        _values(rel, old_data), _values(rel, new_data)
-                    )
-                    detail = (f"  max float deviation rel {dev:.1e} abs {absolute:.1e}, "
-                              f"other cells {'differ' if other else 'equal'}")
+                    old_values = _values(rel, old_data)
+                    dev, absolute, first = _deviation(old_values, _values(rel, new_data))
+                    detail = f"  max float deviation rel {dev:.1e} abs {absolute:.1e}, "
+                    if first is None:
+                        detail += "other cells equal"
+                    else:
+                        where = _where(rel.suffix, old_values, first[0])
+                        detail += f"first other difference {where}: {first[1]}"
                 print(f"DIFF {name}/{rel}{detail}")
     return 1 if differ else 0
 
