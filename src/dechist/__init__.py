@@ -15,9 +15,7 @@ from .model import (
 )
 from .spectral import (
     SpectralDecomposition,
-    apply_projector,
     eigendecompose,
-    evolve,
     sample_haar_state,
     select_eigenstate,
 )
@@ -28,7 +26,6 @@ from .histories import (
     compute_branch_states,
     compute_df,
     decode_history,
-    encode_history,
     history_string,
     marginalize,
 )
@@ -52,9 +49,7 @@ from .experiments import (
     ScalingFit,
     SweepSpec,
     compute_realization_df,
-    fit_scaling,
     run_dynamics,
-    run_realization,
     run_sweep,
 )
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -34,10 +33,9 @@ from .experiments import (
     run_sweep,
 )
 
-__all__ = ["main", "ConfigError", "parse_config", "parse_config_dict", "WORKERS_ENV"]
+__all__ = ["main", "ConfigError", "parse_config", "parse_config_dict"]
 
 SCHEMA_VERSION = 1
-WORKERS_ENV = "DECHIST_WORKERS"
 
 RESULTS_HEADER = [
     "d", "l", "regime", "init_family", "h_seed", "s_seed", "eig_index",
@@ -128,20 +126,6 @@ def _cmd_dynamics(args) -> int:
     return 0
 
 
-def _resolve_workers(args) -> int:
-    if getattr(args, "workers", None) is not None:
-        workers = args.workers
-    else:
-        raw = os.environ.get(WORKERS_ENV, "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ConfigError(f"{WORKERS_ENV}: expected an integer, got {raw!r}") from None
-    if workers < 1:
-        raise ConfigError(f"worker count must be at least 1, got {workers}")
-    return workers
-
-
 def _results_rows(results) -> list[list[str]]:
     rows = []
     for r in results:
@@ -167,8 +151,10 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("model.d_grid: required by the sweep command")
     _require_one_triple(spec)
     _warn_interaction(spec.model_config(spec.d_grid[0], 0))
+    if args.workers < 1:
+        raise ConfigError(f"worker count must be at least 1, got {args.workers}")
     out = Path(spec.output_dir)
-    results = run_sweep(spec, output_dir=out, workers=_resolve_workers(args))
+    results = run_sweep(spec, output_dir=out, workers=args.workers)
     failed = [r for r in results if r.failed]
     for r in failed:
         print(f"warning: realization {r.key} failed: {r.error}", file=sys.stderr)
@@ -287,8 +273,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="scaling sweep over dimensions and seeds")
     p.add_argument("--config", required=True)
-    p.add_argument("--workers", type=int, default=None,
-                   help=f"parallel workers (default: ${WORKERS_ENV} or 1)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="parallel workers (default: 1)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("fit", help="power-law fit of a sweep metric")

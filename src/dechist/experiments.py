@@ -34,7 +34,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Iterable
 
 import numpy as np
 
@@ -86,10 +86,8 @@ __all__ = [
     "RealizationResult",
     "ScalingFit",
     "compute_realization_df",
-    "run_realization",
     "run_sweep",
     "run_dynamics",
-    "fit_scaling",
     "fit_points",
     "FIT_METRICS",
 ]
@@ -560,17 +558,6 @@ def run_dynamics(spec: SweepSpec) -> list[tuple[tuple[float, ...] | None, np.nda
     return [(w, macro_dynamics(sd, coarsening, psi0, t_max, dt)) for w, psi0, _ in starts]
 
 
-def run_realization(
-    spec: SweepSpec, d: int, h_index: int, s_index: int
-) -> RealizationResult:
-    """Run one realization end to end: a sweep's batch of one seed.
-
-    Its wall time includes the decomposition.  An error in its metrics
-    comes back as a failed result, as in a sweep.
-    """
-    return _run_batch(spec, d, h_index, (s_index,))[0]
-
-
 def _realization_result(
     spec: SweepSpec, d: int, h_index: int, s_index: int,
     df, coarsening, eigenstate_index: int | None, start: float,
@@ -837,22 +824,6 @@ def run_sweep(
 
     results = [result_from_dict(records[key]) for key in sorted(records)]
     return results
-
-
-def fit_scaling(
-    results: Sequence[RealizationResult], metric: str, length: int
-) -> ScalingFit:
-    """fit_points over the successful realizations' (D, metric) points."""
-    if metric not in FIT_METRICS:
-        raise ValueError(f"metric must be one of {tuple(FIT_METRICS)}, got {metric!r}")
-    points = []
-    for result in results:
-        if result.failed:
-            continue
-        if length not in result.per_length:
-            raise ValueError(f"realization {result.key} has no grid length {length}")
-        points.append((result.d, getattr(result.per_length[length], FIT_METRICS[metric])))
-    return fit_points(points, metric, length)
 
 
 def fit_points(

@@ -30,10 +30,8 @@ __all__ = [
     "HistoryGrid",
     "BranchStates",
     "DecoherenceFunctional",
-    "encode_history",
     "decode_history",
     "history_string",
-    "num_histories",
     "compute_branch_states",
     "compute_df",
     "marginalize",
@@ -94,20 +92,6 @@ class HistoryGrid:
     @property
     def num_steps(self) -> int:
         return len(self.times) - 1
-
-
-def num_histories(length: int) -> int:
-    return M**length
-
-
-def encode_history(labels: Sequence[int]) -> int:
-    """Base-3 packing with the earliest label least significant."""
-    h = 0
-    for k, x in enumerate(labels):
-        if not 0 <= x < M:
-            raise ValueError(f"label out of range at position {k}: {x}")
-        h += x * M**k
-    return h
 
 
 def decode_history(h: int, length: int) -> tuple[int, ...]:
@@ -176,10 +160,6 @@ class BranchStates:
     grid: HistoryGrid
 
     @property
-    def length(self) -> int:
-        return self.grid.length
-
-    @property
     def states(self) -> np.ndarray:
         """All (3^L, D) leaves indexed by encoded history, built on demand."""
         return _split(self.coarsening, self.final)
@@ -191,7 +171,7 @@ def compute_branch_states(
     psi0: np.ndarray,
     grid: HistoryGrid,
 ) -> BranchStates | list[BranchStates]:
-    """Grow the branch tree level by level: split, then evolve.
+    """Grow the branch tree level by level: split, then propagate.
 
     Each live tree node is split by the three projectors and evolved
     once, so the work is at most sum_k 3^k propagations rather than

@@ -2,7 +2,8 @@
 
 Each Hamiltonian is diagonalized once; evolution over any interval is a
 phase multiplication in the eigenbasis, so no step-size error enters
-anywhere downstream.
+anywhere downstream.  Evolution and projection act on states stacked as
+rows; one state is passed as a batch of one, psi[None].
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ from .model import BlockHamiltonian, Coarsening, NUM_MACROSTATES
 __all__ = [
     "SpectralDecomposition",
     "eigendecompose",
-    "evolve",
     "evolve_batch",
-    "apply_projector",
     "apply_projector_batch",
     "sample_haar_state",
     "select_eigenstate",
@@ -76,7 +75,9 @@ def evolve_batch(
     dt: float,
     ranges: tuple[tuple[int, int], ...] | None = None,
 ) -> np.ndarray:
-    """Evolve stacked row states by exp(-i H dt).
+    """Evolve stacked row states by exp(-i H dt), norms kept up to roundoff.
+
+    One state is a batch of one: evolve_batch(sd, psi[None], dt)[0].
 
     Rows that are exactly zero stay zero and are left out of both
     transforms.  With `ranges`, the rows form len(ranges) equal
@@ -118,12 +119,6 @@ def evolve_batch(
     return out
 
 
-def evolve(sd: SpectralDecomposition, psi: np.ndarray, dt: float) -> np.ndarray:
-    """Evolve a single state by exp(-i H dt); norm is preserved exactly
-    up to roundoff."""
-    return evolve_batch(sd, psi[None, :], dt)[0]
-
-
 def apply_projector_batch(
     coarsening: Coarsening, label: int, states: np.ndarray
 ) -> np.ndarray:
@@ -139,10 +134,6 @@ def apply_projector_batch(
     start, stop = coarsening.ranges[label]
     out[:, start:stop] = states[:, start:stop]
     return out
-
-
-def apply_projector(coarsening: Coarsening, label: int, psi: np.ndarray) -> np.ndarray:
-    return apply_projector_batch(coarsening, label, psi[None, :])[0]
 
 
 def sample_haar_state(
@@ -167,7 +158,7 @@ def sample_haar_state(
             z = rng.standard_normal(coarsening.dimension) + 1j * rng.standard_normal(
                 coarsening.dimension
             )
-            z = apply_projector(coarsening, label, z)
+            z = apply_projector_batch(coarsening, label, z[None])[0]
         else:
             start, stop = coarsening.ranges[label]
             block = rng.standard_normal(stop - start) + 1j * rng.standard_normal(

@@ -20,7 +20,6 @@ from dechist.cli import (
     FIT_HEADER,
     HISTOGRAM_HEADER,
     RESULTS_HEADER,
-    WORKERS_ENV,
     ConfigError,
     main,
     parse_config,
@@ -259,23 +258,54 @@ class TestSweepCommand:
         capsys.readouterr()
         assert out_path.read_bytes() == first
 
-    def test_workers_flag_and_env(self, tmp_path, capsys, monkeypatch):
+    def test_workers_flag(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
             model={"d_grid": [5]},
             grid={"num_steps": 2},
             sweep={"num_hamiltonian_seeds": 1, "num_state_seeds": 1},
         )
-        monkeypatch.setenv(WORKERS_ENV, "not-a-number")
-        assert main(["sweep", "--config", str(config)]) == 2
+        assert main(["sweep", "--config", str(config), "--workers", "not-a-number"]) == 2
         assert "error: config:" in capsys.readouterr().err
 
-        monkeypatch.setenv(WORKERS_ENV, "2")
-        assert main(["sweep", "--config", str(config)]) == 0
+        assert main(["sweep", "--config", str(config), "--workers", "2"]) == 0
         capsys.readouterr()
 
         assert main(["sweep", "--config", str(config), "--workers", "0"]) == 2
         capsys.readouterr()
+
+    def test_failed_realization_has_no_row(self, tmp_path, capsys, monkeypatch):
+        # A failed realization writes no results.csv row, so `dechist fit`
+        # never reads it: the fit at D=10 is the surviving seed's value.
+        config = write_config(
+            tmp_path,
+            model={"d_grid": [5, 10, 15]},
+            grid={"num_steps": 2},
+            sweep={"num_hamiltonian_seeds": 1, "num_state_seeds": 2},
+        )
+        prepare = experiments._prepare
+
+        def flaky(spec, d, h_index, s_index, *args):
+            if (d, s_index) == (10, 1):
+                raise RuntimeError("synthetic failure")
+            return prepare(spec, d, h_index, s_index, *args)
+
+        monkeypatch.setattr(experiments, "_prepare", flaky)
+        assert main(["sweep", "--config", str(config)]) == 0
+        captured = capsys.readouterr()
+        assert "warning: realization (10, 0, 1) failed" in captured.err
+        results = Path(captured.out.strip())
+        _, _, rows = read_csv(results)
+        seeds = {(r[0], r[5]) for r in rows}
+        failed_seed = str(parse_config(config).state_seed(0, 1))
+        assert ("10", failed_seed) not in seeds
+        assert len(seeds) == 5 and len(rows) == 10  # L = 2, 3 per realization
+
+        assert main(["fit", "--results", str(results), "--metric", "epsilon", "--l", "3"]) == 0
+        _, _, fit_rows = read_csv(Path(capsys.readouterr().out.strip()))
+        survivor = [r[7] for r in rows if r[0] == "10" and r[1] == "3"]
+        assert fit_rows[0][5] == "3"
+        assert [r[1] for r in fit_rows[2:] if r[0] == "10"] == survivor
 
     def test_requires_d_grid(self, tmp_path, capsys):
         config = write_config(tmp_path)

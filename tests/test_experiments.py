@@ -26,12 +26,10 @@ import dechist.experiments as experiments
 from dechist import spectral
 from dechist.experiments import (
     InitFamily,
-    PerLengthMetrics,
     RandomSpacing,
     RealizationResult,
     SweepSpec,
-    fit_scaling,
-    run_realization,
+    fit_points,
     run_sweep,
 )
 from dechist.histories import HistoryGrid, compute_branch_states, compute_df
@@ -136,13 +134,13 @@ class TestSweepSpec:
 class TestRunRealization:
     def test_deterministic(self):
         spec = small_spec()
-        a = run_realization(spec, 5, 0, 0)
-        b = run_realization(spec, 5, 0, 0)
+        a = experiments._run_batch(spec, 5, 0, (0,))[0]
+        b = experiments._run_batch(spec, 5, 0, (0,))[0]
         assert strip_wall(a) == strip_wall(b)
 
     def test_epsilon_matches_chain_oracle(self):
         spec = small_spec(num_steps=1)
-        result = run_realization(spec, 5, 0, 0)
+        result = experiments._run_batch(spec, 5, 0, (0,))[0]
 
         config = spec.model_config(5, 0)
         ham = build_hamiltonian(config)
@@ -171,7 +169,7 @@ class TestRunRealization:
         # shorter grid from scratch must agree.
         for num_steps in (3, 5):
             spec = small_spec(d_grid=(10,), num_steps=num_steps, base_seed=3)
-            result = run_realization(spec, 10, 0, 0)
+            result = experiments._run_batch(spec, 10, 0, (0,))[0]
             assert list(result.per_length) == list(range(2, num_steps + 2))
 
             config = spec.model_config(10, 0)
@@ -207,13 +205,13 @@ class TestRunRealization:
 
     def test_eigenstate_family_records_index(self):
         spec = small_spec(init_family=InitFamily.EIGENSTATE)
-        result = run_realization(spec, 5, 0, 0)
+        result = experiments._run_batch(spec, 5, 0, (0,))[0]
         assert result.eigenstate_index is not None
         assert 0 <= result.eigenstate_index < 5
         assert result.init_family == "eigenstate"
 
     def test_haar_family_leaves_index_unset(self):
-        result = run_realization(small_spec(), 5, 0, 0)
+        result = experiments._run_batch(small_spec(), 5, 0, (0,))[0]
         assert result.eigenstate_index is None
 
     def test_functional_uses_first_weight_triple(self):
@@ -225,8 +223,8 @@ class TestRunRealization:
 
     def test_random_spacing_deterministic(self):
         spec = small_spec(step_mode=RandomSpacing(0.5, 1.5))
-        a = run_realization(spec, 5, 0, 0)
-        b = run_realization(spec, 5, 0, 0)
+        a = experiments._run_batch(spec, 5, 0, (0,))[0]
+        b = experiments._run_batch(spec, 5, 0, (0,))[0]
         assert strip_wall(a) == strip_wall(b)
 
 
@@ -514,7 +512,8 @@ class TestStateSeedBatches:
         assert shapes == [(batch, d), (1, d)]
         assert not any(r.failed for r in swept)
         for result in swept:
-            _assert_close_results(result, run_realization(spec, d, 0, result.s_index))
+            single = experiments._run_batch(spec, d, 0, (result.s_index,))[0]
+            _assert_close_results(result, single)
 
     def test_random_spacing_grows_one_tree_per_seed(self, monkeypatch):
         spec = small_spec(
@@ -524,7 +523,7 @@ class TestStateSeedBatches:
         swept = run_sweep(spec)
         assert shapes == [(1, 50)] * 3
         assert [strip_wall(r) for r in swept] == [
-            strip_wall(run_realization(spec, 50, 0, s)) for s in range(3)
+            strip_wall(experiments._run_batch(spec, 50, 0, (s,))[0]) for s in range(3)
         ]
 
     def test_failed_batch_is_rerun_one_seed_at_a_time(self, monkeypatch):
@@ -540,7 +539,7 @@ class TestStateSeedBatches:
         swept = run_sweep(spec)
         assert not any(r.failed for r in swept)
         assert [strip_wall(r) for r in swept] == [
-            strip_wall(run_realization(spec, 50, 0, s)) for s in range(2)
+            strip_wall(experiments._run_batch(spec, 50, 0, (s,))[0]) for s in range(2)
         ]
 
     def test_failed_metrics_fail_only_their_seed(self, monkeypatch):
@@ -560,7 +559,8 @@ class TestStateSeedBatches:
         assert not good.failed
         assert failed.failed and "synthetic metric failure" in failed.error
         monkeypatch.undo()
-        assert strip_wall(good) == strip_wall(run_realization(spec, 50, 0, 0))
+        single = experiments._run_batch(spec, 50, 0, (0,))[0]
+        assert strip_wall(good) == strip_wall(single)
 
 
 class TestDecompositionStore:
@@ -725,118 +725,57 @@ def run_python(directory, script, check=True):
     )
 
 
-def synth_result(d, epsilon, delta=None, s_index=0, error=None, length=3):
-    per_length = {}
-    if error is None:
-        per_length[length] = PerLengthMetrics(
-            epsilon_avg=epsilon,
-            pair_count=216,
-            skipped_pairs=0,
-            delta_max=epsilon if delta is None else delta,
-            argmax_subset=0,
-            p_forward=0.3,
-            p_noarrow=0.4,
-            p_backward=0.3,
-        )
-    return RealizationResult(
-        d=d,
-        h_index=0,
-        s_index=s_index,
-        hamiltonian_seed=1,
-        state_seed=2,
-        regime="weak",
-        init_family="haar_equilibrium",
-        eigenstate_index=None,
-        per_length=per_length,
-        distance_bins={},
-        wall_time_s=0.0,
-        error=error,
-    )
-
-
 class TestFitScaling:
+    """fit_points on the (d, value) points that `dechist fit` reads."""
+
     def test_exact_power_law(self):
-        results = [
-            synth_result(100, 0.1),
-            synth_result(10**4, 0.01),
-            synth_result(10**6, 0.001),
-        ]
-        fit = fit_scaling(results, "epsilon", 3)
+        fit = fit_points([(100, 0.1), (10**4, 0.01), (10**6, 0.001)], "epsilon", 3)
         assert fit.alpha == pytest.approx(0.5, abs=1e-12)
         assert fit.intercept == pytest.approx(0.0, abs=1e-12)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
         assert fit.points == ((100, 0.1), (10**4, 0.01), (10**6, 0.001))
 
     def test_constant_metric(self):
-        results = [synth_result(d, 0.25) for d in (5, 50, 500)]
-        fit = fit_scaling(results, "epsilon", 3)
+        fit = fit_points([(d, 0.25) for d in (5, 50, 500)], "epsilon", 3)
         assert fit.alpha == pytest.approx(0.0, abs=1e-12)
         assert repr(fit.alpha) == "0.0"  # not -0.0
         assert fit.r_squared == 1.0
 
     def test_averages_over_realizations(self):
-        results = [
-            synth_result(100, 0.08, s_index=0),
-            synth_result(100, 0.12, s_index=1),
-            synth_result(10**4, 0.01),
-            synth_result(10**6, 0.001),
-        ]
-        fit = fit_scaling(results, "epsilon", 3)
+        points = [(100, 0.08), (100, 0.12), (10**4, 0.01), (10**6, 0.001)]
+        fit = fit_points(points, "epsilon", 3)
         assert fit.points[0] == (100, pytest.approx(0.1, abs=1e-15))
 
-    def test_failed_results_skipped(self):
-        results = [
-            synth_result(100, 0.1),
-            synth_result(100, 99.0, s_index=1, error="RuntimeError: boom"),
-            synth_result(10**4, 0.01),
-            synth_result(10**6, 0.001),
-        ]
-        fit = fit_scaling(results, "epsilon", 3)
-        assert fit.alpha == pytest.approx(0.5, abs=1e-12)
-
     def test_delta_metric_selected(self):
-        results = [
-            synth_result(100, 0.5, delta=0.1),
-            synth_result(10**4, 0.5, delta=0.01),
-            synth_result(10**6, 0.5, delta=0.001),
-        ]
-        fit = fit_scaling(results, "delta", 3)
+        # The delta_max column is picked from results.csv by `dechist fit`
+        # (TestFitCommand::test_delta_metric); the fit carries its name.
+        fit = fit_points([(100, 0.1), (10**4, 0.01), (10**6, 0.001)], "delta", 3)
         assert fit.alpha == pytest.approx(0.5, abs=1e-12)
+        assert fit.metric == "delta"
 
     def test_needs_three_dimensions(self):
-        results = [synth_result(100, 0.1), synth_result(200, 0.05)]
         with pytest.raises(ValueError):
-            fit_scaling(results, "epsilon", 3)
-
-    def test_rejects_unknown_metric(self):
-        results = [synth_result(d, 0.1) for d in (5, 50, 500)]
-        with pytest.raises(ValueError):
-            fit_scaling(results, "norm", 3)
-
-    def test_rejects_missing_length(self):
-        results = [synth_result(d, 0.1) for d in (5, 50, 500)]
-        with pytest.raises(ValueError):
-            fit_scaling(results, "epsilon", 4)
+            fit_points([(100, 0.1), (200, 0.05)], "epsilon", 3)
 
     def test_rejects_nonpositive_mean(self):
-        results = [synth_result(d, 0.0) for d in (5, 50, 500)]
         with pytest.raises(ValueError):
-            fit_scaling(results, "epsilon", 3)
+            fit_points([(d, 0.0) for d in (5, 50, 500)], "epsilon", 3)
         for bad in (np.nan, np.inf):
-            results = [synth_result(d, 0.1) for d in (5, 50)] + [synth_result(500, bad)]
             with pytest.raises(ValueError):
-                fit_scaling(results, "epsilon", 3)
+                fit_points([(5, 0.1), (50, 0.1), (500, bad)], "epsilon", 3)
 
 
 class TestSerialization:
     def test_round_trip(self):
-        result = run_realization(small_spec(base_seed=21), 5, 0, 0)
+        result = experiments._run_batch(small_spec(base_seed=21), 5, 0, (0,))[0]
         data = experiments.result_to_dict(result)
         back = experiments.result_from_dict(json.loads(json.dumps(data)))
         assert experiments.result_to_dict(back) == data
 
     def test_error_round_trip(self):
-        result = synth_result(100, 0.1, error="RuntimeError: boom")
+        result = experiments._error_result(
+            small_spec(), 100, 0, 0, RuntimeError("boom")
+        )
         data = experiments.result_to_dict(result)
         back = experiments.result_from_dict(json.loads(json.dumps(data)))
         assert back.failed

@@ -1,4 +1,5 @@
-"""Every imported name is read in its module or re-exported through __all__."""
+"""Every imported name is read in its module or re-exported through __all__,
+and every name a module exports is read somewhere in the program."""
 
 from __future__ import annotations
 
@@ -69,3 +70,42 @@ def test_cli_imports_no_realization_setup():
         elif isinstance(node, ast.Name):
             names.add(node.id)
     assert names & SETUP_NAMES == set()
+
+
+def public_names(source: str) -> list[str]:
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def names_read(source: str) -> set[str]:
+    """Loaded names, attribute names and imported names of a module."""
+    read: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            read |= {alias.name.split(".")[-1] for alias in node.names}
+    return read
+
+
+def unreached_names(root: Path) -> list[str]:
+    """Names in a src/dechist module's __all__ that no src/dechist module
+    and no tools/ script reads; the package __init__ only re-exports."""
+    modules = sorted(
+        p for p in (root / "src" / "dechist").glob("*.py") if p.name != "__init__.py"
+    )
+    readers = modules + sorted((root / "tools").glob("*.py"))
+    read = set().union(*(names_read(p.read_text()) for p in readers))
+    return sorted(
+        name for p in modules for name in public_names(p.read_text()) if name not in read
+    )
+
+
+def test_every_public_name_is_reached():
+    assert unreached_names(ROOT) == []

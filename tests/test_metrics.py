@@ -14,16 +14,14 @@ from dechist.model import (
     build_coarsening,
     build_hamiltonian,
 )
-from dechist.spectral import eigendecompose, sample_haar_state
+from dechist.spectral import eigendecompose, evolve_batch, sample_haar_state
 from dechist.histories import (
     HistoryGrid,
     _digit_matrix,
     compute_branch_states,
     compute_df,
     decode_history,
-    encode_history,
     marginalize,
-    num_histories,
 )
 from dechist.metrics import (
     arrow_classification,
@@ -91,7 +89,7 @@ class TestEpsilon:
     def test_pair_count_matches_enumeration(self):
         df, *_ = make_df(v_minus=1, seed=2, num_steps=2)
         report = epsilon_average(df)
-        n = num_histories(3)
+        n = 3**3
         ordered = [
             (x, y)
             for x, y in itertools.product(range(n), range(n))
@@ -164,8 +162,6 @@ class TestMarginals:
         assert p_cl.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_final_time_only(self):
-        from dechist.spectral import evolve
-
         config = ModelConfig(v_minus=1, hamiltonian_seed=5)
         sd = eigendecompose(build_hamiltonian(config))
         coarsening = build_coarsening(config)
@@ -174,7 +170,7 @@ class TestMarginals:
         df = compute_df(compute_branch_states(sd, coarsening, psi0, grid))
         p, p_cl = marginal_probabilities(df, (2,))
         assert p.shape == (3,)
-        psi_final = evolve(sd, evolve(sd, psi0, 3.0), 3.0)
+        psi_final = evolve_batch(sd, evolve_batch(sd, psi0[None], 3.0), 3.0)[0]
         for z, (a, b) in enumerate(coarsening.ranges):
             born = float(np.sum(np.abs(psi_final[a:b]) ** 2))
             assert p[z] == pytest.approx(born, abs=1e-10)
@@ -225,9 +221,7 @@ class TestMarginals:
         full = df.diagonal()
         for code in range(9):
             x0, x2 = decode_history(code, 2)
-            expected = sum(
-                full[encode_history((x0, mid, x2))] for mid in range(3)
-            )
+            expected = sum(full[x0 + 3 * mid + 9 * x2] for mid in range(3))
             assert p_cl[code] == pytest.approx(expected, abs=1e-12)
 
 
@@ -315,8 +309,6 @@ class TestMacroDynamics:
         np.testing.assert_allclose(traj[:, 0], np.arange(6.0), atol=1e-12)
 
     def test_against_naive_loop(self):
-        from dechist.spectral import evolve
-
         config = ModelConfig(v_minus=1, hamiltonian_seed=9)
         sd = eigendecompose(build_hamiltonian(config))
         coarsening = build_coarsening(config)
@@ -324,7 +316,7 @@ class TestMacroDynamics:
         traj = macro_dynamics(sd, coarsening, psi0, t_max=3.0, dt=1.5)
         for row in traj:
             t = row[0]
-            psi_t = evolve(sd, psi0, t)
+            psi_t = evolve_batch(sd, psi0[None], t)[0]
             for x, (a, b) in enumerate(coarsening.ranges):
                 weight = float(np.sum(np.abs(psi_t[a:b]) ** 2))
                 assert row[1 + x] == pytest.approx(weight, abs=1e-10)

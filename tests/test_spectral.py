@@ -15,10 +15,8 @@ from dechist.model import (
     derive_coupling,
 )
 from dechist.spectral import (
-    apply_projector,
     apply_projector_batch,
     eigendecompose,
-    evolve,
     evolve_batch,
     sample_haar_state,
     select_eigenstate,
@@ -78,7 +76,7 @@ class TestEvolve:
     def test_zero_time_is_identity(self):
         _, _, sd = model_parts()
         psi = random_state(sd.dimension, 1)
-        np.testing.assert_array_equal(evolve(sd, psi, 0.0), psi)
+        np.testing.assert_array_equal(evolve_batch(sd, psi[None], 0.0)[0], psi)
 
     @pytest.mark.parametrize("ensemble", [Ensemble.GOE, Ensemble.GUE])
     @pytest.mark.parametrize("v_minus", [1, 2, 3, 4])
@@ -89,13 +87,13 @@ class TestEvolve:
         psi = random_state(config.dimension, 7)
         for dt in (0.1, 1.0, tau):
             expected = propagator(ham.matrix, dt) @ psi
-            got = evolve(sd, psi, dt)
+            got = evolve_batch(sd, psi[None], dt)[0]
             assert np.abs(got - expected).max() <= 1e-8
 
     def test_eigenvector_stationary(self):
         _, _, sd = model_parts(v_minus=3, seed=11)
         psi = sd.eigenvectors[:, 4].astype(complex)
-        out = evolve(sd, psi, 2.7)
+        out = evolve_batch(sd, psi[None], 2.7)[0]
         assert abs(np.vdot(out, psi)) == pytest.approx(1.0, abs=1e-10)
 
     def test_norm_preserved_over_many_steps(self):
@@ -103,13 +101,13 @@ class TestEvolve:
         tau = derive_coupling(config).tau
         psi = random_state(config.dimension, 3)
         for _ in range(20):
-            psi = evolve(sd, psi, tau)
+            psi = evolve_batch(sd, psi[None], tau)[0]
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-10)
 
     def test_round_trip(self):
         _, _, sd = model_parts(v_minus=4, seed=6)
         psi = random_state(sd.dimension, 9)
-        back = evolve(sd, evolve(sd, psi, 3.3), -3.3)
+        back = evolve_batch(sd, evolve_batch(sd, psi[None], 3.3), -3.3)[0]
         assert np.abs(back - psi).max() <= 1e-9
 
     def test_batch_matches_single(self):
@@ -120,7 +118,7 @@ class TestEvolve:
         )
         batch = evolve_batch(sd, states, 1.7)
         for i in range(5):
-            single = evolve(sd, states[i], 1.7)
+            single = evolve_batch(sd, states[i][None], 1.7)[0]
             assert np.abs(batch[i] - single).max() <= 1e-12
 
     @pytest.mark.parametrize("ensemble", [Ensemble.GOE, Ensemble.GUE])
@@ -153,20 +151,21 @@ class TestProjectors:
     def test_completeness_exact(self):
         config, _, _ = model_parts()
         coarsening = build_coarsening(config)
-        psi = random_state(config.dimension, 5)
-        total = sum(apply_projector(coarsening, x, psi) for x in range(3))
+        psi = random_state(config.dimension, 5)[None]
+        total = sum(apply_projector_batch(coarsening, x, psi) for x in range(3))
         np.testing.assert_array_equal(total, psi)
 
     def test_idempotence_and_orthogonality(self):
         config, _, _ = model_parts()
         coarsening = build_coarsening(config)
-        psi = random_state(config.dimension, 6)
+        psi = random_state(config.dimension, 6)[None]
         for x in range(3):
-            once = apply_projector(coarsening, x, psi)
-            np.testing.assert_array_equal(apply_projector(coarsening, x, once), once)
+            once = apply_projector_batch(coarsening, x, psi)
+            twice = apply_projector_batch(coarsening, x, once)
+            np.testing.assert_array_equal(twice, once)
             for y in range(3):
                 if y != x:
-                    assert np.all(apply_projector(coarsening, y, once) == 0)
+                    assert np.all(apply_projector_batch(coarsening, y, once) == 0)
 
     def test_dense_projector_batch(self):
         coarsening = rotated_coarsening(ModelConfig(v_minus=2), seed=4)
@@ -183,7 +182,7 @@ class TestProjectors:
         config, _, _ = model_parts()
         coarsening = build_coarsening(config)
         with pytest.raises(ValueError):
-            apply_projector(coarsening, 3, np.zeros(config.dimension, dtype=complex))
+            apply_projector_batch(coarsening, 3, np.zeros((1, config.dimension)))
 
 
 class TestInitialStates:
@@ -258,5 +257,5 @@ class TestInitialStates:
         assert index2 == index
         np.testing.assert_array_equal(psi, psi2)
         # Stationarity: evolution only rotates the global phase.
-        out = evolve(sd, psi, 4.2)
+        out = evolve_batch(sd, psi[None], 4.2)[0]
         assert abs(np.vdot(out, psi)) == pytest.approx(1.0, abs=1e-10)
