@@ -39,8 +39,6 @@ from .metrics import (
     epsilon_average,
     epsilon_by_distance,
     macro_dynamics,
-    marginal_probabilities,
-    trace_distance,
 )
 from .experiments import (
     InitFamily,

@@ -129,8 +129,6 @@ def _cmd_dynamics(args) -> int:
 def _results_rows(results) -> list[list[str]]:
     rows = []
     for r in results:
-        if r.failed:
-            continue
         for length in sorted(r.per_length):
             m = r.per_length[length]
             rows.append([

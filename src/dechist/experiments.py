@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import multiprocessing
 import os
 import shutil
 import tempfile
@@ -795,7 +796,11 @@ def run_sweep(
                 fh.writelines(lines)
 
     if workers > 1 and groups:
-        with ProcessPoolExecutor(max_workers=min(workers, len(groups))) as pool:
+        # Forked workers read the parent's decomposition store.
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(groups)), mp_context=fork
+        ) as pool:
             futures = {
                 pool.submit(_run_group, spec, *group): i for i, group in enumerate(groups)
             }

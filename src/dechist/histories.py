@@ -176,10 +176,10 @@ def compute_branch_states(
     Each live tree node is split by the three projectors and evolved
     once, so the work is at most sum_k 3^k propagations rather than
     L * 3^L; nodes that are exactly zero (a start with no weight in
-    some band) are never evolved.  Under the band masks a level's three
-    child chunks each live in one band, so their forward transforms
-    read only that band's eigenvector rows.  The split at t_{L-1} is
-    left to the readers of the tree.
+    some band) are never evolved.  Under the band masks a child is its
+    parent's band slice, so each level is evolved straight from the
+    band slices of the one before, and no split copy is built.  The
+    split at t_{L-1} is left to the readers of the tree.
 
     A (S, D) stack of starts grows S trees in the same loop, which
     reads the eigenvector matrix once per level for all of them: a
@@ -197,11 +197,13 @@ def compute_branch_states(
             f"branch tree needs {needed} bytes for {len(starts)} start(s) with "
             f"3^{length} x {d} leaves, budget is {MEMORY_BUDGET}"
         )
-    ranges = None if coarsening.is_dense else coarsening.ranges
     final = starts
     for k in range(1, length):
         dt = grid.times[k] - grid.times[k - 1]
-        final = evolve_batch(sd, _split(coarsening, final), dt, ranges=ranges)
+        if coarsening.is_dense:
+            final = evolve_batch(sd, _split(coarsening, final), dt)
+        else:
+            final = evolve_batch(sd, final, dt, ranges=coarsening.ranges)
     if np.ndim(psi0) == 1:
         return BranchStates(final=final, coarsening=coarsening, grid=grid)
     final = final.reshape(-1, len(starts), d)
@@ -255,34 +257,6 @@ def compute_df(branches: BranchStates) -> DecoherenceFunctional:
     return DecoherenceFunctional(blocks=blocks, grid=branches.grid)
 
 
-def _sum_out(
-    values: np.ndarray, length: int, kept: tuple[int, ...], tie: bool = False
-) -> np.ndarray:
-    """Sum a (3^L,) per-history vector or (3, b, b) blocks over the dropped times.
-
-    With n = L-1, axis 0 holds the final digit, ket digit k sits on
-    axis n-k and, for blocks, bra digit k on axis 2n-k.  Dropped bra and
-    ket digits are summed independently.  The bra digit of the last
-    kept time is tied to its ket digit, so blocks reduce to blocks;
-    tie=True ties every kept digit, which leaves only the diagonal of
-    the reduced functional as a vector.
-    """
-    if not kept or kept[0] < 0 or kept[-1] >= length:
-        raise ValueError(f"t_subset {kept} must name grid times in 0..{length - 1}")
-    n = length - 1
-    out = [n - k for k in reversed(kept)]
-    axes = list(range(length if values.ndim == 1 else 2 * n + 1))
-    if values.ndim == 3:
-        for k in kept if tie else kept[-1:]:
-            if k < n:
-                axes[2 * n - k] = n - k
-        if not tie:
-            out += [2 * n - k for k in reversed(kept[:-1])]
-    reduced = np.einsum(values.reshape((M,) * len(axes)), axes, out)
-    b = M ** (len(kept) - 1)
-    return reduced.reshape(-1) if values.ndim == 1 or tie else reduced.reshape(M, b, b)
-
-
 def marginalize(
     df: DecoherenceFunctional, t_subset: Iterable[int]
 ) -> DecoherenceFunctional:
@@ -297,6 +271,17 @@ def marginalize(
     kept = tuple(sorted(set(int(k) for k in t_subset)))
     if kept == tuple(range(df.length)):
         return df
-    reduced = _sum_out(df.blocks, df.length, kept)
+    if not kept or kept[0] < 0 or kept[-1] >= df.length:
+        raise ValueError(f"t_subset {kept} must name grid times in 0..{df.length - 1}")
+    # With n = L-1, axis 0 of the blocks holds the final digit, ket
+    # digit k sits on axis n-k and bra digit k on axis 2n-k.  The bra
+    # digit of the last kept time is tied to its ket digit.
+    n = df.length - 1
+    axes = list(range(2 * n + 1))
+    if kept[-1] < n:
+        axes[2 * n - kept[-1]] = n - kept[-1]
+    out = [n - k for k in reversed(kept)] + [2 * n - k for k in reversed(kept[:-1])]
+    reduced = np.einsum(df.blocks.reshape((M,) * len(axes)), axes, out)
+    b = M ** (len(kept) - 1)
     grid = HistoryGrid.from_times([df.grid.times[k] for k in kept])
-    return DecoherenceFunctional(blocks=reduced, grid=grid)
+    return DecoherenceFunctional(blocks=reduced.reshape(M, b, b), grid=grid)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -14,7 +14,6 @@ from .histories import (
     _digit_matrix,
     _distance_bins,
     _history_labels,
-    _sum_out,
 )
 
 __all__ = [
@@ -22,8 +21,6 @@ __all__ = [
     "TraceDistanceReport",
     "ArrowReport",
     "epsilon_average",
-    "marginal_probabilities",
-    "trace_distance",
     "delta_max",
     "epsilon_by_distance",
     "macro_dynamics",
@@ -31,6 +28,8 @@ __all__ = [
     "arrow_score",
     "arrow_classification",
 ]
+
+M = NUM_MACROSTATES
 
 # Branch weights below this are treated as exactly dead branches.
 DEGENERATE_WEIGHT = 1e-300
@@ -70,24 +69,22 @@ class ArrowReport:
     p_backward: float
 
 
-def _normalized_overlaps(
-    df: DecoherenceFunctional,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(eps, eligible, dead) over the pairs sharing the final label.
+def _normalized_overlaps(df: DecoherenceFunctional) -> np.ndarray:
+    """|entry(x, y)| / sqrt(w_x w_y) over the pairs sharing the final label.
 
-    All three are (3, b, b) arrays with b = 3^(L-1), indexed like
-    df.blocks.  eps is |entry(x, y)| / sqrt(w_x w_y), zero on dead
-    pairs (either weight below 1e-300); eligible marks x != y.
+    A (3, b, b) array with b = 3^(L-1), indexed like df.blocks.  Dead
+    pairs (either weight below 1e-300) are exact zeros, and so is the
+    diagonal, which no pair metric reads.
     """
-    blocks = df.blocks
-    diag = df.diagonal().reshape(blocks.shape[:2])
-    degenerate = diag < DEGENERATE_WEIGHT
-    dead = degenerate[:, :, None] | degenerate[:, None, :]
-    safe = np.where(degenerate, 1.0, diag)
-    eps = np.abs(blocks) / np.sqrt(safe[:, :, None] * safe[:, None, :])
-    eps[dead] = 0.0
-    eligible = np.broadcast_to(~np.eye(blocks.shape[1], dtype=bool), eps.shape)
-    return eps, eligible, dead
+    weights = df.diagonal().reshape(df.blocks.shape[:2])
+    scale = np.zeros_like(weights)
+    alive = weights >= DEGENERATE_WEIGHT
+    scale[alive] = 1.0 / np.sqrt(weights[alive])
+    eps = np.abs(df.blocks)
+    eps *= scale[:, :, None]
+    eps *= scale[:, None, :]
+    np.einsum("cii->ci", eps)[...] = 0.0
+    return eps
 
 
 def epsilon_average(df: DecoherenceFunctional) -> EpsilonReport:
@@ -98,14 +95,13 @@ def epsilon_average(df: DecoherenceFunctional) -> EpsilonReport:
     """
     if df.length < 2:
         raise ValueError("epsilon_average needs at least two grid times")
-    eps, eligible, dead = _normalized_overlaps(df)
-    pair_count = int(eligible.sum())
-    total = float(eps[eligible].sum())
-    skipped = int((eligible & dead).sum())
+    b = df.blocks.shape[1]
+    pair_count = M * b * (b - 1)
+    live = (df.diagonal().reshape(M, b) >= DEGENERATE_WEIGHT).sum(axis=1)
     return EpsilonReport(
-        epsilon_avg=total / pair_count,
+        epsilon_avg=float(_normalized_overlaps(df).sum()) / pair_count,
         pair_count=pair_count,
-        skipped_pairs=skipped,
+        skipped_pairs=pair_count - int((live * (live - 1)).sum()),
     )
 
 
@@ -118,44 +114,44 @@ def _real_probabilities(values: np.ndarray, what: str) -> np.ndarray:
     return np.asarray(values.real if np.iscomplexobj(values) else values, dtype=float)
 
 
-def marginal_probabilities(
-    df: DecoherenceFunctional, t_subset: Iterable[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Born and classical probabilities over histories on a time subset.
-
-    Returns (p, p_cl) indexed by the reduced base-3 code.  The subset
-    must contain the final grid time; only then is p guaranteed to be a
-    true probability distribution.
-    """
-    kept = tuple(sorted(set(int(k) for k in t_subset)))
-    if not kept or kept[-1] != df.length - 1:
-        raise ValueError(f"t_subset {kept} must contain the final time index")
-    born = _sum_out(df.blocks, df.length, kept, tie=True)
-    p = _real_probabilities(born, "Born probabilities")
-    # Classical: marginalize the diagonal weights alone.
-    p_cl = _sum_out(df.diagonal(), df.length, kept)
-    return p, p_cl
-
-
-def trace_distance(p: np.ndarray, p_cl: np.ndarray) -> float:
-    return 0.5 * float(np.abs(np.asarray(p) - np.asarray(p_cl)).sum())
-
-
 def delta_max(df: DecoherenceFunctional) -> TraceDistanceReport:
     """Maximal Born-vs-classical trace distance over time subsets.
 
     All 2^n subsets containing the final time are enumerated; the
-    report maps each subset bitmask to its distance.
+    report maps each subset bitmask to its distance.  One pass over the
+    blocks gives every subset's Born probabilities: each non-final
+    time's (ket, bra) label pair collapses to 4 slots, the three tied
+    labels and then the sum over all nine pairs, and its classical
+    weights to their 3 entries and their sum.  A subset reads slots
+    0-2 at its kept times and slot 3 at its dropped ones.
     """
     n = df.length - 1
+    born = df.blocks.reshape(M, 1, M**n, M**n)
+    classical = df.diagonal().reshape(M, 1, M**n)
+    for _ in range(n):
+        # The latest uncollapsed time is the codes' top digit; its slot
+        # digit goes below those of the later times, so time k ends up
+        # as the base-4 digit of weight 4^k.
+        b = born.shape[-1] // M
+        born = born.reshape(M, -1, M, b, M, b)
+        tied = [born[:, :, x, :, x] for x in range(M)]
+        pair_sum = born.sum(axis=2).sum(axis=3)
+        born = np.stack(tied + [pair_sum], axis=2).reshape(M, -1, b, b)
+        classical = classical.reshape(M, -1, M, b)
+        classical = np.concatenate([classical, classical.sum(axis=2, keepdims=True)], axis=2)
+    p = _real_probabilities(born.reshape(M, -1), "Born probabilities")
+    gap = np.abs(p - classical.reshape(M, -1))
+    # Time by time again, latest first, into bit 0 (dropped: the sum
+    # slot) or bit 1 (kept: the label slots' sum).
+    for k in range(n):
+        gap = gap.reshape(M, 2**k, M + 1, -1)
+        gap = np.stack([gap[:, :, M], gap[:, :, :M].sum(axis=2)], axis=2)
+    distances = 0.5 * gap.reshape(M, 2**n).sum(axis=0)
     per_subset: dict[int, float] = {}
     best = -1.0
     best_mask = 0
-    for prefix_bits in range(2**n):
+    for prefix_bits, dist in enumerate(distances.tolist()):
         mask = prefix_bits | (1 << n)
-        kept = tuple(k for k in range(n + 1) if mask & (1 << k))
-        p, p_cl = marginal_probabilities(df, kept)
-        dist = trace_distance(p, p_cl)
         per_subset[mask] = dist
         if dist > best:
             best = dist
@@ -175,7 +171,7 @@ def epsilon_by_distance(df: DecoherenceFunctional) -> dict[int, tuple[float, int
     length = df.length
     if length < 2:
         raise ValueError("distance binning needs at least two grid times")
-    eps = _normalized_overlaps(df)[0].reshape(NUM_MACROSTATES, -1)
+    eps = _normalized_overlaps(df).reshape(M, -1)
     # Each bin in (block, row, column) order, as a boolean mask selects;
     # d >= 1 already excludes x == y, and no bin is empty.
     sels = [np.take(eps, pairs, axis=1).ravel() for pairs in _distance_bins(length)]

@@ -79,43 +79,49 @@ def evolve_batch(
 
     One state is a batch of one: evolve_batch(sd, psi[None], dt)[0].
 
-    Rows that are exactly zero stay zero and are left out of both
-    transforms.  With `ranges`, the rows form len(ranges) equal
-    contiguous chunks and chunk x must vanish outside columns
-    ranges[x] (a branch-tree level after the band masks); its forward
-    transform then reads only those rows of the eigenvector matrix.
-    The backward transform runs once for all live rows.
+    With `ranges`, every row's slice on each range, zero elsewhere, is
+    evolved, label-major: row x * n + r of the (len(ranges) * n, D)
+    result evolves columns ranges[x] of row r (the children of a
+    branch-tree level under the band masks).  Each forward transform
+    then reads only that range's rows of the eigenvector matrix.
+    Slices that are exactly zero stay zero and are left out of both
+    transforms; the backward transform runs once for all live ones.
 
     Parameters
     ----------
     states : ndarray, shape (n, D)
         One state per row.
     ranges : sequence of (start, stop), optional
-        Column range of each row chunk; None means one chunk on all
-        columns.
+        Column ranges to evolve every row on; None means all columns.
     """
-    if dt == 0.0:
-        return np.array(states, dtype=np.complex128, copy=True)
     states = np.asarray(states, dtype=np.complex128)
     n, d = states.shape
     ranges = ranges or ((0, d),)
-    chunk, rest = divmod(n, len(ranges))
-    if rest:
-        raise ValueError(f"{n} rows do not split into {len(ranges)} equal chunks")
-    live = np.flatnonzero(np.any(states != 0, axis=1))
-    bounds = np.searchsorted(live, np.arange(len(ranges) + 1) * chunk)
+    if dt == 0.0:
+        out = np.zeros((len(ranges) * n, d), dtype=np.complex128)
+        for x, (a, b) in enumerate(ranges):
+            out[x * n : (x + 1) * n, a:b] = states[:, a:b]
+        return out
+    alive = [np.flatnonzero(np.any(states[:, a:b] != 0, axis=1)) for a, b in ranges]
+    live = np.concatenate([rows + x * n for x, rows in enumerate(alive)])
     basis = sd.eigenvectors
     coeff = np.empty((live.size, d), dtype=np.complex128)
-    for (a, b), lo, hi in zip(ranges, bounds[:-1], bounds[1:]):
-        rows = states[live[lo:hi], a:b]
+    lo = 0
+    for (a, b), rows in zip(ranges, alive):
+        hi = lo + rows.size
+        sliced = states[rows, a:b]
         if np.iscomplexobj(basis):
-            # rows @ conj(E) without materializing a conjugate copy of E.
-            coeff[lo:hi] = np.conj(np.conj(rows) @ basis[a:b])
+            # sliced @ conj(E) without materializing a conjugate copy of E.
+            coeff[lo:hi] = np.conj(np.conj(sliced) @ basis[a:b])
         else:
-            coeff[lo:hi] = _rows_times_matrix(rows, basis[a:b])
+            coeff[lo:hi] = _rows_times_matrix(sliced, basis[a:b])
+        lo = hi
     coeff *= np.exp(-1j * dt * sd.eigenvalues)
-    out = np.zeros_like(states)
-    out[live] = _rows_times_matrix(coeff, basis.T)
+    evolved = _rows_times_matrix(coeff, basis.T)
+    if live.size == len(ranges) * n:
+        return evolved
+    out = np.zeros((len(ranges) * n, d), dtype=np.complex128)
+    out[live] = evolved
     return out
 
 

@@ -167,3 +167,41 @@ def born_probability_subset(h, projectors, times, psi0, kept, labels) -> float:
         psi = projectors[label] @ psi
         t_prev = times[idx]
     return float(np.vdot(psi, psi).real)
+
+
+def subset_probabilities(df, kept) -> tuple[np.ndarray, np.ndarray]:
+    """Born and classical probabilities on one time subset, by definition.
+
+    One einsum over the functional per subset: Born ties the ket and bra
+    labels of every kept time and sums those of the dropped times
+    independently; classical sums the branch weights over the dropped
+    times.  Both are indexed by the reduced base-3 code, kept[0] least
+    significant.  The subset must contain the final time.
+    """
+    n = df.length - 1
+    kept = tuple(sorted(set(int(k) for k in kept)))
+    if not kept or kept[0] < 0 or kept[-1] != n:
+        raise ValueError(f"t_subset {kept} must contain the final time index")
+    # Axis 0 holds the final label, ket label k axis n-k, bra label k axis 2n-k.
+    axes = list(range(2 * n + 1))
+    for k in kept[:-1]:
+        axes[2 * n - k] = n - k
+    out = [n - k for k in reversed(kept)]
+    born = np.einsum(df.blocks.reshape((3,) * (2 * n + 1)), axes, out).reshape(-1)
+    weights = df.diagonal().reshape((3,) * (n + 1))
+    classical = np.einsum(weights, list(range(n + 1)), out).reshape(-1)
+    return born.real, classical
+
+
+def trace_distance(p, q) -> float:
+    return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
+
+
+def delta_by_subsets(df) -> dict[int, float]:
+    """{bitmask: trace distance} over every subset holding the final time."""
+    n = df.length - 1
+    out = {}
+    for prefix_bits in range(2**n):
+        kept = [k for k in range(n) if prefix_bits >> k & 1] + [n]
+        out[prefix_bits | 1 << n] = trace_distance(*subset_probabilities(df, kept))
+    return out

@@ -273,8 +273,9 @@ class TestRunSweep:
         pool_sizes = []
 
         class InlinePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context):
                 pool_sizes.append(max_workers)
+                assert mp_context.get_start_method() == "fork"
 
             def __enter__(self):
                 return self

@@ -10,12 +10,19 @@ import pytest
 from dechist.model import (
     BlockHamiltonian,
     Coarsening,
+    Ensemble,
     ModelConfig,
     build_coarsening,
     build_hamiltonian,
 )
-from dechist.spectral import eigendecompose, evolve_batch, sample_haar_state
+from dechist.spectral import (
+    eigendecompose,
+    evolve_batch,
+    sample_haar_state,
+    select_eigenstate,
+)
 from dechist.histories import (
+    DecoherenceFunctional,
     HistoryGrid,
     _digit_matrix,
     compute_branch_states,
@@ -31,17 +38,19 @@ from dechist.metrics import (
     epsilon_average,
     epsilon_by_distance,
     macro_dynamics,
-    marginal_probabilities,
-    trace_distance,
 )
 
 from oracles import (
     arrow_by_loops,
     born_probability_subset,
+    delta_by_subsets,
     epsilon_by_distance_by_loops,
     epsilon_pair_by_definition,
     marginal_by_loops,
     range_projectors,
+    rotated_projectors,
+    subset_probabilities,
+    trace_distance,
 )
 
 
@@ -153,13 +162,17 @@ class TestEpsilon:
 
 
 class TestMarginals:
+    # The per-subset definition lives in oracles.subset_probabilities;
+    # these tests pin it to independent computations, and TestDeltaMax
+    # pins delta_max's one-pass distances to it.
     def test_full_subset_is_diagonal(self):
         df, *_ = make_df(v_minus=2, seed=3)
-        p, p_cl = marginal_probabilities(df, (0, 1, 2))
+        p, p_cl = subset_probabilities(df, (0, 1, 2))
         np.testing.assert_allclose(p, df.diagonal(), atol=1e-14)
         np.testing.assert_allclose(p, p_cl, atol=1e-14)
         assert p.sum() == pytest.approx(1.0, abs=1e-10)
         assert p_cl.sum() == pytest.approx(1.0, abs=1e-10)
+        assert delta_max(df).per_subset[0b111] == 0.0
 
     def test_final_time_only(self):
         config = ModelConfig(v_minus=1, hamiltonian_seed=5)
@@ -168,7 +181,7 @@ class TestMarginals:
         psi0 = sample_haar_state(coarsening, (0.2, 0.6, 0.2), 1)
         grid = HistoryGrid.constant(2, 3.0)
         df = compute_df(compute_branch_states(sd, coarsening, psi0, grid))
-        p, p_cl = marginal_probabilities(df, (2,))
+        p, p_cl = subset_probabilities(df, (2,))
         assert p.shape == (3,)
         psi_final = evolve_batch(sd, evolve_batch(sd, psi0[None], 3.0), 3.0)[0]
         for z, (a, b) in enumerate(coarsening.ranges):
@@ -176,13 +189,16 @@ class TestMarginals:
             assert p[z] == pytest.approx(born, abs=1e-10)
         assert p.sum() == pytest.approx(1.0, abs=1e-10)
         assert p_cl.sum() == pytest.approx(1.0, abs=1e-10)
+        expected = trace_distance(p, p_cl)
+        assert delta_max(df).per_subset[0b100] == pytest.approx(expected, abs=1e-12)
 
     def test_requires_final_time(self):
         df, *_ = make_df()
         with pytest.raises(ValueError):
-            marginal_probabilities(df, (0, 1))
+            subset_probabilities(df, (0, 1))
         with pytest.raises(ValueError):
-            marginal_probabilities(df, (-1, df.length - 1))
+            subset_probabilities(df, (-1, df.length - 1))
+        assert all(mask >> (df.length - 1) & 1 for mask in delta_max(df).per_subset)
 
     def test_against_projected_chain_oracle(self):
         # Born weights of a marginalized functional equal probabilities
@@ -190,13 +206,15 @@ class TestMarginals:
         df, ham, coarsening, psi0 = make_df(v_minus=1, seed=6, num_steps=3, step=2.0)
         projs = range_projectors(coarsening.ranges)
         kept = (1, 3)
-        p, _ = marginal_probabilities(df, kept)
+        p, p_cl = subset_probabilities(df, kept)
         for labels in itertools.product((0, 1, 2), repeat=2):
             expected = born_probability_subset(
                 ham.matrix, projs, df.grid.times, psi0, kept, labels
             )
             code = labels[0] + 3 * labels[1]
             assert p[code] == pytest.approx(expected, abs=1e-10)
+        expected = trace_distance(p, p_cl)
+        assert delta_max(df).per_subset[0b1010] == pytest.approx(expected, abs=1e-12)
 
     def test_matches_loop_oracle(self, functional_l4):
         # At every length the blocks that mix final labels are exact
@@ -207,22 +225,43 @@ class TestMarginals:
             assert np.abs(df.entries[:b, b:]).max() == 0.0
             weights = np.diag(df.diagonal())
             n = length - 1
+            per_subset = delta_max(df).per_subset
             for prefix_bits in range(2**n):
                 kept = tuple(k for k in range(n) if prefix_bits >> k & 1) + (n,)
-                p, p_cl = marginal_probabilities(df, kept)
+                p, p_cl = subset_probabilities(df, kept)
                 born = marginal_by_loops(df.entries, length, kept).diagonal()
                 classical = marginal_by_loops(weights, length, kept).diagonal()
                 assert np.abs(p - born).max() <= 1e-12
                 assert np.abs(p_cl - classical).max() <= 1e-12
+                expected = trace_distance(born.real, classical.real)
+                assert abs(per_subset[prefix_bits | 1 << n] - expected) <= 1e-12
 
     def test_classical_reduction(self):
         df, *_ = make_df(v_minus=2, seed=8, num_steps=2)
-        _, p_cl = marginal_probabilities(df, (0, 2))
+        _, p_cl = subset_probabilities(df, (0, 2))
         full = df.diagonal()
         for code in range(9):
             x0, x2 = decode_history(code, 2)
             expected = sum(full[x0 + 3 * mid + 9 * x2] for mid in range(3))
             assert p_cl[code] == pytest.approx(expected, abs=1e-12)
+
+
+def _delta_case(case, length):
+    """A functional of `length` times on D=10 for one oracle case."""
+    ensemble = Ensemble.GUE if case == "gue" else Ensemble.GOE
+    config = ModelConfig(v_minus=2, ensemble=ensemble, hamiltonian_seed=4)
+    sd = eigendecompose(build_hamiltonian(config))
+    coarsening = build_coarsening(config)
+    if case == "rotated":
+        projs = rotated_projectors(config.block_layout, seed=5)
+        coarsening = Coarsening(ranges=config.block_layout, projectors=tuple(projs))
+    if case == "eigenstate":
+        psi0 = select_eigenstate(sd, 3)[0]
+    else:
+        weights = (1.0, 0.0, 0.0) if case == "all_minus" else (0.2, 0.6, 0.2)
+        psi0 = sample_haar_state(coarsening, weights, 7)
+    grid = HistoryGrid.constant(length - 1, 1.5)
+    return compute_df(compute_branch_states(sd, coarsening, psi0, grid))
 
 
 class TestTraceDistance:
@@ -250,6 +289,43 @@ class TestTraceDistance:
         df, *_ = make_df(num_steps=0)
         report = delta_max(df)
         assert report.delta_max == 0.0
+
+
+class TestDeltaMax:
+    @pytest.mark.parametrize("case", ["goe", "gue", "all_minus", "eigenstate", "rotated"])
+    @pytest.mark.parametrize("length", range(1, 7))
+    def test_every_subset_matches_definition(self, case, length):
+        df = _delta_case(case, length)
+        report = delta_max(df)
+        expected = delta_by_subsets(df)
+        assert list(report.per_subset) == list(expected)
+        for mask, dist in expected.items():
+            assert abs(report.per_subset[mask] - dist) <= 1e-12
+
+    def test_imaginary_residue_raises(self):
+        df = _delta_case("goe", 3)
+        # An anti-Hermitian shift gives every Born value an imaginary part.
+        shifted = DecoherenceFunctional(blocks=df.blocks + 1e-6j, grid=df.grid)
+        with pytest.raises(RuntimeError):
+            delta_max(shifted)
+
+    def test_exact_tie_returns_first_mask(self):
+        # An all-minus start has only label 0 at t_0, so keeping t_0 and
+        # dropping it give exactly the same probabilities.
+        for length in range(2, 7):
+            report = delta_max(_delta_case("all_minus", length))
+            for mask, dist in report.per_subset.items():
+                assert report.per_subset[mask | 1] == dist
+            tied = [m for m, v in report.per_subset.items() if v == report.delta_max]
+            assert report.argmax_subset == min(tied)
+            assert not report.argmax_subset & 1
+        # A classical functional ties every subset at zero.
+        df = _delta_case("goe", 4)
+        classical = np.zeros_like(df.blocks)
+        np.einsum("cii->ci", classical)[...] = np.einsum("cii->ci", df.blocks)
+        report = delta_max(DecoherenceFunctional(blocks=classical, grid=df.grid))
+        assert report.delta_max == 0.0
+        assert report.argmax_subset == 1 << 3
 
 
 def assert_matches_loop_oracle(df):

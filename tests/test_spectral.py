@@ -14,6 +14,7 @@ from dechist.model import (
     build_hamiltonian,
     derive_coupling,
 )
+from dechist.histories import _split
 from dechist.spectral import (
     apply_projector_batch,
     eigendecompose,
@@ -123,28 +124,27 @@ class TestEvolve:
 
     @pytest.mark.parametrize("ensemble", [Ensemble.GOE, Ensemble.GUE])
     def test_band_ranges_match_full_rows(self, ensemble):
-        # Three chunks of three rows, chunk x supported on band x, with
-        # exact-zero rows in two chunks; the band-sliced forward
-        # transform must agree with the full-row one.
+        # Each row's three band slices evolve label-major, as the split
+        # rows would on all columns; rows 1 and 2 vanish on some bands,
+        # so slices 0*3+1, 1*3+2 and 2*3+2 are exact zeros.
         config, _, sd = model_parts(v_minus=3, seed=4, ensemble=ensemble)
-        ranges = config.block_layout
+        coarsening = build_coarsening(config)
         rng = np.random.default_rng(6)
-        states = np.zeros((9, sd.dimension), dtype=complex)
-        for x, (a, b) in enumerate(ranges):
-            states[3 * x : 3 * x + 3, a:b] = rng.standard_normal(
-                (3, b - a)
-            ) + 1j * rng.standard_normal((3, b - a))
-        states[[1, 6, 8]] = 0.0
-        banded = evolve_batch(sd, states, 1.3, ranges=ranges)
-        full = evolve_batch(sd, states, 1.3)
+        states = rng.standard_normal((3, sd.dimension)) + 1j * rng.standard_normal(
+            (3, sd.dimension)
+        )
+        a, b = config.block_layout[0]
+        states[1, a:b] = 0.0
+        states[2, config.block_layout[1][0]:] = 0.0
+        split = _split(coarsening, states)
+        banded = evolve_batch(sd, states, 1.3, ranges=config.block_layout)
+        full = evolve_batch(sd, split, 1.3)
+        assert banded.shape == (9, sd.dimension)
         assert np.abs(banded - full).max() <= 1e-12
-        assert np.all(banded[[1, 6, 8]] == 0)
-        assert np.all(np.any(banded[[0, 2, 3, 4, 5, 7]] != 0, axis=1))
-
-    def test_ranges_must_split_rows_evenly(self):
-        config, _, sd = model_parts()
-        with pytest.raises(ValueError):
-            evolve_batch(sd, np.ones((4, sd.dimension)), 1.0, ranges=config.block_layout)
+        assert np.all(banded[[1, 5, 8]] == 0)
+        assert np.all(np.any(banded[[0, 2, 3, 4, 6, 7]] != 0, axis=1))
+        zero_time = evolve_batch(sd, states, 0.0, ranges=config.block_layout)
+        np.testing.assert_array_equal(zero_time, split)
 
 
 class TestProjectors:
