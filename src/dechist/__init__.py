@@ -20,10 +20,8 @@ from .spectral import (
     select_eigenstate,
 )
 from .histories import (
-    BranchStates,
     DecoherenceFunctional,
     HistoryGrid,
-    compute_branch_states,
     compute_df,
     decode_history,
     history_string,

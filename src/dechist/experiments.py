@@ -5,9 +5,9 @@ chooses the initial states.  A sweep runs one realization per (dimension,
 hamiltonian seed, state seed) triple, computes a single decoherence
 functional at the longest grid, and derives every shorter-grid record
 from it by trailing marginalization.  Every functional comes from
-_functionals, which grows the branch trees of a batch of state seeds of
-one matrix together; a single seed is a batch of one, and the sweep
-sizes its batches in _run_group.  Records stream to a JSONL file in
+_functionals, which passes a batch of state seeds of one matrix to one
+compute_df call; a single seed is a batch of one, and the sweep sizes
+its batches in _run_group.  Records stream to a JSONL file in
 group order as groups finish, so an interrupted sweep resumes without
 recomputing completed keys.
 
@@ -62,7 +62,6 @@ from .spectral import (
 from .histories import (
     HistoryGrid,
     MAX_LENGTH,
-    compute_branch_states,
     compute_df,
     marginalize,
 )
@@ -169,12 +168,11 @@ class SweepSpec:
                     )
             if any(a >= b for a, b in zip(self.d_grid, self.d_grid[1:])):
                 raise ValueError("d_grid must be strictly ascending")
-        # ModelConfig checks v_minus, delta_e and smallness_target.
-        ModelConfig(
-            v_minus=self.v_minus if self.d_grid is None else self.d_grid[0] // 5,
-            delta_e=self.delta_e,
-            smallness_target=self.smallness_target,
-        )
+        # ModelConfig checks v_minus, delta_e, smallness_target and their scales.
+        for d in self.d_grid or (5 * self.v_minus,):
+            for regime in Regime:
+                ModelConfig(d // 5, self.delta_e, regime,
+                            smallness_target=self.smallness_target)
         if self.num_hamiltonian_seeds < 1 or self.num_state_seeds < 1:
             raise ValueError("seed counts must be at least 1")
         if self.base_seed < 0:
@@ -516,12 +514,9 @@ def compute_realization_df(
     spec: SweepSpec, d: int, h_index: int, s_index: int,
     hamiltonian: BlockHamiltonian | None = None, sd: SpectralDecomposition | None = None,
 ):
-    """Decoherence functional of one realization at the full grid, from
-    the first start of _prepare (which takes the same optional
-    decomposition).  Returns (df, coarsening, eigenstate_index).
-
-    `hamiltonian` is not read.
-    """
+    """(df, coarsening, eigenstate_index) of one realization at the full grid,
+    from the first start of _prepare, which takes the same optional
+    decomposition; `hamiltonian` is not read."""
     return _functionals(spec, d, h_index, (s_index,), sd)[0]
 
 
@@ -529,19 +524,15 @@ def _functionals(
     spec: SweepSpec, d: int, h_index: int, s_indices: tuple[int, ...],
     sd: SpectralDecomposition | None = None,
 ) -> list[tuple]:
-    """compute_realization_df of state seeds on one grid, their branch
-    trees grown together from a stack of first starts.
-
-    The trees are dropped on return, so only the functionals outlive it.
-    """
+    """compute_realization_df of state seeds on one grid, their functionals
+    computed in one compute_df call on the stack of first starts."""
     prepared = [_prepare(spec, d, h_index, s, sd) for s in s_indices]
     tau, sd, coarsening, _ = prepared[0]
     psi0 = np.stack([starts[0][1] for *_, starts in prepared])
     grid = _make_grid(spec, tau, h_index, s_indices[0])
-    trees = compute_branch_states(sd, coarsening, psi0, grid)
     return [
-        (compute_df(tree), coarsening, starts[0][2])
-        for tree, (*_, starts) in zip(trees, prepared)
+        (df, coarsening, starts[0][2])
+        for df, (*_, starts) in zip(compute_df(sd, coarsening, psi0, grid), prepared)
     ]
 
 

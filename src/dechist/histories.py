@@ -1,17 +1,19 @@
-"""Branch states over a time grid and the decoherence functional.
+"""Branch trees over a time grid and the decoherence functional.
 
 A history x = (x_0, ..., x_n) assigns one macrostate label per grid
 time.  Its branch state is Pi_{x_n} U ... Pi_{x_1} U Pi_{x_0} |psi>,
-and the decoherence functional collects all pairwise branch overlaps
+where Pi_x is the index-range mask of energy band x, and the
+decoherence functional collects all pairwise branch overlaps
 <psi(y)|psi(x)>.  Histories are encoded as base-3 integers with x_0 as
 the least significant digit.
 
-Histories whose final labels differ have orthogonal branches, so the
-functional is stored as its three final-label blocks, never as the
-two-thirds-zero 3^L x 3^L matrix.  A branch tree is kept before its
+compute_df goes from a stack of starts to their functionals in one
+call; one start is a stack of one.  Histories whose final labels differ
+have orthogonal branches, so each functional is stored as its three
+final-label blocks, never as the two-thirds-zero 3^L x 3^L matrix.
+The branch tree is grown for all starts together and kept before its
 last projection: each block reads one band of the last level, so the
-two-thirds-zero leaf array is never built either.  Several starts on
-one matrix and grid grow their trees in one pass.
+two-thirds-zero leaf array is never built either.
 """
 
 from __future__ import annotations
@@ -23,16 +25,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .model import MACROSTATE_LABELS, NUM_MACROSTATES, Coarsening
-from .spectral import SpectralDecomposition, apply_projector_batch, evolve_batch
+from .spectral import SpectralDecomposition, evolve_batch
 
 __all__ = [
     "MAX_LENGTH",
     "HistoryGrid",
-    "BranchStates",
     "DecoherenceFunctional",
     "decode_history",
     "history_string",
-    "compute_branch_states",
     "compute_df",
     "marginalize",
 ]
@@ -40,8 +40,7 @@ __all__ = [
 M = NUM_MACROSTATES
 MAX_LENGTH = 6
 
-# Cap on a branch tree's largest array (3^L * D complex entries for
-# one start): 2 GiB.
+# Byte cap on the last level of a stack's trees, 3^(L-1) * D * S complex entries.
 MEMORY_BUDGET = 2 << 30
 
 
@@ -135,79 +134,38 @@ def _distance_bins(length: int) -> tuple[np.ndarray, ...]:
     return bins
 
 
-def _split(coarsening: Coarsening, rows: np.ndarray) -> np.ndarray:
-    """The three projections of stacked rows, label x's copies x-th.
-
-    A child with label x at time t_k then sits at parent_code + x * 3^k.
-    """
-    return np.concatenate(
-        [apply_projector_batch(coarsening, x, rows) for x in range(M)], axis=0
-    )
-
-
-@dataclass(frozen=True)
-class BranchStates:
-    """Branch tree of one start on one grid, kept before its last split.
-
-    Row h of `final` is the branch of the code h of (x_0, ..., x_{L-2})
-    evolved to t_{L-1}; projecting it on x_{L-1} gives the leaf of the
-    history with code h + x_{L-1} * 3^(L-1).  Zero-norm branches are
-    zero rows, never pruned, so `final` is always (3^(L-1), D).
-    """
-
-    final: np.ndarray
-    coarsening: Coarsening
-    grid: HistoryGrid
-
-    @property
-    def states(self) -> np.ndarray:
-        """All (3^L, D) leaves indexed by encoded history, built on demand."""
-        return _split(self.coarsening, self.final)
-
-
-def compute_branch_states(
+def _branch_tree(
     sd: SpectralDecomposition,
     coarsening: Coarsening,
-    psi0: np.ndarray,
+    starts: np.ndarray,
     grid: HistoryGrid,
-) -> BranchStates | list[BranchStates]:
-    """Grow the branch tree level by level: split, then propagate.
+) -> np.ndarray:
+    """Last level of the branch trees of (S, D) starts, as (3^(L-1), S, D).
 
-    Each live tree node is split by the three projectors and evolved
-    once, so the work is at most sum_k 3^k propagations rather than
-    L * 3^L; nodes that are exactly zero (a start with no weight in
-    some band) are never evolved.  Under the band masks a child is its
-    parent's band slice, so each level is evolved straight from the
-    band slices of the one before, and no split copy is built.  The
-    split at t_{L-1} is left to the readers of the tree.
+    Each level evolves the band slices of the rows of the one before, so
+    no split copy is built, each live node is evolved once (at most
+    sum_k 3^k propagations, not L * 3^L) and exactly-zero nodes (a start
+    with no weight in some band) never are.  Rows are ordered
+    [labels][start], so each level reads the eigenvector matrix once for
+    all starts and the band chunks stay contiguous.
 
-    A (S, D) stack of starts grows S trees in the same loop, which
-    reads the eigenvector matrix once per level for all of them: a
-    level's rows are ordered [labels][start], so the band chunks stay
-    contiguous.  It returns S BranchStates whose `final` are views into
-    one array.
+    Entry [h, s] is start s's branch of the code h of (x_0, ...,
+    x_{L-2}) at t_{L-1}; its band-x slice is the leaf of the history
+    h + x * 3^(L-1).  Zero-norm branches are zero rows, never pruned.
     """
-    d = sd.dimension
-    length = grid.length
-    starts = np.array(psi0, dtype=np.complex128, ndmin=2)
-    # The larger of the last level of all starts and one start's leaves.
-    needed = 16 * d * max(M ** (length - 1) * len(starts), M**length)
+    starts = np.array(starts, dtype=np.complex128)
+    num_starts, d = starts.shape
+    needed = 16 * d * M ** (grid.length - 1) * num_starts
     if needed > MEMORY_BUDGET:
         raise MemoryError(
-            f"branch tree needs {needed} bytes for {len(starts)} start(s) with "
-            f"3^{length} x {d} leaves, budget is {MEMORY_BUDGET}"
+            f"branch tree needs {needed} bytes for {num_starts} start(s) with "
+            f"3^{grid.length - 1} x {d} branches each, budget is {MEMORY_BUDGET}"
         )
-    final = starts
-    for k in range(1, length):
+    level = starts
+    for k in range(1, grid.length):
         dt = grid.times[k] - grid.times[k - 1]
-        if coarsening.is_dense:
-            final = evolve_batch(sd, _split(coarsening, final), dt)
-        else:
-            final = evolve_batch(sd, final, dt, ranges=coarsening.ranges)
-    if np.ndim(psi0) == 1:
-        return BranchStates(final=final, coarsening=coarsening, grid=grid)
-    final = final.reshape(-1, len(starts), d)
-    return [BranchStates(final[:, s], coarsening, grid) for s in range(len(starts))]
+        level = evolve_batch(sd, level, dt, ranges=coarsening.ranges)
+    return level.reshape(-1, num_starts, d)
 
 
 @dataclass(frozen=True)
@@ -239,22 +197,28 @@ class DecoherenceFunctional:
         return np.einsum("cii->ci", self.blocks).real.ravel()
 
 
-def compute_df(branches: BranchStates) -> DecoherenceFunctional:
-    """Assemble the three final-label blocks from a branch tree.
+def compute_df(
+    sd: SpectralDecomposition,
+    coarsening: Coarsening,
+    starts: np.ndarray,
+    grid: HistoryGrid,
+) -> list[DecoherenceFunctional]:
+    """Decoherence functionals of (S, D) starts on one matrix and grid.
 
-    Block c needs the last level projected on c: under the band masks
-    that is band c's columns of `final`, so no leaf array is built; a
-    dense projector is applied first.
+    The branch trees of all starts grow together (see _branch_tree).
+    Block c of a functional needs the last level projected on c, which
+    is band c's columns of that level, so no leaf array is built.
     """
-    final, coarsening = branches.final, branches.coarsening
-    blocks = np.empty((M, final.shape[0], final.shape[0]), dtype=np.complex128)
-    for c, (a, b) in enumerate(coarsening.ranges):
-        f = final[:, a:b]
-        if coarsening.is_dense:
-            f = apply_projector_batch(coarsening, c, final)
-        # entry(x, y) = <psi_y | psi_x> = sum_i psi_x[i] conj(psi_y[i]).
-        blocks[c] = f @ f.conj().T
-    return DecoherenceFunctional(blocks=blocks, grid=branches.grid)
+    level = _branch_tree(sd, coarsening, starts, grid)
+    functionals = []
+    for final in level.transpose(1, 0, 2):
+        blocks = np.empty((M, len(final), len(final)), dtype=np.complex128)
+        for c, (a, b) in enumerate(coarsening.ranges):
+            f = final[:, a:b]
+            # entry(x, y) = <psi_y | psi_x> = sum_i psi_x[i] conj(psi_y[i]).
+            blocks[c] = f @ f.conj().T
+        functionals.append(DecoherenceFunctional(blocks=blocks, grid=grid))
+    return functionals
 
 
 def marginalize(

@@ -111,6 +111,16 @@ class ModelConfig:
             )
         if self.hamiltonian_seed < 0:
             raise ValueError("hamiltonian_seed must be non-negative")
+        try:  # in-range values can still under- or overflow the scales they set
+            c = derive_coupling(self)
+            ok = all(0 < x < math.inf for x in (c.lam, c.tau, 2 * self.delta_e))
+        except ArithmeticError:
+            ok = False
+        if not ok:
+            raise ValueError(f"delta_e={self.delta_e} and smallness_target="
+                             f"{self.smallness_target} give no finite positive lambda,"
+                             f" tau and ladder top 2*delta_e at D={self.dimension}"
+                             f" ({self.regime.value} regime)")
 
     @property
     def v_zero(self) -> int:
@@ -240,22 +250,14 @@ def build_hamiltonian(config: ModelConfig) -> BlockHamiltonian:
 
 @dataclass(frozen=True)
 class Coarsening:
-    """Three-outcome projective coarse-graining of the shell.
-
-    The band coarse-graining uses index-range masks and `projectors` is
-    None.  A coarsening that does not commute with the band layout (for
-    example projectors onto groups of energy eigenvectors) carries dense
-    rank-V_x Hermitian idempotents instead.
-    """
+    """Three-outcome coarse-graining: macrostate x projects onto the basis
+    states ranges[x], the (-, 0, +) energy bands of the block layout."""
 
     ranges: tuple[tuple[int, int], ...]
-    projectors: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self) -> None:
         if len(self.ranges) != NUM_MACROSTATES:
             raise ValueError("coarsening needs exactly three macrostates")
-        if self.projectors is not None and len(self.projectors) != NUM_MACROSTATES:
-            raise ValueError("need one projector per macrostate")
 
     @property
     def dimension(self) -> int:
@@ -264,10 +266,6 @@ class Coarsening:
     @property
     def volumes(self) -> tuple[int, ...]:
         return tuple(stop - start for start, stop in self.ranges)
-
-    @property
-    def is_dense(self) -> bool:
-        return self.projectors is not None
 
 
 def build_coarsening(config: ModelConfig) -> Coarsening:

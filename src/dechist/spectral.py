@@ -128,14 +128,10 @@ def evolve_batch(
 def apply_projector_batch(
     coarsening: Coarsening, label: int, states: np.ndarray
 ) -> np.ndarray:
-    """Apply the projector of macrostate `label` to stacked row states."""
+    """Apply the band mask of macrostate `label` to stacked row states."""
     if not 0 <= label < NUM_MACROSTATES:
         raise ValueError(f"macrostate label out of range: {label}")
     states = np.asarray(states, dtype=np.complex128)
-    if coarsening.is_dense:
-        p = coarsening.projectors[label]
-        # Rows transform with P^T; P is Hermitian so P^T == conj(P).
-        return states @ p.conj()
     out = np.zeros_like(states)
     start, stop = coarsening.ranges[label]
     out[:, start:stop] = states[:, start:stop]
@@ -160,18 +156,11 @@ def sample_haar_state(
     for label, p in enumerate(w):
         if p == 0.0:
             continue
-        if coarsening.is_dense:
-            z = rng.standard_normal(coarsening.dimension) + 1j * rng.standard_normal(
-                coarsening.dimension
-            )
-            z = apply_projector_batch(coarsening, label, z[None])[0]
-        else:
-            start, stop = coarsening.ranges[label]
-            block = rng.standard_normal(stop - start) + 1j * rng.standard_normal(
-                stop - start
-            )
-            z = np.zeros(coarsening.dimension, dtype=np.complex128)
-            z[start:stop] = block
+        start, stop = coarsening.ranges[label]
+        z = np.zeros(coarsening.dimension, dtype=np.complex128)
+        z[start:stop] = rng.standard_normal(stop - start) + 1j * rng.standard_normal(
+            stop - start
+        )
         norm = np.linalg.norm(z)
         if norm == 0.0:
             raise ValueError(f"macrostate {label} has weight {p} but no support")

@@ -5,9 +5,8 @@ from __future__ import annotations
 import pytest
 
 from dechist import experiments
-from dechist.histories import HistoryGrid, compute_branch_states, compute_df
+from dechist.histories import HistoryGrid, compute_df
 from dechist.model import (
-    Coarsening,
     Ensemble,
     ModelConfig,
     build_coarsening,
@@ -15,7 +14,7 @@ from dechist.model import (
 )
 from dechist.spectral import eigendecompose, sample_haar_state
 
-from oracles import rotated_projectors
+from oracles import functional_by_chains, rotated_projectors
 
 
 @pytest.fixture(params=["goe", "gue", "rotated"])
@@ -23,18 +22,19 @@ def functional_l4(request):
     """Four-time functional under GOE or GUE band masks, or rotated projectors.
 
     The rotated projectors commute with neither H nor the band masks, so
-    no block of the functional is forced to zero.
+    no block of the functional is forced to zero; the package computes
+    band masks only, so that functional comes from the chain oracle.
     """
     ensemble = Ensemble.GUE if request.param == "gue" else Ensemble.GOE
     config = ModelConfig(v_minus=2, ensemble=ensemble, hamiltonian_seed=3)
     coarsening = build_coarsening(config)
-    if request.param == "rotated":
-        projs = rotated_projectors(config.block_layout, seed=11)
-        coarsening = Coarsening(ranges=config.block_layout, projectors=tuple(projs))
-    sd = eigendecompose(build_hamiltonian(config))
+    ham = build_hamiltonian(config)
     psi0 = sample_haar_state(coarsening, (0.2, 0.6, 0.2), 6)
     grid = HistoryGrid.constant(3, 2.0)
-    return compute_df(compute_branch_states(sd, coarsening, psi0, grid))
+    if request.param == "rotated":
+        projs = rotated_projectors(config.block_layout, seed=11)
+        return functional_by_chains(ham.matrix, projs, grid, psi0)
+    return compute_df(eigendecompose(ham), coarsening, psi0[None], grid)[0]
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 from scipy.linalg import expm
 
-from dechist.histories import decode_history
+from dechist.histories import DecoherenceFunctional, decode_history
 
 
 def propagator(h: np.ndarray, dt: float) -> np.ndarray:
@@ -76,6 +76,32 @@ def df_by_chains(h, projectors, times, psi0) -> np.ndarray:
         for y in range(n):
             out[x, y] = np.vdot(branches[y], branches[x])
     return out
+
+
+def functional_by_chains(h, projectors, grid, psi0) -> DecoherenceFunctional:
+    """df_by_chains on the grid's times, kept as its three final-label blocks.
+
+    The entries that mix final labels are left out, as the package
+    leaves them out; for complete orthogonal projectors they vanish.
+    """
+    entries = df_by_chains(h, projectors, grid.times, psi0)
+    b = len(entries) // 3
+    blocks = np.einsum("ijik->ijk", entries.reshape(3, b, 3, b))
+    return DecoherenceFunctional(blocks=np.ascontiguousarray(blocks), grid=grid)
+
+
+def leaves(final, ranges) -> np.ndarray:
+    """Band slices of the rows of a branch-tree level, label-major.
+
+    Row h + x * n of the (3n, D) result is row h of the (n, D) level
+    masked to ranges[x], zero elsewhere.  For the last level of one
+    start these are all 3^L leaves, row = encoded history.
+    """
+    final = np.asarray(final, dtype=complex)
+    out = np.zeros((len(ranges),) + final.shape, dtype=complex)
+    for x, (start, stop) in enumerate(ranges):
+        out[x, :, start:stop] = final[:, start:stop]
+    return out.reshape(-1, final.shape[-1])
 
 
 def marginal_by_loops(entries, length, kept) -> np.ndarray:

@@ -19,9 +19,9 @@ from dechist.experiments import (
     fit_points,
     run_sweep,
 )
+from dechist import histories
 from dechist.histories import (
     HistoryGrid,
-    compute_branch_states,
     compute_df,
     marginalize,
 )
@@ -36,7 +36,7 @@ from dechist.model import (
 )
 from dechist.spectral import eigendecompose, evolve_batch, sample_haar_state
 
-from oracles import df_by_chains, range_projectors
+from oracles import df_by_chains, leaves, range_projectors
 
 D_GRID = (5, 50, 500, 5000)
 BASE_SEED = 0
@@ -261,15 +261,15 @@ def test_criterion_9_functional_invariants(capsys):
     worst_herm = worst_trace = worst_cs = worst_sum = 0.0
     for v_minus in (10, 100):  # D = 50 and D = 500
         sd, coarsening, psi0, grid = haar_realization(v_minus, 17, 23)
-        branches = compute_branch_states(sd, coarsening, psi0, grid)
-        df = compute_df(branches)
+        final = histories._branch_tree(sd, coarsening, psi0[None], grid)[:, 0]
+        df = compute_df(sd, coarsening, psi0[None], grid)[0]
         entries = df.entries
         worst_herm = max(worst_herm, float(np.abs(entries - entries.conj().T).max()))
         worst_trace = max(worst_trace, abs(float(np.trace(entries).real) - 1.0))
         diag = df.diagonal()
         bound = np.sqrt(np.outer(diag, diag))
         worst_cs = max(worst_cs, float((np.abs(entries) - bound).max()))
-        total = branches.states.sum(axis=0)
+        total = leaves(final, coarsening.ranges).sum(axis=0)
         expected = psi0
         for k in range(1, grid.length):
             dt = grid.times[k] - grid.times[k - 1]
@@ -294,14 +294,12 @@ def test_criterion_9_containment(capsys):
     worst = 0.0
     for v_minus in (10, 100):
         sd, coarsening, psi0, grid = haar_realization(v_minus, 29, 31)
-        df = compute_df(compute_branch_states(sd, coarsening, psi0, grid))
+        df = compute_df(sd, coarsening, psi0[None], grid)[0]
         for keep in (2, 3, 4):
             reduced = marginalize(df, range(keep))
             short = compute_df(
-                compute_branch_states(
-                    sd, coarsening, psi0, HistoryGrid.from_times(grid.times[:keep])
-                )
-            )
+                sd, coarsening, psi0[None], HistoryGrid.from_times(grid.times[:keep])
+            )[0]
             worst = max(worst, float(np.abs(reduced.entries - short.entries).max()))
     ok = worst <= 1e-10
     announce(
@@ -323,9 +321,7 @@ def test_criterion_9_commuting_coarsening(capsys):
     sd = eigendecompose(ham)
     coarsening = build_coarsening(config)
     psi0 = sample_haar_state(coarsening, (0.2, 0.6, 0.2), 37)
-    df = compute_df(
-        compute_branch_states(sd, coarsening, psi0, HistoryGrid.constant(4, 1.0))
-    )
+    df = compute_df(sd, coarsening, psi0[None], HistoryGrid.constant(4, 1.0))[0]
     eps = epsilon_average(df).epsilon_avg
     dmax = delta_max(df).delta_max
     ok = eps <= 1e-12 and dmax <= 1e-12
@@ -350,7 +346,7 @@ def test_criterion_9_operator_chain_oracle(capsys):
                 coarsening, tuple(v / d for v in config.volumes), 1000 + seed
             )
             grid = HistoryGrid.constant(2, coupling.tau)
-            df = compute_df(compute_branch_states(sd, coarsening, psi0, grid))
+            df = compute_df(sd, coarsening, psi0[None], grid)[0]
             oracle = df_by_chains(
                 ham.matrix, range_projectors(coarsening.ranges), grid.times, psi0
             )

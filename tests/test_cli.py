@@ -486,6 +486,23 @@ class TestErrorSurface:
         assert err.count("\n") == 1
         assert "plots" in err
 
+    @pytest.mark.parametrize(
+        "model",
+        [{"delta_e": 1e-320}, {"smallness_target": 1e-320}, {"delta_e": 1e308}],
+        ids=["tiny-delta_e", "tiny-smallness_target", "huge-delta_e"],
+    )
+    def test_unusable_derived_scales_fail_validation(self, tmp_path, capsys, model):
+        # Each value passes its own range check, but the coupling, the
+        # relaxation time or the ladder top is zero or not finite.
+        (key,) = model
+        config = write_config(tmp_path, model={"v_minus": 1, **model})
+        assert main(["histogram", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:")
+        assert err.count("\n") == 1
+        assert f"{key}=" in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["dynamics", "--config", str(tmp_path / "gone.json")]) == 2
         assert capsys.readouterr().err.startswith("error: config:")

@@ -32,7 +32,7 @@ from dechist.experiments import (
     fit_points,
     run_sweep,
 )
-from dechist.histories import HistoryGrid, compute_branch_states, compute_df
+from dechist.histories import HistoryGrid, compute_df
 from dechist.metrics import (
     arrow_classification,
     branch_histogram,
@@ -182,7 +182,7 @@ class TestRunRealization:
             full = HistoryGrid.constant(num_steps, tau)
             for length in range(2, num_steps + 2):
                 short = HistoryGrid.from_times(full.times[:length])
-                df = compute_df(compute_branch_states(sd, coarsening, psi0, short))
+                df = compute_df(sd, coarsening, psi0[None], short)[0]
                 eps = epsilon_average(df)
                 dist = delta_max(df)
                 arrow = arrow_classification(df, coarsening)
@@ -220,6 +220,21 @@ class TestRunRealization:
         both = small_spec(weights=first + ((1.0, 0.0, 0.0),))
         again, _, _ = experiments.compute_realization_df(both, 5, 0, 0)
         assert np.array_equal(again.entries, df.entries)
+
+    def test_hamiltonian_and_decomposition_passed_positionally(self):
+        # perfbench/make_reference.py calls it this way; the hamiltonian
+        # is not read, and the functional equals the one from the store.
+        spec = small_spec()
+        config = spec.model_config(5, 0)
+        hamiltonian = build_hamiltonian(config)
+        sd = eigendecompose(hamiltonian)
+        df, coarsening, index = experiments.compute_realization_df(
+            spec, 5, 0, 0, hamiltonian, sd
+        )
+        stored, _, _ = experiments.compute_realization_df(spec, 5, 0, 0)
+        assert np.array_equal(df.blocks, stored.blocks)
+        assert coarsening == build_coarsening(config)
+        assert index is None
 
     def test_random_spacing_deterministic(self):
         spec = small_spec(step_mode=RandomSpacing(0.5, 1.5))
@@ -350,6 +365,34 @@ class TestRunSweep:
         with pytest.raises(json.JSONDecodeError):
             run_sweep(spec, output_dir=out)
 
+    def test_resume_after_truncation_at_every_line_boundary(self, tmp_path):
+        # An interrupted append can cut the stream anywhere; cut it one
+        # byte before, at and one byte after every record boundary.
+        spec = SweepSpec(
+            d_grid=(5, 10), num_hamiltonian_seeds=2, num_state_seeds=2,
+            base_seed=27, num_steps=2,
+        )
+        full_dir = tmp_path / "full"
+        full = [strip_wall(r) for r in run_sweep(spec, output_dir=full_dir)]
+        raw = (full_dir / "realizations.jsonl").read_bytes()
+
+        def records(data: bytes) -> list[dict]:
+            lines = [json.loads(line) for line in data.splitlines()]
+            return [{k: v for k, v in r.items() if k != "wall_time_s"} for r in lines]
+
+        ends = [0] + [i + 1 for i, byte in enumerate(raw) if byte == ord("\n")]
+        assert len(ends) == 9
+        cuts = sorted({e + k for e in ends for k in (-1, 0, 1) if 0 <= e + k <= len(raw)})
+        for cut in cuts:
+            out = tmp_path / f"cut{cut}"
+            shutil.copytree(full_dir, out)
+            (out / "realizations.jsonl").write_bytes(raw[:cut])
+            again = run_sweep(spec, output_dir=out)
+            assert [strip_wall(r) for r in again] == full, cut
+            resumed = (out / "realizations.jsonl").read_bytes()
+            assert resumed.endswith(b"\n"), cut
+            assert records(resumed) == records(raw), cut
+
     def test_crashed_worker_keeps_finished_groups(self, tmp_path, monkeypatch):
         spec = small_spec(d_grid=(5, 10), num_hamiltonian_seeds=2, base_seed=19)
         out = tmp_path / "sweep"
@@ -456,13 +499,13 @@ def count_eigensolves(monkeypatch) -> list[bytes]:
 def _tree_shapes(monkeypatch) -> list[tuple[int, ...]]:
     """Shape of the starts of every branch tree the sweep grows."""
     shapes = []
-    grow = experiments.compute_branch_states
+    grow = experiments.compute_df
 
-    def recording(sd, coarsening, psi0, grid):
-        shapes.append(np.shape(psi0))
-        return grow(sd, coarsening, psi0, grid)
+    def recording(sd, coarsening, starts, grid):
+        shapes.append(np.shape(starts))
+        return grow(sd, coarsening, starts, grid)
 
-    monkeypatch.setattr(experiments, "compute_branch_states", recording)
+    monkeypatch.setattr(experiments, "compute_df", recording)
     return shapes
 
 
@@ -529,14 +572,14 @@ class TestStateSeedBatches:
 
     def test_failed_batch_is_rerun_one_seed_at_a_time(self, monkeypatch):
         spec = small_spec(d_grid=(50,), num_steps=1, num_state_seeds=2)
-        grow = experiments.compute_branch_states
+        grow = experiments.compute_df
 
-        def no_stacks(sd, coarsening, psi0, grid):
-            if len(psi0) > 1:
+        def no_stacks(sd, coarsening, starts, grid):
+            if len(starts) > 1:
                 raise RuntimeError("synthetic batch failure")
-            return grow(sd, coarsening, psi0, grid)
+            return grow(sd, coarsening, starts, grid)
 
-        monkeypatch.setattr(experiments, "compute_branch_states", no_stacks)
+        monkeypatch.setattr(experiments, "compute_df", no_stacks)
         swept = run_sweep(spec)
         assert not any(r.failed for r in swept)
         assert [strip_wall(r) for r in swept] == [

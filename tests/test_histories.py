@@ -7,7 +7,6 @@ import pytest
 
 from dechist import histories, spectral
 from dechist.model import (
-    Coarsening,
     Ensemble,
     ModelConfig,
     build_coarsening,
@@ -21,7 +20,6 @@ from dechist.spectral import (
 )
 from dechist.histories import (
     HistoryGrid,
-    compute_branch_states,
     compute_df,
     decode_history,
     history_string,
@@ -31,9 +29,9 @@ from dechist.histories import (
 from oracles import (
     branches_by_chains,
     df_by_chains,
+    leaves,
     marginal_by_loops,
     range_projectors,
-    rotated_projectors,
 )
 
 
@@ -131,23 +129,28 @@ class TestEncoding:
                     pairs[0] = 0
 
 
+def last_level(sd, coarsening, psi0, grid):
+    """The (3^(L-1), D) last level of one start's branch tree."""
+    return histories._branch_tree(sd, coarsening, psi0[None], grid)[:, 0]
+
+
 class TestBranchStates:
     def test_level_zero_weights(self):
         _, _, sd, coarsening, psi0 = realization(v_minus=2)
         grid = HistoryGrid.constant(0, 1.0)
-        branches = compute_branch_states(sd, coarsening, psi0, grid)
-        assert branches.states.shape == (3, 10)
+        states = leaves(last_level(sd, coarsening, psi0, grid), coarsening.ranges)
+        assert states.shape == (3, 10)
         for x in range(3):
             start, stop = coarsening.ranges[x]
             expected = float(np.sum(np.abs(psi0[start:stop]) ** 2))
-            got = float(np.linalg.norm(branches.states[x]) ** 2)
+            got = float(np.linalg.norm(states[x]) ** 2)
             assert got == pytest.approx(expected, abs=1e-12)
 
     def test_branch_sum_reconstructs_evolution(self):
         _, _, sd, coarsening, psi0 = realization(v_minus=2, seed=3)
         grid = HistoryGrid.constant(2, 4.0)
-        branches = compute_branch_states(sd, coarsening, psi0, grid)
-        total = branches.states.sum(axis=0)
+        states = leaves(last_level(sd, coarsening, psi0, grid), coarsening.ranges)
+        total = states.sum(axis=0)
         expected = evolve_batch(sd, evolve_batch(sd, psi0[None], 4.0), 4.0)[0]
         assert np.abs(total - expected).max() <= 1e-9
 
@@ -156,27 +159,7 @@ class TestBranchStates:
         grid = HistoryGrid.constant(4, 1.0)
         monkeypatch.setattr(histories, "MEMORY_BUDGET", 1024)
         with pytest.raises(MemoryError):
-            compute_branch_states(sd, coarsening, psi0, grid)
-
-    def test_conserved_coarsening_kills_mixed_histories(self):
-        # Projectors onto eigenvector groups commute with the evolution,
-        # so only constant histories survive.
-        config, ham, sd, _, _ = realization(v_minus=2, seed=7)
-        groups = ((0, 2), (2, 6), (6, 10))
-        projs = tuple(
-            sd.eigenvectors[:, a:b] @ sd.eigenvectors[:, a:b].conj().T for a, b in groups
-        )
-        coarsening = Coarsening(ranges=groups, projectors=projs)
-        psi0 = sample_haar_state(coarsening, (0.2, 0.6, 0.2), 5)
-        grid = HistoryGrid.constant(3, 2.0)
-        branches = compute_branch_states(sd, coarsening, psi0, grid)
-        for h in range(branches.states.shape[0]):
-            labels = decode_history(h, 4)
-            norm = np.linalg.norm(branches.states[h])
-            if len(set(labels)) > 1:
-                assert norm <= 1e-12
-            else:
-                assert norm > 1e-3
+            compute_df(sd, coarsening, psi0[None], grid)
 
     @pytest.mark.parametrize(
         "ensemble,start",
@@ -200,15 +183,16 @@ class TestBranchStates:
         else:
             psi0, _ = select_eigenstate(sd, 2)
         grid = HistoryGrid.constant(3, 2.0)
-        branches = compute_branch_states(sd, coarsening, psi0, grid)
+        states = leaves(last_level(sd, coarsening, psi0, grid), coarsening.ranges)
         oracle = df_by_chains(
             ham.matrix, range_projectors(coarsening.ranges), grid.times, psi0
         )
-        assert np.abs(compute_df(branches).entries - oracle).max() <= 1e-12
+        df = compute_df(sd, coarsening, psi0[None], grid)[0]
+        assert np.abs(df.entries - oracle).max() <= 1e-12
         first = np.arange(3**4) % 3
         dead = first != 0 if start == "minus" else np.zeros_like(first, dtype=bool)
-        assert np.all(branches.states[dead] == 0)
-        assert np.all(np.any(branches.states[~dead] != 0, axis=1))
+        assert np.all(states[dead] == 0)
+        assert np.all(np.any(states[~dead] != 0, axis=1))
 
     def test_dead_rows_skip_the_forward_transform(self, monkeypatch):
         # All-minus start at L=4: levels 1..3 hold 3 + 9 + 27 rows, of
@@ -224,26 +208,21 @@ class TestBranchStates:
             return product(rows, mat)
 
         monkeypatch.setattr(spectral, "_rows_times_matrix", counting)
-        compute_branch_states(sd, coarsening, psi0, HistoryGrid.constant(3, 2.0))
+        compute_df(sd, coarsening, psi0[None], HistoryGrid.constant(3, 2.0))
         assert sum(forward) == 13
         assert backward == [1, 3, 9]
 
-
-    @pytest.mark.parametrize("dense", [False, True])
-    def test_leaves_match_chain_oracle(self, dense):
+    def test_leaves_match_chain_oracle(self):
         # The tree keeps only its last level; the leaves built from it
         # are the branches of the explicit operator chains.
-        config, ham, sd, coarsening, _ = realization(v_minus=2, seed=3)
+        _, ham, sd, coarsening, _ = realization(v_minus=2, seed=3)
         projs = range_projectors(coarsening.ranges)
-        if dense:
-            projs = rotated_projectors(config.block_layout, seed=11)
-            coarsening = Coarsening(ranges=config.block_layout, projectors=tuple(projs))
         psi0 = sample_haar_state(coarsening, (0.2, 0.6, 0.2), 6)
         grid = HistoryGrid.constant(3, 2.0)
-        branches = compute_branch_states(sd, coarsening, psi0, grid)
-        assert branches.final.shape == (27, 10)
+        final = last_level(sd, coarsening, psi0, grid)
+        assert final.shape == (27, 10)
         oracle = branches_by_chains(ham.matrix, projs, grid.times, psi0)
-        assert np.abs(branches.states - oracle).max() <= 1e-12
+        assert np.abs(leaves(final, coarsening.ranges) - oracle).max() <= 1e-12
 
 
 def _three_starts(sd, coarsening):
@@ -264,13 +243,15 @@ class TestStackedStarts:
         coarsening = build_coarsening(config)
         starts = _three_starts(sd, coarsening)
         grid = HistoryGrid.constant(length - 1, 2.0)
-        stacked = compute_branch_states(sd, coarsening, starts, grid)
-        assert len(stacked) == len(starts)
-        for psi0, tree in zip(starts, stacked):
-            single = compute_branch_states(sd, coarsening, psi0, grid)
-            assert tree.final.shape == single.final.shape == (3 ** (length - 1), 10)
-            assert np.abs(tree.final - single.final).max() <= 1e-12
-            assert np.abs(compute_df(tree).entries - compute_df(single).entries).max() <= 1e-12
+        stacked = histories._branch_tree(sd, coarsening, starts, grid)
+        stacked_dfs = compute_df(sd, coarsening, starts, grid)
+        assert len(stacked_dfs) == len(starts)
+        for s, (psi0, df) in enumerate(zip(starts, stacked_dfs)):
+            single = last_level(sd, coarsening, psi0, grid)
+            assert stacked[:, s].shape == single.shape == (3 ** (length - 1), 10)
+            assert np.abs(stacked[:, s] - single).max() <= 1e-12
+            single_df = compute_df(sd, coarsening, psi0[None], grid)[0]
+            assert np.abs(df.entries - single_df.entries).max() <= 1e-12
 
     def test_stack_reads_the_basis_once_per_level(self, monkeypatch):
         # S all-minus starts at L=4: each level's live rows of all S trees
@@ -288,19 +269,19 @@ class TestStackedStarts:
             return product(rows, mat)
 
         monkeypatch.setattr(spectral, "_rows_times_matrix", counting)
-        compute_branch_states(sd, coarsening, starts, HistoryGrid.constant(3, 2.0))
+        compute_df(sd, coarsening, starts, HistoryGrid.constant(3, 2.0))
         assert sum(forward) == 13 * 3
         assert backward == [3, 9, 27]
 
     def test_stack_memory_guard_counts_every_start(self, monkeypatch):
         _, _, sd, coarsening, psi0 = realization(v_minus=2)
         grid = HistoryGrid.constant(2, 1.0)
-        # One start's 27 leaves fit; the last level of four starts (36 rows) does not.
+        # The last level of three starts (27 rows) fits; that of four (36 rows) does not.
         monkeypatch.setattr(histories, "MEMORY_BUDGET", 16 * 27 * 10)
-        compute_branch_states(sd, coarsening, psi0, grid)
-        compute_branch_states(sd, coarsening, np.stack([psi0] * 3), grid)
+        compute_df(sd, coarsening, psi0[None], grid)
+        compute_df(sd, coarsening, np.stack([psi0] * 3), grid)
         with pytest.raises(MemoryError):
-            compute_branch_states(sd, coarsening, np.stack([psi0] * 4), grid)
+            compute_df(sd, coarsening, np.stack([psi0] * 4), grid)
 
 
 class TestDecoherenceFunctional:
@@ -308,30 +289,16 @@ class TestDecoherenceFunctional:
     def test_matches_operator_chain_oracle(self, v_minus, seed):
         config, ham, sd, coarsening, psi0 = realization(v_minus=v_minus, seed=seed)
         grid = HistoryGrid.constant(2, 3.0)
-        df = compute_df(compute_branch_states(sd, coarsening, psi0, grid))
+        df = compute_df(sd, coarsening, psi0[None], grid)[0]
         oracle = df_by_chains(
             ham.matrix, range_projectors(coarsening.ranges), grid.times, psi0
         )
         assert np.abs(df.entries - oracle).max() <= 1e-10
 
-    def test_dense_coarsening_matches_oracle(self):
-        # Projectors onto blocks of a random basis commute with neither
-        # H nor the band masks, so the dense projector path runs at every
-        # level of the branch tree with no history forced to zero.
-        config, ham, sd, _, _ = realization(v_minus=2, seed=3)
-        projs = rotated_projectors(config.block_layout, seed=11)
-        assert np.abs(ham.matrix @ projs[0] - projs[0] @ ham.matrix).max() > 1e-3
-        coarsening = Coarsening(ranges=config.block_layout, projectors=tuple(projs))
-        psi0 = sample_haar_state(coarsening, (0.2, 0.6, 0.2), 6)
-        grid = HistoryGrid.constant(3, 2.0)
-        df = compute_df(compute_branch_states(sd, coarsening, psi0, grid))
-        oracle = df_by_chains(ham.matrix, projs, grid.times, psi0)
-        assert np.abs(df.entries - oracle).max() <= 1e-10
-
     def test_invariants(self):
         _, _, sd, coarsening, psi0 = realization(v_minus=2, seed=9)
         grid = HistoryGrid.constant(3, 5.0)
-        df = compute_df(compute_branch_states(sd, coarsening, psi0, grid))
+        df = compute_df(sd, coarsening, psi0[None], grid)[0]
         entries = df.entries
         assert np.abs(entries - entries.conj().T).max() <= 1e-12
         assert np.trace(entries).real == pytest.approx(1.0, abs=1e-10)
@@ -345,7 +312,7 @@ class TestDecoherenceFunctional:
     def test_final_time_blocks_exactly_zero(self):
         _, _, sd, coarsening, psi0 = realization(v_minus=1, seed=2)
         grid = HistoryGrid.constant(2, 2.0)
-        df = compute_df(compute_branch_states(sd, coarsening, psi0, grid))
+        df = compute_df(sd, coarsening, psi0[None], grid)[0]
         n = 3**3
         final = np.arange(n) // 9
         mask = final[:, None] != final[None, :]
@@ -354,7 +321,7 @@ class TestDecoherenceFunctional:
     def test_single_time_df_is_diagonal(self):
         _, _, sd, coarsening, psi0 = realization(v_minus=2, seed=5)
         grid = HistoryGrid.constant(0, 1.0)
-        df = compute_df(compute_branch_states(sd, coarsening, psi0, grid))
+        df = compute_df(sd, coarsening, psi0[None], grid)[0]
         off = df.entries[~np.eye(3, dtype=bool)]
         assert np.all(off == 0)
         np.testing.assert_allclose(df.diagonal().sum(), 1.0, atol=1e-12)
@@ -364,7 +331,7 @@ class TestMarginalize:
     def test_identity_subset(self):
         _, _, sd, coarsening, psi0 = realization(v_minus=1, seed=3)
         grid = HistoryGrid.constant(2, 2.0)
-        df = compute_df(compute_branch_states(sd, coarsening, psi0, grid))
+        df = compute_df(sd, coarsening, psi0[None], grid)[0]
         same = marginalize(df, (0, 1, 2))
         np.testing.assert_array_equal(same.entries, df.entries)
 
@@ -372,14 +339,12 @@ class TestMarginalize:
         # Dropping the latest times reproduces the shorter-grid result.
         _, _, sd, coarsening, psi0 = realization(v_minus=2, seed=6)
         grid = HistoryGrid.constant(3, 2.5)
-        df = compute_df(compute_branch_states(sd, coarsening, psi0, grid))
+        df = compute_df(sd, coarsening, psi0[None], grid)[0]
         for keep in (1, 2, 3):
             reduced = marginalize(df, range(keep))
             short = compute_df(
-                compute_branch_states(
-                    sd, coarsening, psi0, HistoryGrid.from_times(grid.times[:keep])
-                )
-            )
+                sd, coarsening, psi0[None], HistoryGrid.from_times(grid.times[:keep])
+            )[0]
             assert np.abs(reduced.entries - short.entries).max() <= 1e-10
             assert reduced.grid.times == grid.times[:keep]
 
@@ -388,7 +353,7 @@ class TestMarginalize:
         # the oracle runs chains on the remaining times only.
         config, ham, sd, coarsening, psi0 = realization(v_minus=1, seed=8)
         grid = HistoryGrid.constant(2, 3.0)
-        df = compute_df(compute_branch_states(sd, coarsening, psi0, grid))
+        df = compute_df(sd, coarsening, psi0[None], grid)[0]
         reduced = marginalize(df, (0, 2))
         oracle = df_by_chains(
             ham.matrix,
@@ -401,7 +366,7 @@ class TestMarginalize:
     def test_trace_preserved(self):
         _, _, sd, coarsening, psi0 = realization(v_minus=2, seed=4)
         grid = HistoryGrid.constant(3, 1.5)
-        df = compute_df(compute_branch_states(sd, coarsening, psi0, grid))
+        df = compute_df(sd, coarsening, psi0[None], grid)[0]
         for subset in [(3,), (0, 3), (1, 2), (0,)]:
             reduced = marginalize(df, subset)
             assert np.trace(reduced.entries).real == pytest.approx(1.0, abs=1e-10)
@@ -424,7 +389,7 @@ class TestMarginalize:
     def test_rejects_bad_subsets(self):
         _, _, sd, coarsening, psi0 = realization()
         grid = HistoryGrid.constant(1, 1.0)
-        df = compute_df(compute_branch_states(sd, coarsening, psi0, grid))
+        df = compute_df(sd, coarsening, psi0[None], grid)[0]
         with pytest.raises(ValueError):
             marginalize(df, ())
         with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ import pytest
 
 from dechist.model import (
     BlockHamiltonian,
-    Coarsening,
     Ensemble,
     ModelConfig,
     build_coarsening,
@@ -25,7 +24,6 @@ from dechist.histories import (
     DecoherenceFunctional,
     HistoryGrid,
     _digit_matrix,
-    compute_branch_states,
     compute_df,
     decode_history,
     marginalize,
@@ -46,6 +44,7 @@ from oracles import (
     delta_by_subsets,
     epsilon_by_distance_by_loops,
     epsilon_pair_by_definition,
+    functional_by_chains,
     marginal_by_loops,
     range_projectors,
     rotated_projectors,
@@ -62,7 +61,7 @@ def make_df(v_minus=1, seed=0, state_seed=1, num_steps=2, step=3.0,
     coarsening = build_coarsening(config)
     psi0 = sample_haar_state(coarsening, weights, state_seed)
     grid = HistoryGrid.constant(num_steps, step)
-    df = compute_df(compute_branch_states(sd, coarsening, psi0, grid))
+    df = compute_df(sd, coarsening, psi0[None], grid)[0]
     return df, ham, coarsening, psi0
 
 
@@ -79,7 +78,7 @@ def conserved_df(weights, state_seed, num_steps=3, step=1.0):
     coarsening = build_coarsening(config)
     psi0 = sample_haar_state(coarsening, weights, state_seed)
     grid = HistoryGrid.constant(num_steps, step)
-    df = compute_df(compute_branch_states(sd, coarsening, psi0, grid))
+    df = compute_df(sd, coarsening, psi0[None], grid)[0]
     return df, coarsening
 
 
@@ -142,20 +141,21 @@ class TestEpsilon:
                 assert epsilon_pair_by_definition(entries, x, y) <= 1e-12
 
     def test_eigenvector_group_projectors_decohere_entrywise(self):
-        # Dense projectors onto eigenvector groups leave only rounding
-        # noise off the diagonal (branch norms themselves are noise, so
-        # the normalized ratios are meaningless and not asserted).
+        # Projectors onto eigenvector groups leave only rounding noise
+        # off the diagonal (branch norms themselves are noise, so the
+        # normalized ratios are meaningless and not asserted).  They are
+        # dense, so the functional comes from the chain oracle.
         config = ModelConfig(v_minus=2, hamiltonian_seed=4)
-        sd = eigendecompose(build_hamiltonian(config))
+        ham = build_hamiltonian(config)
+        sd = eigendecompose(ham)
         groups = ((0, 2), (2, 6), (6, 10))
         projs = tuple(
             sd.eigenvectors[:, a:b] @ sd.eigenvectors[:, a:b].conj().T
             for a, b in groups
         )
-        coarsening = Coarsening(ranges=groups, projectors=projs)
-        psi0 = sample_haar_state(coarsening, (0.2, 0.6, 0.2), 6)
+        psi0 = sample_haar_state(build_coarsening(config), (0.2, 0.6, 0.2), 6)
         grid = HistoryGrid.constant(3, 1.0)
-        df = compute_df(compute_branch_states(sd, coarsening, psi0, grid))
+        df = functional_by_chains(ham.matrix, projs, grid, psi0)
         off = df.entries.copy()
         np.fill_diagonal(off, 0.0)
         assert np.abs(off).max() <= 1e-12
@@ -180,7 +180,7 @@ class TestMarginals:
         coarsening = build_coarsening(config)
         psi0 = sample_haar_state(coarsening, (0.2, 0.6, 0.2), 1)
         grid = HistoryGrid.constant(2, 3.0)
-        df = compute_df(compute_branch_states(sd, coarsening, psi0, grid))
+        df = compute_df(sd, coarsening, psi0[None], grid)[0]
         p, p_cl = subset_probabilities(df, (2,))
         assert p.shape == (3,)
         psi_final = evolve_batch(sd, evolve_batch(sd, psi0[None], 3.0), 3.0)[0]
@@ -247,21 +247,26 @@ class TestMarginals:
 
 
 def _delta_case(case, length):
-    """A functional of `length` times on D=10 for one oracle case."""
+    """A functional of `length` times on D=10 for one oracle case.
+
+    The rotated projectors are dense, so that case comes from the chain
+    oracle.
+    """
     ensemble = Ensemble.GUE if case == "gue" else Ensemble.GOE
     config = ModelConfig(v_minus=2, ensemble=ensemble, hamiltonian_seed=4)
-    sd = eigendecompose(build_hamiltonian(config))
+    ham = build_hamiltonian(config)
+    sd = eigendecompose(ham)
     coarsening = build_coarsening(config)
-    if case == "rotated":
-        projs = rotated_projectors(config.block_layout, seed=5)
-        coarsening = Coarsening(ranges=config.block_layout, projectors=tuple(projs))
     if case == "eigenstate":
         psi0 = select_eigenstate(sd, 3)[0]
     else:
         weights = (1.0, 0.0, 0.0) if case == "all_minus" else (0.2, 0.6, 0.2)
         psi0 = sample_haar_state(coarsening, weights, 7)
     grid = HistoryGrid.constant(length - 1, 1.5)
-    return compute_df(compute_branch_states(sd, coarsening, psi0, grid))
+    if case == "rotated":
+        projs = rotated_projectors(config.block_layout, seed=5)
+        return functional_by_chains(ham.matrix, projs, grid, psi0)
+    return compute_df(sd, coarsening, psi0[None], grid)[0]
 
 
 class TestTraceDistance:

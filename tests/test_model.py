@@ -147,13 +147,17 @@ class TestBuildHamiltonian:
             ModelConfig(v_minus=2, smallness_target=0.0)
         with pytest.raises(ValueError):
             ModelConfig(v_minus=2, hamiltonian_seed=-1)
+        # In range, but lambda**2 underflows, or 2 * delta_e overflows.
+        for kwargs in ({"delta_e": 1e-320}, {"smallness_target": 1e-320}, {"delta_e": 1e308}):
+            with pytest.raises(ValueError, match="no finite positive lambda"):
+                ModelConfig(v_minus=2, **kwargs)
 
 
 class TestCoarsening:
     def test_unperturbed_ranges(self):
         coarsening = build_coarsening(make_config(v_minus=1))
         assert coarsening.ranges == ((0, 1), (1, 4), (4, 5))
-        assert not coarsening.is_dense
+        assert coarsening.dimension == 5
         assert coarsening.volumes == (1, 3, 1)
 
     def test_coarsening_validation(self):

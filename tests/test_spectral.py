@@ -7,14 +7,12 @@ import pytest
 
 from dechist.model import (
     BlockHamiltonian,
-    Coarsening,
     Ensemble,
     ModelConfig,
     build_coarsening,
     build_hamiltonian,
     derive_coupling,
 )
-from dechist.histories import _split
 from dechist.spectral import (
     apply_projector_batch,
     eigendecompose,
@@ -23,7 +21,7 @@ from dechist.spectral import (
     select_eigenstate,
 )
 
-from oracles import propagator, rotated_projectors
+from oracles import leaves, propagator
 
 
 def model_parts(v_minus=2, seed=0, **kwargs):
@@ -36,11 +34,6 @@ def random_state(dim, seed=0):
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return psi / np.linalg.norm(psi)
-
-
-def rotated_coarsening(config, seed):
-    ranges = config.block_layout
-    return Coarsening(ranges=ranges, projectors=tuple(rotated_projectors(ranges, seed)))
 
 
 class TestEigendecompose:
@@ -136,7 +129,7 @@ class TestEvolve:
         a, b = config.block_layout[0]
         states[1, a:b] = 0.0
         states[2, config.block_layout[1][0]:] = 0.0
-        split = _split(coarsening, states)
+        split = leaves(states, coarsening.ranges)
         banded = evolve_batch(sd, states, 1.3, ranges=config.block_layout)
         full = evolve_batch(sd, split, 1.3)
         assert banded.shape == (9, sd.dimension)
@@ -166,17 +159,6 @@ class TestProjectors:
             for y in range(3):
                 if y != x:
                     assert np.all(apply_projector_batch(coarsening, y, once) == 0)
-
-    def test_dense_projector_batch(self):
-        coarsening = rotated_coarsening(ModelConfig(v_minus=2), seed=4)
-        rng = np.random.default_rng(2)
-        states = rng.standard_normal((4, 10)) + 1j * rng.standard_normal((4, 10))
-        total = sum(apply_projector_batch(coarsening, x, states) for x in range(3))
-        assert np.abs(total - states).max() <= 1e-10
-        for x in range(3):
-            once = apply_projector_batch(coarsening, x, states)
-            twice = apply_projector_batch(coarsening, x, once)
-            assert np.abs(twice - once).max() <= 1e-10
 
     def test_label_out_of_range(self):
         config, _, _ = model_parts()
@@ -230,14 +212,6 @@ class TestInitialStates:
         assert np.any(
             sample_haar_state(coarsening, w, 5) != sample_haar_state(coarsening, w, 6)
         )
-
-    def test_dense_coarsening_sampling(self):
-        coarsening = rotated_coarsening(ModelConfig(v_minus=2), seed=3)
-        psi = sample_haar_state(coarsening, (0.2, 0.6, 0.2), state_seed=4)
-        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-10)
-        for label, p in enumerate(coarsening.projectors):
-            weight = float(np.vdot(psi, p @ psi).real)
-            assert weight == pytest.approx((0.2, 0.6, 0.2)[label], abs=1e-10)
 
     def test_rejects_bad_weights(self):
         config, _, _ = model_parts()
