@@ -63,6 +63,7 @@ from .histories import (
     HistoryGrid,
     MAX_LENGTH,
     compute_df,
+    live_rows,
     marginalize,
 )
 from .metrics import (
@@ -522,11 +523,15 @@ def compute_realization_df(
 
 def _functionals(
     spec: SweepSpec, d: int, h_index: int, s_indices: tuple[int, ...],
-    sd: SpectralDecomposition | None = None,
+    sd: SpectralDecomposition | None = None, prepared: dict | None = None,
 ) -> list[tuple]:
     """compute_realization_df of state seeds on one grid, their functionals
-    computed in one compute_df call on the stack of first starts."""
-    prepared = [_prepare(spec, d, h_index, s, sd) for s in s_indices]
+    computed in one compute_df call on the stack of first starts.  A seed
+    found in `prepared` takes its _prepare result from there."""
+    known = prepared or {}
+    prepared = [
+        known[s] if s in known else _prepare(spec, d, h_index, s, sd) for s in s_indices
+    ]
     tau, sd, coarsening, _ = prepared[0]
     psi0 = np.stack([starts[0][1] for *_, starts in prepared])
     grid = _make_grid(spec, tau, h_index, s_indices[0])
@@ -614,29 +619,42 @@ def _run_group(
 ) -> list[RealizationResult]:
     """All state seeds for one (d, h_index): one eigensolve, many states.
 
-    Consecutive seeds on one grid run in batches (see _run_batch) whose
-    last tree levels together take at most a quarter of the eigenvector
-    matrix's bytes, so a batch is one seed where the matrix is small
-    enough to stay in cache.  Random spacings give each seed its own
-    grid, so there a batch is one seed too.  A batch whose trees raise
-    is rerun as batches of one, so a failure fails only its own
-    realization.
+    Every seed's starts are prepared first.  Consecutive seeds on one
+    grid then run in batches (see _run_batch) of a fixed size, whose
+    live last-level rows (see histories.live_rows) together take at
+    most a quarter of the eigenvector matrix's bytes, so a batch is one
+    seed where the matrix is small enough to stay in cache.  A start
+    with weight in one band has a third of its rows live, so all-'-'
+    seeds batch about three times as many as equilibrium ones.  Random
+    spacings give each seed its own grid, so there a batch is one seed
+    too.  A seed whose preparation raises is prepared again in its
+    batch, and a batch that raises is rerun as batches of one, so a
+    failure fails only its own realization.
     """
     start = time.perf_counter()
     try:
         sd = _decomposition(spec.model_config(d, h_index))
     except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
         return [_error_result(spec, d, h_index, s, exc) for s in s_indices]
+    prepared = {}
+    for s in s_indices:
+        try:
+            prepared[s] = _prepare(spec, d, h_index, s, sd)
+        except Exception:  # noqa: BLE001 - raises again, and is recorded, in its batch
+            continue
     shared = (time.perf_counter() - start) / max(len(s_indices), 1)
-    size = max(1, sd.eigenvectors.nbytes // (4 * 16 * 3**spec.num_steps * d))
-    if isinstance(spec.step_mode, RandomSpacing):
-        size = 1
+    size = 1
+    if prepared and not isinstance(spec.step_mode, RandomSpacing):
+        coarsening = next(iter(prepared.values()))[2]
+        psi0 = np.stack([starts[0][1] for *_, starts in prepared.values()])
+        rows = int(live_rows(coarsening, psi0, spec.l_max).sum(axis=1).max())
+        size = max(1, sd.eigenvectors.nbytes // (4 * 16 * rows * d))
     batches = [s_indices[i:i + size] for i in range(0, len(s_indices), size)]
     results = []
     while batches:
         batch = batches.pop(0)
         try:
-            results += _run_batch(spec, d, h_index, batch, sd, shared)
+            results += _run_batch(spec, d, h_index, batch, sd, shared, prepared)
         except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
             if len(batch) > 1:
                 batches[:0] = [(s,) for s in batch]
@@ -648,16 +666,18 @@ def _run_group(
 def _run_batch(
     spec: SweepSpec, d: int, h_index: int, s_indices: tuple[int, ...],
     sd: SpectralDecomposition | None = None, shared_time: float = 0.0,
+    prepared: dict | None = None,
 ) -> list[RealizationResult]:
     """Results of state seeds on one grid, their trees grown together.
 
-    Each seed's wall time carries an equal share of the batch's set-up,
-    tree and functionals, as it does of the decomposition (shared_time),
-    plus its own metrics.  An error in a seed's metrics fails that seed
-    alone; any other error raises.
+    Each seed's wall time carries an equal share of the batch's tree and
+    functionals, and of any set-up not in `prepared` (see _functionals),
+    as it does of the group's (shared_time), plus its own metrics.  An
+    error in a seed's metrics fails that seed alone; any other error
+    raises.
     """
     start = time.perf_counter()
-    functionals = _functionals(spec, d, h_index, s_indices, sd)
+    functionals = _functionals(spec, d, h_index, s_indices, sd, prepared)
     shared_time += (time.perf_counter() - start) / len(s_indices)
     results = []
     for s_index, (df, coarsening, eigenstate_index) in zip(s_indices, functionals):

@@ -13,7 +13,9 @@ have orthogonal branches, so each functional is stored as its three
 final-label blocks, never as the two-thirds-zero 3^L x 3^L matrix.
 The branch tree is grown for all starts together and kept before its
 last projection: each block reads one band of the last level, so the
-two-thirds-zero leaf array is never built either.
+two-thirds-zero leaf array is never built either.  Rows of the last
+level that a start's band support leaves exactly zero are left out of
+the block products.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "DecoherenceFunctional",
     "decode_history",
     "history_string",
+    "live_rows",
     "compute_df",
     "marginalize",
 ]
@@ -168,6 +171,24 @@ def _branch_tree(
     return level.reshape(-1, num_starts, d)
 
 
+def live_rows(coarsening: Coarsening, starts: np.ndarray, length: int) -> np.ndarray:
+    """(S, 3^(L-1)) flags: the last-level rows of each start's tree that
+    may be nonzero.
+
+    A branch whose first label x_0 names a band where its start has no
+    weight is exactly zero, so with L >= 2 a start with weight in k
+    bands has k * 3^(L-2) live rows: those whose code h has h % 3 in
+    its support.  At L = 1 the one row is the start itself.
+    """
+    starts = np.asarray(starts)
+    if length == 1:
+        return np.ones((len(starts), 1), dtype=bool)
+    support = np.stack(
+        [np.any(starts[:, a:b] != 0, axis=1) for a, b in coarsening.ranges], axis=1
+    )
+    return support[:, np.arange(M ** (length - 1)) % M]
+
+
 @dataclass(frozen=True)
 class DecoherenceFunctional:
     """Branch overlaps <psi(y)|psi(x)>, kept as three final-label blocks.
@@ -207,16 +228,22 @@ def compute_df(
 
     The branch trees of all starts grow together (see _branch_tree).
     Block c of a functional needs the last level projected on c, which
-    is band c's columns of that level, so no leaf array is built.
+    is band c's columns of that level, so no leaf array is built.  The
+    products read only a start's live rows (see live_rows); the rows
+    and columns of dead ones are exact zeros.
     """
     level = _branch_tree(sd, coarsening, starts, grid)
     functionals = []
-    for final in level.transpose(1, 0, 2):
-        blocks = np.empty((M, len(final), len(final)), dtype=np.complex128)
+    alive = live_rows(coarsening, starts, grid.length)
+    for final, live in zip(level.transpose(1, 0, 2), map(np.flatnonzero, alive)):
+        # (ket, bra) indexes the live entries; with every row live, the
+        # products read the level's band slices in place.
+        ket, bra = (slice(None),) * 2 if live.size == len(final) else (live[:, None], live)
+        blocks = np.zeros((M, len(final), len(final)), dtype=np.complex128)
         for c, (a, b) in enumerate(coarsening.ranges):
-            f = final[:, a:b]
+            f = final[bra, a:b]
             # entry(x, y) = <psi_y | psi_x> = sum_i psi_x[i] conj(psi_y[i]).
-            blocks[c] = f @ f.conj().T
+            blocks[c][ket, bra] = f @ f.conj().T
         functionals.append(DecoherenceFunctional(blocks=blocks, grid=grid))
     return functionals
 

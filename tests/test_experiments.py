@@ -32,7 +32,7 @@ from dechist.experiments import (
     fit_points,
     run_sweep,
 )
-from dechist.histories import HistoryGrid, compute_df
+from dechist.histories import HistoryGrid, compute_df, marginalize
 from dechist.metrics import (
     arrow_classification,
     branch_histogram,
@@ -543,10 +543,10 @@ class TestStateSeedBatches:
     def test_batched_sweep_matches_single_seeds(
         self, monkeypatch, d, num_steps, ensemble, family, batch
     ):
-        # The batch holds as many seeds as keep its last tree level within
-        # a quarter of the eigenvector bytes: GOE D=50 at L=2 takes 2.  No
-        # start is all '-', where subsets with and without t_0 tie and
-        # roundoff picks argmax_subset.
+        # The batch holds as many seeds as keep the live rows of its last
+        # tree level within a quarter of the eigenvector bytes: GOE D=50
+        # at L=2 takes 2.  Every start here has weight in all three bands,
+        # so every row is live; all-'-' starts are the next test's.
         spec = small_spec(
             d_grid=(d,), num_steps=num_steps, ensemble=ensemble, init_family=family,
             num_state_seeds=batch + 1, base_seed=29,
@@ -557,6 +557,30 @@ class TestStateSeedBatches:
         assert not any(r.failed for r in swept)
         for result in swept:
             single = experiments._run_batch(spec, d, 0, (result.s_index,))[0]
+            _assert_close_results(result, single)
+
+    def test_all_minus_batch_counts_only_live_rows(self, monkeypatch):
+        # An all-'-' start has weight in one band, so 3 of the 9 rows of
+        # its last level at L=3 are live: GOE D=250 takes 10 seeds, where
+        # counting every row would take 3.
+        spec = small_spec(
+            d_grid=(250,), init_family=InitFamily.HAAR_NONEQUILIBRIUM,
+            num_state_seeds=11, base_seed=29,
+        )
+        shapes = _tree_shapes(monkeypatch)
+        swept = run_sweep(spec)
+        assert shapes == [(10, 250), (1, 250)]
+        assert not any(r.failed for r in swept)
+        for result in swept:
+            single = experiments._run_batch(spec, 250, 0, (result.s_index,))[0]
+            df, _, _ = experiments.compute_realization_df(spec, 250, 0, result.s_index)
+            # Subsets with and without t_0 tie exactly, since every branch
+            # with x_0 != '-' is an exact zero; either is a right argmax.
+            for length, metrics in result.per_length.items():
+                want = single.per_length[length].argmax_subset
+                per_subset = delta_max(marginalize(df, range(length))).per_subset
+                assert per_subset[metrics.argmax_subset] == per_subset[want]
+                result.per_length[length] = dataclasses.replace(metrics, argmax_subset=want)
             _assert_close_results(result, single)
 
     def test_random_spacing_grows_one_tree_per_seed(self, monkeypatch):

@@ -29,6 +29,7 @@ from dechist.histories import (
 from oracles import (
     branches_by_chains,
     df_by_chains,
+    functional_by_chains,
     leaves,
     marginal_by_loops,
     range_projectors,
@@ -252,6 +253,12 @@ class TestStackedStarts:
             assert np.abs(stacked[:, s] - single).max() <= 1e-12
             single_df = compute_df(sd, coarsening, psi0[None], grid)[0]
             assert np.abs(df.entries - single_df.entries).max() <= 1e-12
+            if s == 0 and length > 1:
+                # The all-minus start's branches with x_0 != - stay exact
+                # zeros next to the starts whose every branch is live.
+                dead = np.arange(3 ** (length - 1)) % 3 != 0
+                assert np.all(df.blocks[:, dead] == 0)
+                assert np.all(df.blocks[:, :, dead] == 0)
 
     def test_stack_reads_the_basis_once_per_level(self, monkeypatch):
         # S all-minus starts at L=4: each level's live rows of all S trees
@@ -308,6 +315,24 @@ class TestDecoherenceFunctional:
         # Cauchy-Schwarz: |entry|^2 <= weight product.
         bound = np.outer(diag, diag)
         assert np.all(np.abs(entries) ** 2 <= bound + 1e-12)
+
+    @pytest.mark.parametrize("band", [0, 1, 2])
+    def test_one_band_start_leaves_dead_branches_exactly_zero(self, band):
+        # Only the histories with x_0 = band are live: the rows and
+        # columns of the others are exact zeros, and the live entries
+        # are those of the operator chains.
+        _, ham, sd, coarsening, _ = realization(v_minus=2, seed=5)
+        weights = tuple(float(x == band) for x in range(3))
+        psi0 = sample_haar_state(coarsening, weights, 2)
+        grid = HistoryGrid.constant(3, 2.0)
+        df = compute_df(sd, coarsening, psi0[None], grid)[0]
+        oracle = functional_by_chains(
+            ham.matrix, range_projectors(coarsening.ranges), grid, psi0
+        )
+        dead = np.arange(3**3) % 3 != band
+        assert np.all(df.blocks[:, dead] == 0)
+        assert np.all(df.blocks[:, :, dead] == 0)
+        assert np.abs(df.blocks - oracle.blocks).max() <= 1e-12
 
     def test_final_time_blocks_exactly_zero(self):
         _, _, sd, coarsening, psi0 = realization(v_minus=1, seed=2)

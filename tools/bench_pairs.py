@@ -20,10 +20,19 @@ and summary are the file's top level.  Later workloads go under
 run of the claimed workload; `traced_seed0` keeps its per-layer metrics
 whose names start with one of the prefixes.
 
-A summary gives, per end-to-end metric, the quartiles (inclusive method)
-of the parent's and the change's runs and the number of pairs the change
-won.  The file is rewritten after every run, so a cut measurement keeps
-the pairs it finished.
+Each run keeps perfbench's `correct`, `attempted` and `failed`; a run
+that is not correct is reported on stderr, and its timings stay in the
+file.  A summary gives, per end-to-end metric, the quartiles (inclusive
+method) of the parent's and the change's runs, the number of pairs the
+change won, and `worse_by`, how far the change's median is worse than
+the parent's as a fraction of it (negative when better).
+`beyond_bound` is true when that exceeds the metric's `bound` in
+BENCHMARK.json.  In the claimed workload's summary, `claim_met` is the
+gain rule: the change wins at least 9/10 of the pairs, its median is
+better by more than the parent's interquartile range, and no more of
+its runs are incorrect.  `incorrect_runs` counts, per side, the runs
+whose outputs failed a check.  The file is rewritten after every run,
+so a cut measurement keeps the pairs it finished.
 """
 
 from __future__ import annotations
@@ -47,19 +56,40 @@ def run(root: Path, workload: str, seed: int, trace: int) -> dict:
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{root}: {' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if not result["correct"]:
+        print(f"{root}: {' '.join(argv)}: incorrect outputs, "
+              f"{result['failed']} of {result['attempted']} operations failed",
+              file=sys.stderr, flush=True)
+    return result
 
 
-def summary(runs: list[dict], better: dict[str, str]) -> dict:
-    """Quartiles of each metric on both sides and the change's wins."""
-    out = {}
-    for name, direction in better.items():
+def quartiles(values: list[float]) -> list[float]:
+    return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values
+
+
+def summary(runs: list[dict], end_to_end: list[dict], claimed: bool) -> dict:
+    """Per metric: both sides' quartiles, the change's wins, how much
+    worse its median is against the bound, and for the claimed workload
+    whether the gain rule holds.  Also the incorrect runs per side."""
+    incorrect = {s: sum(not r[s]["correct"] for r in runs) for s in ("parent", "change")}
+    out: dict = {"incorrect_runs": incorrect}
+    for metric in end_to_end:
+        name, sign = metric["name"], (1 if metric["better"] == "lower" else -1)
         sides = {s: [r[s]["metrics"][name]["value"] for r in runs] for s in ("parent", "change")}
-        wins = sum((c < p) if direction == "lower" else (c > p)
-                   for p, c in zip(sides["parent"], sides["change"]))
-        entry = {f"{s}_quartiles": (statistics.quantiles(v, n=4, method="inclusive")
-                                    if len(v) > 1 else v) for s, v in sides.items()}
-        out[name] = {**entry, "change_wins": wins, "pairs": len(runs)}
+        wins = sum(sign * (c - p) < 0 for p, c in zip(sides["parent"], sides["change"]))
+        q = {s: quartiles(v) for s, v in sides.items()}
+        parent_median, change_median = (statistics.median(sides[s]) for s in ("parent", "change"))
+        worse_by = sign * (change_median - parent_median) / parent_median if parent_median else 0.0
+        entry = {"parent_quartiles": q["parent"], "change_quartiles": q["change"],
+                 "change_wins": wins, "pairs": len(runs), "worse_by": worse_by,
+                 "beyond_bound": worse_by > metric["bound"]}
+        if claimed:
+            iqr = q["parent"][-1] - q["parent"][0]
+            entry["claim_met"] = (wins >= 0.9 * len(runs)
+                                  and sign * (parent_median - change_median) > iqr
+                                  and incorrect["change"] <= incorrect["parent"])
+        out[name] = entry
     return out
 
 
@@ -81,7 +111,7 @@ def main() -> int:
     args = parser.parse_args()
     roots = {"parent": args.parent_root.resolve(), "change": args.change_root.resolve()}
     spec = json.loads((roots["parent"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    end_to_end = spec["end_to_end"]
 
     claimed = args.pairs[0][0]
     cores = len(os.sched_getaffinity(0))  # perfbench's BLAS thread count
@@ -113,7 +143,7 @@ def main() -> int:
                 print(f"{workload} seed {seed} {side}: "
                       f"wall_s {pair[side]['metrics']['wall_s']['value']:.3f}", flush=True)
             runs.append(pair)
-            target["summary"] = summary(runs, better)
+            target["summary"] = summary(runs, end_to_end, workload == claimed)
             save()
 
     if args.traced_prefix:
