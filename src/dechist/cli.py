@@ -35,14 +35,28 @@ from .experiments import (
 
 __all__ = ["main", "ConfigError", "parse_config", "parse_config_dict"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
-RESULTS_HEADER = [
-    "d", "l", "regime", "init_family", "h_seed", "s_seed", "eig_index",
-    "epsilon_avg", "pair_count", "skipped_pairs", "delta_max",
-    "argmax_subset_bitmask", "p_forward", "p_noarrow", "p_backward",
-    "wall_time_s",
-]
+# results.csv layout, one row per realization and grid length: column ->
+# (field the cell is written from, parser fit applies to it on every row).
+# The fields are the RealizationResult's, its PerLengthMetrics' and "length".
+RESULTS_COLUMNS = {
+    "d": ("d", int),
+    "l": ("length", int),
+    "regime": ("regime", str),
+    "init_family": ("init_family", str),
+    "h_seed": ("hamiltonian_seed", int),
+    "s_seed": ("state_seed", int),
+    "eig_index": ("eigenstate_index", str),
+    "epsilon_avg": ("epsilon_avg", float),
+    "pair_count": ("pair_count", int),
+    "skipped_pairs": ("skipped_pairs", int),
+    "delta_max": ("delta_max", float),
+    "argmax_subset_bitmask": ("argmax_subset", int),
+    "p_forward": ("p_forward", float),
+    "p_noarrow": ("p_noarrow", float),
+    "p_backward": ("p_backward", float),
+}
 DYNAMICS_HEADER = ["t", "p_minus", "p_zero", "p_plus"]
 FIT_HEADER = ["l", "metric", "alpha", "intercept", "r_squared", "n_points"]
 HISTOGRAM_HEADER = ["history", "probability"]
@@ -130,16 +144,8 @@ def _results_rows(results) -> list[list[str]]:
     rows = []
     for r in results:
         for length in sorted(r.per_length):
-            m = r.per_length[length]
-            rows.append([
-                _fmt(r.d), _fmt(length), r.regime, r.init_family,
-                _fmt(r.hamiltonian_seed), _fmt(r.state_seed),
-                _fmt(r.eigenstate_index),
-                _fmt(m.epsilon_avg), _fmt(m.pair_count), _fmt(m.skipped_pairs),
-                _fmt(m.delta_max), _fmt(m.argmax_subset),
-                _fmt(m.p_forward), _fmt(m.p_noarrow), _fmt(m.p_backward),
-                _fmt(r.wall_time_s),
-            ])
+            values = {**vars(r), **vars(r.per_length[length]), "length": length}
+            rows.append([_fmt(values[name]) for name, _ in RESULTS_COLUMNS.values()])
     return rows
 
 
@@ -156,17 +162,8 @@ def _cmd_sweep(args) -> int:
     failed = [r for r in results if r.failed]
     for r in failed:
         print(f"warning: realization {r.key} failed: {r.error}", file=sys.stderr)
-    _write_csv(out / "results.csv", RESULTS_HEADER, _results_rows(results))
+    _write_csv(out / "results.csv", list(RESULTS_COLUMNS), _results_rows(results))
     return 0
-
-
-# results.csv columns that fit checks on every row, in parse order.
-_FIT_COLUMNS = {
-    "d": int, "h_seed": int, "s_seed": int, "l": int,
-    "epsilon_avg": float, "pair_count": int, "skipped_pairs": int,
-    "delta_max": float, "argmax_subset_bitmask": int,
-    "p_forward": float, "p_noarrow": float, "p_backward": float,
-}
 
 
 def _read_fit_points(path: Path, metric: str, length: int) -> list[tuple[int, float]]:
@@ -175,14 +172,14 @@ def _read_fit_points(path: Path, metric: str, length: int) -> list[tuple[int, fl
         raise ConfigError(f"results file not found: {path}")
     with path.open(newline="") as fh:
         reader = csv.DictReader([line for line in fh if not line.startswith("#")])
-    if reader.fieldnames != RESULTS_HEADER:
+    if reader.fieldnames != list(RESULTS_COLUMNS):
         raise ConfigError(f"{path}: unexpected results.csv header")
     column = FIT_METRICS[metric]
     points = []
     lengths: dict[tuple[int, int, int], set[int]] = {}
     for row in reader:
         try:
-            cells = {name: read(row[name]) for name, read in _FIT_COLUMNS.items()}
+            cells = {name: read(row[name]) for name, (_, read) in RESULTS_COLUMNS.items()}
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: malformed row: {exc}") from None
         key = (cells["d"], cells["h_seed"], cells["s_seed"])

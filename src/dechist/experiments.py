@@ -17,8 +17,7 @@ that the weak, eigenstate and dynamics runs share is decomposed once per
 process.
 
 SweepSpec is the run config of every command.  Its config-file JSON is
-laid out by CONFIG_FIELDS, which drives parsing, the unknown-key check
-and SweepSpec.to_dict.
+laid out by CONFIG_FIELDS, which drives parsing and the unknown-key check.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ import multiprocessing
 import os
 import shutil
 import tempfile
-import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
@@ -230,15 +228,6 @@ class SweepSpec:
             smallness_target=self.smallness_target,
         )
 
-    def to_dict(self) -> dict:
-        """Config JSON; parse_config_dict(spec.to_dict()) == spec."""
-        doc: dict = {}
-        for (section, key), (name, _) in CONFIG_FIELDS.items():
-            value = getattr(self, name)
-            if value is not None:
-                doc.setdefault(section, {})[key] = _to_json(value)
-        return doc
-
 
 def _to_json(value):
     """JSON form of a SweepSpec field value."""
@@ -402,7 +391,6 @@ class RealizationResult:
     eigenstate_index: int | None
     per_length: dict[int, PerLengthMetrics]
     distance_bins: dict[int, tuple[float, int]]
-    wall_time_s: float
     error: str | None = None
 
     @property
@@ -557,9 +545,9 @@ def run_dynamics(spec: SweepSpec) -> list[tuple[tuple[float, ...] | None, np.nda
 
 def _realization_result(
     spec: SweepSpec, d: int, h_index: int, s_index: int,
-    df, coarsening, eigenstate_index: int | None, start: float,
+    df, coarsening, eigenstate_index: int | None,
 ) -> RealizationResult:
-    """Metrics of a realization's functional; its wall time runs from `start`.
+    """Metrics of a realization's functional.
 
     Each shorter grid's functional is marginalized from the next longer
     one, so only the full one is read at full size.
@@ -587,7 +575,6 @@ def _realization_result(
         eigenstate_index=eigenstate_index,
         per_length=dict(reversed(per_length.items())),
         distance_bins=epsilon_by_distance(df),
-        wall_time_s=time.perf_counter() - start,
     )
 
 
@@ -609,7 +596,6 @@ def _error_result(
         eigenstate_index=None,
         per_length={},
         distance_bins={},
-        wall_time_s=0.0,
         error=f"{type(exc).__name__}: {exc}",
     )
 
@@ -631,7 +617,6 @@ def _run_group(
     batch, and a batch that raises is rerun as batches of one, so a
     failure fails only its own realization.
     """
-    start = time.perf_counter()
     try:
         sd = _decomposition(spec.model_config(d, h_index))
     except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
@@ -642,7 +627,6 @@ def _run_group(
             prepared[s] = _prepare(spec, d, h_index, s, sd)
         except Exception:  # noqa: BLE001 - raises again, and is recorded, in its batch
             continue
-    shared = (time.perf_counter() - start) / max(len(s_indices), 1)
     size = 1
     if prepared and not isinstance(spec.step_mode, RandomSpacing):
         coarsening = next(iter(prepared.values()))[2]
@@ -654,7 +638,7 @@ def _run_group(
     while batches:
         batch = batches.pop(0)
         try:
-            results += _run_batch(spec, d, h_index, batch, sd, shared, prepared)
+            results += _run_batch(spec, d, h_index, batch, sd, prepared)
         except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
             if len(batch) > 1:
                 batches[:0] = [(s,) for s in batch]
@@ -665,26 +649,20 @@ def _run_group(
 
 def _run_batch(
     spec: SweepSpec, d: int, h_index: int, s_indices: tuple[int, ...],
-    sd: SpectralDecomposition | None = None, shared_time: float = 0.0,
-    prepared: dict | None = None,
+    sd: SpectralDecomposition | None = None, prepared: dict | None = None,
 ) -> list[RealizationResult]:
     """Results of state seeds on one grid, their trees grown together.
 
-    Each seed's wall time carries an equal share of the batch's tree and
-    functionals, and of any set-up not in `prepared` (see _functionals),
-    as it does of the group's (shared_time), plus its own metrics.  An
+    Seeds not in `prepared` are prepared here (see _functionals).  An
     error in a seed's metrics fails that seed alone; any other error
     raises.
     """
-    start = time.perf_counter()
     functionals = _functionals(spec, d, h_index, s_indices, sd, prepared)
-    shared_time += (time.perf_counter() - start) / len(s_indices)
     results = []
     for s_index, (df, coarsening, eigenstate_index) in zip(s_indices, functionals):
         try:
             results.append(_realization_result(
-                spec, d, h_index, s_index, df, coarsening, eigenstate_index,
-                time.perf_counter() - shared_time,
+                spec, d, h_index, s_index, df, coarsening, eigenstate_index
             ))
         except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
             results.append(_error_result(spec, d, h_index, s_index, exc))
@@ -744,6 +722,7 @@ def _load_records(path: Path) -> dict[tuple[int, int, int], dict]:
     for line in raw[:complete].splitlines():
         if line.strip():
             data = json.loads(line)
+            data.pop("wall_time_s", None)  # schema-1 records carry a timing
             records[(data["d"], data["h_index"], data["s_index"])] = data
     return records
 

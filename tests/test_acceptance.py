@@ -383,17 +383,9 @@ def test_criterion_9_determinism_and_scheduling(capsys, monkeypatch):
         base_seed=BASE_SEED,
     )
 
-    def stripped(results):
-        out = []
-        for r in results:
-            data = experiments.result_to_dict(r)
-            data.pop("wall_time_s")
-            out.append(data)
-        return out
-
-    serial_a = stripped(run_sweep(spec, workers=1))
-    serial_b = stripped(run_sweep(spec, workers=1))
-    parallel = stripped(run_sweep(spec, workers=2))
+    serial_a = run_sweep(spec, workers=1)
+    serial_b = run_sweep(spec, workers=1)
+    parallel = run_sweep(spec, workers=2)
     ok = serial_a == serial_b == parallel
     announce(
         capsys, "9", ok,

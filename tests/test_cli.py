@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import json
 import re
 import shlex
@@ -19,16 +20,22 @@ from dechist.cli import (
     DYNAMICS_HEADER,
     FIT_HEADER,
     HISTOGRAM_HEADER,
-    RESULTS_HEADER,
     ConfigError,
     main,
     parse_config,
     parse_config_dict,
 )
-from dechist.experiments import CONFIG_FIELDS, SweepSpec
+from dechist.experiments import CONFIG_FIELDS, InitFamily, RandomSpacing, SweepSpec
+from dechist.model import Ensemble, Regime, Spacing
 
 FIXTURE = Path(__file__).parent / "data" / "synthetic_results.csv"
 README = Path(__file__).parent.parent / "README.md"
+
+RESULTS_HEADER = [
+    "d", "l", "regime", "init_family", "h_seed", "s_seed", "eig_index",
+    "epsilon_avg", "pair_count", "skipped_pairs", "delta_max",
+    "argmax_subset_bitmask", "p_forward", "p_noarrow", "p_backward",
+]
 
 
 def write_config(tmp_path, **sections) -> Path:
@@ -83,9 +90,23 @@ class TestConfigParsing:
             "sweep": {"num_hamiltonian_seeds": 2, "num_state_seeds": 4, "base_seed": 9},
             "output": {"directory": "results", "dump_df": True},
         }
-        cfg = parse_config_dict(doc)
-        again = parse_config_dict(cfg.to_dict())
-        assert again == cfg
+        assert parse_config_dict(doc) == SweepSpec(
+            d_grid=(5, 50),
+            regime=Regime.STRONG,
+            ensemble=Ensemble.GUE,
+            diagonal_spacing=Spacing.RANDOM,
+            delta_e=2.5,
+            smallness_target=0.02,
+            num_steps=3,
+            step_mode=RandomSpacing(0.5, 1.5),
+            init_family=InitFamily.HAAR_NONEQUILIBRIUM,
+            weights=((0.5, 0.25, 0.25),),
+            num_hamiltonian_seeds=2,
+            num_state_seeds=4,
+            base_seed=9,
+            output_dir="results",
+            dump_df=True,
+        )
 
     @pytest.mark.parametrize(
         "section,key",
@@ -182,7 +203,7 @@ class TestDynamicsCommand:
         out_path = Path(capsys.readouterr().out.strip())
         assert out_path == tmp_path / "out" / "dynamics.csv"
         comments, header, rows = read_csv(out_path)
-        assert comments[0] == "# schema_version=1"
+        assert comments[0] == "# schema_version=2"
         assert "# init 0.2,0.6,0.2" in comments
         assert "# init 1.0,0.0,0.0" in comments
         assert header == DYNAMICS_HEADER
@@ -234,7 +255,7 @@ class TestSweepCommand:
         out_path = Path(capsys.readouterr().out.strip())
         assert out_path == tmp_path / "out" / "results.csv"
         comments, header, rows = read_csv(out_path)
-        assert comments == ["# schema_version=1"]
+        assert comments == ["# schema_version=2"]
         assert header == RESULTS_HEADER
         assert len(rows) == 4  # L = 2..5
         assert [r[1] for r in rows] == ["2", "3", "4", "5"]
@@ -307,6 +328,51 @@ class TestSweepCommand:
         assert fit_rows[0][5] == "3"
         assert [r[1] for r in fit_rows[2:] if r[0] == "10"] == survivor
 
+    def test_outputs_identical_across_reruns_and_worker_counts(self, tmp_path, capsys):
+        # Forked workers keep the parent's BLAS thread count.  The bits do
+        # depend on that count, already at D=250, so every run here shares it.
+        digests = []
+        for run, workers in enumerate(["1", "1", "2"]):
+            out = tmp_path / f"run{run}"
+            config = write_config(
+                tmp_path,
+                model={"d_grid": [5, 50, 250]},
+                sweep={"num_hamiltonian_seeds": 2, "num_state_seeds": 2},
+                output={"directory": str(out)},
+            )
+            assert main(["sweep", "--config", str(config), "--workers", workers]) == 0
+            digests.append([
+                hashlib.md5((out / name).read_bytes()).hexdigest()
+                for name in ("results.csv", "realizations.jsonl")
+            ])
+        capsys.readouterr()
+        assert digests[0] == digests[1] == digests[2]
+
+    def test_schema_1_directory_resumes(self, tmp_path, capsys):
+        # Schema-1 records carry a wall_time_s key, which a resumed sweep
+        # drops: it writes the results.csv of a fresh sweep.
+        fresh, old = tmp_path / "fresh", tmp_path / "old"
+        sections = dict(
+            model={"d_grid": [5, 10]},
+            grid={"num_steps": 2},
+            sweep={"num_hamiltonian_seeds": 2, "num_state_seeds": 2},
+        )
+        config = write_config(tmp_path, **sections, output={"directory": str(fresh)})
+        assert main(["sweep", "--config", str(config)]) == 0
+        old.mkdir()
+        shutil.copy(fresh / "sweep_spec.json", old)
+        lines = [
+            json.dumps({**json.loads(line), "wall_time_s": 0.25}, sort_keys=True) + "\n"
+            for line in (fresh / "realizations.jsonl").read_text().splitlines()
+        ]
+        assert len(lines) == 8
+        # Five complete records, then a sixth torn by an interrupted append.
+        (old / "realizations.jsonl").write_text("".join(lines[:5]) + lines[5][:40])
+        config = write_config(tmp_path, **sections, output={"directory": str(old)})
+        assert main(["sweep", "--config", str(config)]) == 0
+        capsys.readouterr()
+        assert (old / "results.csv").read_bytes() == (fresh / "results.csv").read_bytes()
+
     def test_requires_d_grid(self, tmp_path, capsys):
         config = write_config(tmp_path)
         assert main(["sweep", "--config", str(config)]) == 2
@@ -321,7 +387,7 @@ class TestFitCommand:
         out_path = Path(capsys.readouterr().out.strip())
         assert out_path == tmp_path / "fit.csv"
         comments, header, rows = read_csv(out_path)
-        assert comments[0] == "# schema_version=1"
+        assert comments[0] == "# schema_version=2"
         assert "# points" in comments
         assert header == FIT_HEADER
         fit_row = rows[0]
@@ -370,9 +436,16 @@ class TestFitCommand:
 
     def test_header_mismatch_rejected(self, tmp_path, capsys):
         results = tmp_path / "results.csv"
-        results.write_text("# schema_version=1\nwrong,header\n1,2\n")
-        assert main(["fit", "--results", str(results), "--metric", "epsilon", "--l", "3"]) == 2
-        capsys.readouterr()
+        for content in [
+            "# schema_version=2\nwrong,header\n1,2\n",
+            # Schema 1 had a wall_time_s column last.
+            "# schema_version=1\n" + ",".join(RESULTS_HEADER) + ",wall_time_s\n"
+            "100,3,weak,haar_equilibrium,101,201,,0.1,216,0,0.2,4,0.3,0.4,0.3,1.0\n",
+        ]:
+            results.write_text(content)
+            args = ["fit", "--results", str(results), "--metric", "epsilon", "--l", "3"]
+            assert main(args) == 2
+            assert "unexpected results.csv header" in capsys.readouterr().err
 
 
 class TestHistogramCommand:
@@ -414,7 +487,7 @@ class TestDumpDfCommand:
             "schema_version", "grid", "length", "num_macrostates",
             "histories", "entries",
         }
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["length"] == 2
         assert doc["num_macrostates"] == 3
         assert doc["histories"] == list(range(9))

@@ -67,12 +67,6 @@ def small_spec(**overrides):
     return SweepSpec(**defaults)
 
 
-def strip_wall(result: RealizationResult) -> dict:
-    data = experiments.result_to_dict(result)
-    data.pop("wall_time_s")
-    return data
-
-
 def _die_after_others(received: Path, spec, d, h_index, s_indices):
     """Stand-in for _run_group in a forked worker: group (d=5, h=0) waits
     until the parent has received the three other groups, then kills its
@@ -136,7 +130,7 @@ class TestRunRealization:
         spec = small_spec()
         a = experiments._run_batch(spec, 5, 0, (0,))[0]
         b = experiments._run_batch(spec, 5, 0, (0,))[0]
-        assert strip_wall(a) == strip_wall(b)
+        assert a == b
 
     def test_epsilon_matches_chain_oracle(self):
         spec = small_spec(num_steps=1)
@@ -240,7 +234,7 @@ class TestRunRealization:
         spec = small_spec(step_mode=RandomSpacing(0.5, 1.5))
         a = experiments._run_batch(spec, 5, 0, (0,))[0]
         b = experiments._run_batch(spec, 5, 0, (0,))[0]
-        assert strip_wall(a) == strip_wall(b)
+        assert a == b
 
 
 class TestRunSweep:
@@ -262,7 +256,7 @@ class TestRunSweep:
         )
         serial = run_sweep(spec, workers=1)
         parallel = run_sweep(spec, workers=2)
-        assert [strip_wall(r) for r in serial] == [strip_wall(r) for r in parallel]
+        assert serial == parallel
 
     def test_records_are_in_group_order_for_any_worker_count(
         self, tmp_path, monkeypatch
@@ -275,8 +269,7 @@ class TestRunSweep:
             out = tmp_path / f"workers{workers}"
             run_sweep(spec, output_dir=out, workers=workers)
             lines = (out / "realizations.jsonl").read_text().splitlines()
-            return [{k: v for k, v in json.loads(line).items() if k != "wall_time_s"}
-                    for line in lines]
+            return [json.loads(line) for line in lines]
 
         serial = stream(1)
         monkeypatch.setattr(experiments, "_run_group", _first_group_last)
@@ -308,7 +301,7 @@ class TestRunSweep:
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
         pooled = run_sweep(spec, workers=64)
         assert pool_sizes == [2]
-        assert [strip_wall(r) for r in pooled] == [strip_wall(r) for r in serial]
+        assert pooled == serial
 
     def test_resume_skips_completed_work(self, tmp_path, monkeypatch):
         spec = small_spec(d_grid=(5, 10), base_seed=9)
@@ -340,7 +333,7 @@ class TestRunSweep:
         assert len(kept) == 1
         (out / "realizations.jsonl").write_text("\n".join(kept) + "\n")
         again = run_sweep(spec, output_dir=out)
-        assert [strip_wall(r) for r in again] == [strip_wall(r) for r in full]
+        assert again == full
 
     def test_torn_last_record_is_recomputed(self, tmp_path):
         spec = small_spec(d_grid=(5, 10), num_state_seeds=2, base_seed=17)
@@ -353,7 +346,7 @@ class TestRunSweep:
         last = raw.rstrip(b"\n").rfind(b"\n") + 1
         path.write_bytes(raw[: last + (len(raw) - last) // 2])
         again = run_sweep(spec, output_dir=out)
-        assert [strip_wall(r) for r in again] == [strip_wall(r) for r in full]
+        assert again == full
         lines = path.read_text().splitlines()
         assert len(lines) == 4
         assert all(json.loads(line) for line in lines)
@@ -373,12 +366,11 @@ class TestRunSweep:
             base_seed=27, num_steps=2,
         )
         full_dir = tmp_path / "full"
-        full = [strip_wall(r) for r in run_sweep(spec, output_dir=full_dir)]
+        full = run_sweep(spec, output_dir=full_dir)
         raw = (full_dir / "realizations.jsonl").read_bytes()
 
         def records(data: bytes) -> list[dict]:
-            lines = [json.loads(line) for line in data.splitlines()]
-            return [{k: v for k, v in r.items() if k != "wall_time_s"} for r in lines]
+            return [json.loads(line) for line in data.splitlines()]
 
         ends = [0] + [i + 1 for i, byte in enumerate(raw) if byte == ord("\n")]
         assert len(ends) == 9
@@ -388,7 +380,7 @@ class TestRunSweep:
             shutil.copytree(full_dir, out)
             (out / "realizations.jsonl").write_bytes(raw[:cut])
             again = run_sweep(spec, output_dir=out)
-            assert [strip_wall(r) for r in again] == full, cut
+            assert again == full, cut
             resumed = (out / "realizations.jsonl").read_bytes()
             assert resumed.endswith(b"\n"), cut
             assert records(resumed) == records(raw), cut
@@ -418,7 +410,7 @@ class TestRunSweep:
         monkeypatch.undo()
         again = run_sweep(spec, output_dir=out, workers=2)
         assert not any(r.failed for r in again)
-        assert [strip_wall(r) for r in again] == [strip_wall(r) for r in run_sweep(spec)]
+        assert again == run_sweep(spec)
 
     def test_spec_file_matches_v1(self, tmp_path, monkeypatch):
         # sweep_spec_v1.json was written by an earlier release; an unchanged
@@ -511,7 +503,7 @@ def _tree_shapes(monkeypatch) -> list[tuple[int, ...]]:
 
 def _assert_close_results(got: RealizationResult, want: RealizationResult) -> None:
     """Equal integer fields, float fields to 1e-12."""
-    a, b = strip_wall(got), strip_wall(want)
+    a, b = experiments.result_to_dict(got), experiments.result_to_dict(want)
     per_a, per_b = a.pop("per_length"), b.pop("per_length")
     bins_a, bins_b = a.pop("distance_bins"), b.pop("distance_bins")
     assert a == b
@@ -590,9 +582,7 @@ class TestStateSeedBatches:
         shapes = _tree_shapes(monkeypatch)
         swept = run_sweep(spec)
         assert shapes == [(1, 50)] * 3
-        assert [strip_wall(r) for r in swept] == [
-            strip_wall(experiments._run_batch(spec, 50, 0, (s,))[0]) for s in range(3)
-        ]
+        assert swept == [experiments._run_batch(spec, 50, 0, (s,))[0] for s in range(3)]
 
     def test_failed_batch_is_rerun_one_seed_at_a_time(self, monkeypatch):
         spec = small_spec(d_grid=(50,), num_steps=1, num_state_seeds=2)
@@ -606,9 +596,7 @@ class TestStateSeedBatches:
         monkeypatch.setattr(experiments, "compute_df", no_stacks)
         swept = run_sweep(spec)
         assert not any(r.failed for r in swept)
-        assert [strip_wall(r) for r in swept] == [
-            strip_wall(experiments._run_batch(spec, 50, 0, (s,))[0]) for s in range(2)
-        ]
+        assert swept == [experiments._run_batch(spec, 50, 0, (s,))[0] for s in range(2)]
 
     def test_failed_metrics_fail_only_their_seed(self, monkeypatch):
         spec = small_spec(d_grid=(50,), num_steps=1, num_state_seeds=2)
@@ -628,7 +616,7 @@ class TestStateSeedBatches:
         assert failed.failed and "synthetic metric failure" in failed.error
         monkeypatch.undo()
         single = experiments._run_batch(spec, 50, 0, (0,))[0]
-        assert strip_wall(good) == strip_wall(single)
+        assert good == single
 
 
 class TestDecompositionStore:
@@ -665,7 +653,7 @@ class TestDecompositionStore:
         self, tmp_path, monkeypatch, empty_store, store
     ):
         spec = small_spec(d_grid=(5, 10), num_state_seeds=2, base_seed=29)
-        expected = [strip_wall(r) for r in run_sweep(spec)]
+        expected = run_sweep(spec)
         experiments._store_file[1].close()  # replaced by the broken store below
         monkeypatch.setattr(experiments, "_store", {})
         monkeypatch.setattr(experiments, "_store_file", None)
@@ -679,7 +667,7 @@ class TestDecompositionStore:
             half_writes(monkeypatch, failures=math.inf)
         calls = count_eigensolves(monkeypatch)
         for _ in range(2):
-            assert [strip_wall(r) for r in run_sweep(spec)] == expected
+            assert run_sweep(spec) == expected
         assert len(calls) == 4
         assert experiments._store == {}
 
@@ -702,7 +690,7 @@ class TestDecompositionStore:
         runs.append(run_sweep(spec, workers=2))  # workers store in their own files
         assert experiments._store == {}
         runs += [run_sweep(spec), run_sweep(spec)]  # parent misses, then hits
-        first, *rest = ([strip_wall(r) for r in results] for results in runs)
+        first, *rest = runs
         assert all(other == first for other in rest)
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")

@@ -10,9 +10,10 @@ every decomposition in it is fresh; the commands of a case in
 ONE_PROCESS_CASES share one process, so later commands read the matrices
 that earlier ones stored; its last sweep runs in forked `--workers 2`
 workers, which read them too.  Every other sweep runs with `--workers 1`.
-The `wall_time_s` field is removed from `results.csv` and
-`realizations.jsonl`; every file must then match byte for byte.  One
-line per file reports `same` or `DIFF`.  A CSV or JSON file that differs
+Schema-1 trees wrote a `wall_time_s` timing field in `results.csv` and
+`realizations.jsonl`; it is removed where present, so a schema-1 tree can
+be compared with a later one.  Every file must then match byte for byte.
+One line per file reports `same` or `DIFF`.  A CSV or JSON file that differs
 also reports the largest relative and absolute deviations of its floats
 and names the first other cell (an integer, a string, a key or the
 shape) that differs: `row N column C: old -> new` for a CSV file, N
@@ -221,12 +222,15 @@ def run_one_process_case(root: Path, workdir: Path, configs: dict, commands) -> 
 
 
 def _strip_timing(path: Path) -> bytes:
-    """File bytes, without the timing field and with JSONL lines sorted."""
+    """File bytes, without any schema-1 timing field."""
     data = path.read_bytes()
     if path.name == "results.csv":
         lines = data.decode().splitlines(keepends=True)
         header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
-        col = next(csv.reader([lines[header]])).index(TIMING)
+        columns = next(csv.reader([lines[header]]))
+        if TIMING not in columns:
+            return data
+        col = columns.index(TIMING)
         out = io.StringIO()
         for i, line in enumerate(lines):
             if i >= header:
