@@ -188,14 +188,34 @@ def derive_coupling(config: ModelConfig) -> CouplingParameters:
 
 @dataclass(frozen=True)
 class BlockHamiltonian:
-    """Dense Hermitian matrix plus its macrostate block layout."""
+    """Hermitian block matrix stored as its blocks.
 
-    matrix: np.ndarray
+    `diagonal` holds the D diagonal entries; `c_mz` and `c_zp` are the
+    (-,0) and (0,+) coupling blocks, whose conjugate transposes fill
+    (0,-) and (+,0); the (-,+) corner blocks are zero.
+    """
+
+    diagonal: np.ndarray
+    c_mz: np.ndarray
+    c_zp: np.ndarray
     block_layout: tuple[tuple[int, int], ...]
 
     @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        return self.diagonal.shape[0]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """A fresh dense array of the matrix, built on every access."""
+        d = self.dimension
+        h = np.zeros((d, d), dtype=np.result_type(self.c_mz, self.c_zp))
+        np.fill_diagonal(h, self.diagonal)
+        (m0, m1), (z0, z1), (p0, p1) = self.block_layout
+        h[m0:m1, z0:z1] = self.c_mz
+        h[z0:z1, m0:m1] = self.c_mz.conj().T
+        h[z0:z1, p0:p1] = self.c_zp
+        h[p0:p1, z0:z1] = self.c_zp.conj().T
+        return h
 
 
 def _block_energies(config: ModelConfig, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -226,26 +246,13 @@ def build_hamiltonian(config: ModelConfig) -> BlockHamiltonian:
     """
     rng = np.random.default_rng(config.hamiltonian_seed)
     lam = derive_coupling(config).lam
-    layout = config.block_layout
-    d = config.dimension
-    dtype = np.float64 if config.ensemble is Ensemble.GOE else np.complex128
-    h = np.zeros((d, d), dtype=dtype)
-
     e_minus = _block_energies(config, config.v_minus, rng)
     e_zero = _block_energies(config, config.v_zero, rng)
-    (m0, m1), (z0, z1), (p0, p1) = layout
-    h[np.arange(m0, m1), np.arange(m0, m1)] = e_minus
-    h[np.arange(z0, z1), np.arange(z0, z1)] = e_zero
     # Same microcanonical ladder on both sides of the exchange.
-    h[np.arange(p0, p1), np.arange(p0, p1)] = e_minus
-
+    diagonal = np.concatenate([e_minus, e_zero, e_minus])
     c_mz = lam * _coupling_block(config, (config.v_minus, config.v_zero), rng)
     c_zp = lam * _coupling_block(config, (config.v_zero, config.v_plus), rng)
-    h[m0:m1, z0:z1] = c_mz
-    h[z0:z1, m0:m1] = c_mz.conj().T
-    h[z0:z1, p0:p1] = c_zp
-    h[p0:p1, z0:z1] = c_zp.conj().T
-    return BlockHamiltonian(matrix=h, block_layout=layout)
+    return BlockHamiltonian(diagonal, c_mz, c_zp, config.block_layout)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ rows; one state is passed as a batch of one, psi[None].
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,15 +41,77 @@ class SpectralDecomposition:
         return self.eigenvalues.shape[0]
 
 
-def eigendecompose(hamiltonian: BlockHamiltonian) -> SpectralDecomposition:
-    """Dense Hermitian eigendecomposition, done once per realization."""
+def _lapack(name: str):
+    """The LAPACK routine `name` that numpy's linalg module binds to, or
+    None where numpy's build exposes no such symbol."""
     try:
-        evals, evecs = np.linalg.eigh(hamiltonian.matrix)
-    except np.linalg.LinAlgError as exc:
+        routine = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), name)
+    except (OSError, AttributeError):
+        return None
+    routine.argtypes = [ctypes.c_char_p] * 2 + [ctypes.c_void_p] * (
+        11 if name.startswith("scipy_z") else 9
+    )
+    routine.restype = None
+    return routine
+
+
+# Divide-and-conquer eigensolvers of numpy's bundled ILP64 OpenBLAS, the
+# ones np.linalg.eigh calls, so both paths give the same bits.
+_DSYEVD = _lapack("scipy_dsyevd_64_")
+_ZHEEVD = _lapack("scipy_zheevd_64_")
+
+
+def _evd(routine, h: np.ndarray, evals: np.ndarray, query: bool, *work: np.ndarray) -> None:
+    """One ?syevd/?heevd call, jobz 'V' and uplo 'L', on the C-order
+    buffer h; `work` is (work, iwork) or (work, rwork, iwork).  A query
+    passes every length as -1 and fills only work[k][0]."""
+    n, info = ctypes.c_int64(h.shape[0]), ctypes.c_int64()
+    lengths = [ctypes.c_int64(-1 if query else w.size) for w in work]
+    args = [ctypes.byref(n), h.ctypes.data, ctypes.byref(n), evals.ctypes.data]
+    for w, length in zip(work, lengths):
+        args += [w.ctypes.data, ctypes.byref(length)]
+    routine(b"V", b"L", *args, ctypes.byref(info))
+    if info.value != 0:
         raise RuntimeError(
-            f"Hermitian eigensolver failed to converge at D={hamiltonian.dimension}"
-        ) from exc
-    return SpectralDecomposition(eigenvalues=evals, eigenvectors=evecs)
+            f"Hermitian eigensolver failed to converge at D={h.shape[0]} (info {info.value})"
+        )
+
+
+def eigendecompose(hamiltonian: BlockHamiltonian) -> SpectralDecomposition:
+    """Dense Hermitian eigendecomposition, done once per realization.
+
+    The fresh dense matrix is solved in place by numpy's own LAPACK
+    routine, bit-identical to np.linalg.eigh but without its copies of
+    the input and the output: the peak holds the matrix and the 2 D^2
+    workspace, three D x D arrays instead of five.  Where numpy's LAPACK
+    lacks the routine, np.linalg.eigh runs instead.
+    """
+    h = hamiltonian.matrix
+    complex_ = np.iscomplexobj(h)
+    routine = {np.dtype(np.float64): _DSYEVD, np.dtype(np.complex128): _ZHEEVD}.get(h.dtype)
+    if routine is None:
+        try:
+            evals, evecs = np.linalg.eigh(h)
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(
+                f"Hermitian eigensolver failed to converge at D={hamiltonian.dimension}"
+            ) from exc
+        return SpectralDecomposition(eigenvalues=evals, eigenvectors=evecs)
+    if complex_:
+        # LAPACK reads the C-order buffer as h.T, which is conj(h) for
+        # exactly Hermitian h; conjugating gives it numpy's lower triangle.
+        np.conjugate(h, out=h)
+    evals = np.empty(h.shape[0])
+    sizes = [np.zeros(1, h.dtype), np.zeros(1, np.int64)]
+    if complex_:
+        sizes.insert(1, np.zeros(1))
+    _evd(routine, h, evals, True, *sizes)
+    work = [np.empty(int(q[0].real), q.dtype) for q in sizes]
+    _evd(routine, h, evals, False, *work)
+    del work
+    # Eigenvectors come back as the rows of h; numpy's layout has them
+    # as columns.  Copying after the workspace is freed keeps the peak.
+    return SpectralDecomposition(eigenvalues=evals, eigenvectors=np.ascontiguousarray(h.T))
 
 
 def _rows_times_matrix(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:

@@ -317,7 +317,7 @@ def test_criterion_9_commuting_coarsening(capsys):
     diag[:2] = [0.0, 2.0]
     diag[2:8] = np.linspace(0.0, 2.0, 6)
     diag[8:] = [0.0, 2.0]
-    ham = BlockHamiltonian(matrix=np.diag(diag), block_layout=config.block_layout)
+    ham = BlockHamiltonian(diag, np.zeros((2, 6)), np.zeros((6, 2)), config.block_layout)
     sd = eigendecompose(ham)
     coarsening = build_coarsening(config)
     psi0 = sample_haar_state(coarsening, (0.2, 0.6, 0.2), 37)

@@ -646,6 +646,23 @@ class TestDecompositionStore:
         # The dynamics matrix is the weak sweep's (D=10, h_index=0).
         assert len(calls) == len(set(calls)) == 4
 
+    def test_decomposition_peak_memory(self, tmp_path):
+        # The in-place solve holds the matrix and LAPACK's 2 D^2 workspace;
+        # np.linalg.eigh on a separate matrix adds its input copy and its
+        # output, about 5 D^2 in all.
+        d = 2000
+        script = f"""
+import resource
+from dechist import experiments
+from dechist.model import ModelConfig
+experiments._decomposition(ModelConfig(v_minus=20))  # LAPACK's first-call buffers
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+experiments._decomposition(ModelConfig(v_minus={d // 5}))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+        grown = int(run_python(tmp_path, script).stdout) * 1024  # ru_maxrss is in KiB
+        assert grown <= 4 * d * d * 8
+
     @pytest.mark.parametrize(
         "store", ["zero_budget", "no_free_space", "missing_directory", "disk_full"]
     )

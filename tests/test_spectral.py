@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dechist import spectral
 from dechist.model import (
     BlockHamiltonian,
     Ensemble,
@@ -39,7 +40,8 @@ def random_state(dim, seed=0):
 class TestEigendecompose:
     def test_diagonal_matrix(self):
         ham = BlockHamiltonian(
-            matrix=np.diag([3.0, 1.0, 2.0]), block_layout=((0, 1), (1, 2), (2, 3))
+            np.array([3.0, 1.0, 2.0]), np.zeros((1, 1)), np.zeros((1, 1)),
+            block_layout=((0, 1), (1, 2), (2, 3)),
         )
         sd = eigendecompose(ham)
         np.testing.assert_allclose(sd.eigenvalues, [1.0, 2.0, 3.0])
@@ -47,7 +49,7 @@ class TestEigendecompose:
 
     def test_two_level_flip(self):
         ham = BlockHamiltonian(
-            matrix=np.array([[0.0, 1.0], [1.0, 0.0]]), block_layout=((0, 1), (1, 2), (2, 2))
+            np.zeros(2), np.ones((1, 1)), np.zeros((1, 0)), block_layout=((0, 1), (1, 2), (2, 2))
         )
         sd = eigendecompose(ham)
         np.testing.assert_allclose(sd.eigenvalues, [-1.0, 1.0], atol=1e-12)
@@ -60,6 +62,34 @@ class TestEigendecompose:
         assert np.abs(rebuilt - ham.matrix).max() <= 1e-9 * max(scale, 1.0)
         gram = sd.eigenvectors.conj().T @ sd.eigenvectors
         assert np.abs(gram - np.eye(ham.dimension)).max() <= 1e-10
+
+    @pytest.mark.parametrize("path", ["lapack", "eigh_fallback"])
+    @pytest.mark.parametrize("v_minus", [1, 10, 50])
+    @pytest.mark.parametrize("ensemble", [Ensemble.GOE, Ensemble.GUE])
+    def test_bit_identical_to_numpy_eigh(self, ensemble, v_minus, path, monkeypatch):
+        if path == "eigh_fallback":
+            monkeypatch.setattr(spectral, "_DSYEVD", None)
+            monkeypatch.setattr(spectral, "_ZHEEVD", None)
+        elif spectral._DSYEVD is None or spectral._ZHEEVD is None:
+            pytest.skip("numpy's LAPACK exposes no ILP64 ?syevd/?heevd symbols")
+        ham = build_hamiltonian(
+            ModelConfig(v_minus=v_minus, hamiltonian_seed=v_minus, ensemble=ensemble)
+        )
+        before = ham.matrix
+        sd = eigendecompose(ham)
+        evals, evecs = np.linalg.eigh(ham.matrix)
+        assert np.array_equal(sd.eigenvalues, evals)
+        assert np.array_equal(sd.eigenvectors, evecs)
+        assert sd.eigenvectors.dtype == evecs.dtype and sd.eigenvectors.flags.c_contiguous
+        np.testing.assert_array_equal(ham.matrix, before)
+
+    def test_matrix_is_fresh_on_each_access(self):
+        _, ham, _ = model_parts(v_minus=3, seed=4, ensemble=Ensemble.GUE)
+        first, second = ham.matrix, ham.matrix
+        assert not np.shares_memory(first, second)
+        np.testing.assert_array_equal(first, second)
+        first[0, 0] = 99.0
+        assert ham.matrix[0, 0] != 99.0
 
     def test_eigenvalues_sorted(self):
         _, _, sd = model_parts(v_minus=6, seed=3)

@@ -17,8 +17,8 @@ One line per file reports `same` or `DIFF`.  A CSV or JSON file that differs
 also reports the largest relative and absolute deviations of its floats
 and names the first other cell (an integer, a string, a key or the
 shape) that differs: `row N column C: old -> new` for a CSV file, N
-being the file's line number and C the header's name for the column,
-or the key path for a JSON file, led by `line N` in a JSONL file.  The
+being the file's line number and C the header's name for the column
+(`row N` alone on a `#` comment line), or the key path for a JSON file, led by `line N` in a JSONL file.  The
 exit code is 1 on any difference and 2 when a command fails.
 """
 
@@ -297,8 +297,10 @@ def _where(suffix: str, values, path: tuple) -> str:
         return f"line {path[0] + 1} {_where('.json', values, path[1:])}"
     if suffix == ".csv" and path:
         header = next((row for row in values if row and not row[0].startswith("#")), [])
+        row = values[path[0]] if path[0] < len(values) else []
+        comment = bool(row) and row[0].startswith("#")  # a comment line has no columns
         column = header[path[1]] if len(path) > 1 and path[1] < len(header) else None
-        return f"row {path[0] + 1}" + (f" column {column}" if column else "")
+        return f"row {path[0] + 1}" + (f" column {column}" if column and not comment else "")
     return ".".join(map(str, path)) or "whole file"
 
 
