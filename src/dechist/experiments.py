@@ -606,16 +606,19 @@ def _run_group(
     """All state seeds for one (d, h_index): one eigensolve, many states.
 
     Every seed's starts are prepared first.  Consecutive seeds on one
-    grid then run in batches (see _run_batch) of a fixed size, whose
-    live last-level rows (see histories.live_rows) together take at
-    most a quarter of the eigenvector matrix's bytes, so a batch is one
-    seed where the matrix is small enough to stay in cache.  A start
-    with weight in one band has a third of its rows live, so all-'-'
-    seeds batch about three times as many as equilibrium ones.  Random
-    spacings give each seed its own grid, so there a batch is one seed
-    too.  A seed whose preparation raises is prepared again in its
-    batch, and a batch that raises is rerun as batches of one, so a
-    failure fails only its own realization.
+    grid then run in batches (see _run_batch) of a fixed size.  A tree
+    keeps only its live rows (see histories.live_rows), and its working
+    set is about two last levels and the level before them, 7/3 of its
+    last level; a batch's working sets together take at most 1.5 times
+    the eigenvector matrix's bytes, which keeps the trees under the
+    eigensolve's own peak.  So a batch is one seed where the matrix is
+    small enough to stay in cache, and a start with weight in one band,
+    a third of its rows live, batches about three times as many seeds
+    as one with weight in all three.  Random spacings give each seed
+    its own grid, so there a batch is one seed too.  A seed whose
+    preparation raises is prepared again in its batch, and a batch that
+    raises is rerun as batches of one, so a failure fails only its own
+    realization.
     """
     try:
         sd = _decomposition(spec.model_config(d, h_index))
@@ -631,8 +634,9 @@ def _run_group(
     if prepared and not isinstance(spec.step_mode, RandomSpacing):
         coarsening = next(iter(prepared.values()))[2]
         psi0 = np.stack([starts[0][1] for *_, starts in prepared.values()])
-        rows = int(live_rows(coarsening, psi0, spec.l_max).sum(axis=1).max())
-        size = max(1, sd.eigenvectors.nbytes // (4 * 16 * rows * d))
+        rows = int(live_rows(coarsening, psi0, spec.l_max).any(axis=0).sum())
+        working = 7 * 16 * rows * d // 3
+        size = max(1, 3 * sd.eigenvectors.nbytes // (2 * working))
     batches = [s_indices[i:i + size] for i in range(0, len(s_indices), size)]
     results = []
     while batches:

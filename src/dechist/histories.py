@@ -13,9 +13,10 @@ have orthogonal branches, so each functional is stored as its three
 final-label blocks, never as the two-thirds-zero 3^L x 3^L matrix.
 The branch tree is grown for all starts together and kept before its
 last projection: each block reads one band of the last level, so the
-two-thirds-zero leaf array is never built either.  Rows of the last
-level that a start's band support leaves exactly zero are left out of
-the block products.
+two-thirds-zero leaf array is never built either.  A branch whose first
+label is a band where no start has weight is exactly zero, so the tree
+never holds it: its levels keep live rows only.  Rows that a narrower
+start's own support leaves zero are left out of the block products.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ __all__ = [
 M = NUM_MACROSTATES
 MAX_LENGTH = 6
 
-# Byte cap on the last level of a stack's trees, 3^(L-1) * D * S complex entries.
+# Byte cap on the last level of a stack's trees: its live rows (see
+# live_rows) times D complex entries, for all S starts.
 MEMORY_BUDGET = 2 << 30
 
 
@@ -143,32 +145,46 @@ def _branch_tree(
     starts: np.ndarray,
     grid: HistoryGrid,
 ) -> np.ndarray:
-    """Last level of the branch trees of (S, D) starts, as (3^(L-1), S, D).
+    """Last level of the branch trees of (S, D) starts, live rows only,
+    as (n, S, D).
 
-    Each level evolves the band slices of the rows of the one before, so
-    no split copy is built, each live node is evolved once (at most
-    sum_k 3^k propagations, not L * 3^L) and exactly-zero nodes (a start
-    with no weight in some band) never are.  Rows are ordered
+    Level 1 evolves only the bands where some start has weight; every
+    later level evolves all three band slices of each row it holds, so
+    no split copy is built and each kept node is evolved once (at most
+    sum_k 3^k propagations, not L * 3^L).  Rows are ordered
     [labels][start], so each level reads the eigenvector matrix once for
     all starts and the band chunks stay contiguous.
 
-    Entry [h, s] is start s's branch of the code h of (x_0, ...,
-    x_{L-2}) at t_{L-1}; its band-x slice is the leaf of the history
-    h + x * 3^(L-1).  Zero-norm branches are zero rows, never pruned.
+    The n rows are the codes h of (x_0, ..., x_{L-2}) live for some
+    start (see live_rows), in ascending order: all 3^(L-1) when the
+    stack has weight in every band.  Entry [i, s] is start s's branch
+    of the i-th of them at t_{L-1}; its band-x slice is the leaf of the
+    history h + x * 3^(L-1).  Zero-norm branches of a start narrower
+    than the stack are zero rows, never pruned.
     """
     starts = np.array(starts, dtype=np.complex128)
     num_starts, d = starts.shape
-    needed = 16 * d * M ** (grid.length - 1) * num_starts
+    rows = int(live_rows(coarsening, starts, grid.length).any(axis=0).sum())
+    needed = 16 * d * rows * num_starts
     if needed > MEMORY_BUDGET:
         raise MemoryError(
             f"branch tree needs {needed} bytes for {num_starts} start(s) with "
-            f"3^{grid.length - 1} x {d} branches each, budget is {MEMORY_BUDGET}"
+            f"{rows} live x {d} branches each, budget is {MEMORY_BUDGET}"
         )
+    support = _support(coarsening, starts).any(axis=0)
+    ranges = [r for r, live in zip(coarsening.ranges, support) if live]
     level = starts
     for k in range(1, grid.length):
         dt = grid.times[k] - grid.times[k - 1]
-        level = evolve_batch(sd, level, dt, ranges=coarsening.ranges)
+        level = evolve_batch(sd, level, dt, ranges=ranges if k == 1 else coarsening.ranges)
     return level.reshape(-1, num_starts, d)
+
+
+def _support(coarsening: Coarsening, starts: np.ndarray) -> np.ndarray:
+    """(S, 3) flags: the bands where each start has weight."""
+    return np.stack(
+        [np.any(starts[:, a:b] != 0, axis=1) for a, b in coarsening.ranges], axis=1
+    )
 
 
 def live_rows(coarsening: Coarsening, starts: np.ndarray, length: int) -> np.ndarray:
@@ -183,10 +199,7 @@ def live_rows(coarsening: Coarsening, starts: np.ndarray, length: int) -> np.nda
     starts = np.asarray(starts)
     if length == 1:
         return np.ones((len(starts), 1), dtype=bool)
-    support = np.stack(
-        [np.any(starts[:, a:b] != 0, axis=1) for a, b in coarsening.ranges], axis=1
-    )
-    return support[:, np.arange(M ** (length - 1)) % M]
+    return _support(coarsening, starts)[:, np.arange(M ** (length - 1)) % M]
 
 
 @dataclass(frozen=True)
@@ -233,15 +246,19 @@ def compute_df(
     and columns of dead ones are exact zeros.
     """
     level = _branch_tree(sd, coarsening, starts, grid)
-    functionals = []
     alive = live_rows(coarsening, starts, grid.length)
-    for final, live in zip(level.transpose(1, 0, 2), map(np.flatnonzero, alive)):
-        # (ket, bra) indexes the live entries; with every row live, the
-        # products read the level's band slices in place.
-        ket, bra = (slice(None),) * 2 if live.size == len(final) else (live[:, None], live)
-        blocks = np.zeros((M, len(final), len(final)), dtype=np.complex128)
+    codes = np.flatnonzero(alive.any(axis=0))
+    size = alive.shape[1]
+    functionals = []
+    for final, own in zip(level.transpose(1, 0, 2), alive[:, codes]):
+        # rows picks the start's live rows of the level, live their codes;
+        # with all of them live, the products read the level in place.
+        rows = slice(None) if own.all() else np.flatnonzero(own)
+        live = codes[rows]
+        ket, bra = (slice(None),) * 2 if live.size == size else (live[:, None], live)
+        blocks = np.zeros((M, size, size), dtype=np.complex128)
         for c, (a, b) in enumerate(coarsening.ranges):
-            f = final[bra, a:b]
+            f = final[rows, a:b]
             # entry(x, y) = <psi_y | psi_x> = sum_i psi_x[i] conj(psi_y[i]).
             blocks[c][ket, bra] = f @ f.conj().T
         functionals.append(DecoherenceFunctional(blocks=blocks, grid=grid))

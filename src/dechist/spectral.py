@@ -121,15 +121,39 @@ def _rows_times_matrix(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
     and imaginary parts stacked as (2n, k).  At a few dozen rows the
     product is bound by streaming mat, so this halves the traffic of
     two real GEMMs, and unlike one complex GEMM it needs no complex
-    copy of mat.
+    copy of mat.  Rows passed as a temporary are freed once stacked,
+    so the product holds two arrays of the output's size at a time.
     """
     if np.iscomplexobj(mat) or not np.iscomplexobj(rows):
         return rows @ mat
     n = rows.shape[0]
-    prod = np.concatenate([rows.real, rows.imag]) @ mat
+    stacked = np.concatenate([rows.real, rows.imag])
+    del rows
+    prod = stacked @ mat
+    del stacked
     out = prod[:n].astype(np.complex128)
     out.imag = prod[n:]
     return out
+
+
+def _coefficients(
+    sd: SpectralDecomposition, states: np.ndarray, dt: float,
+    ranges: tuple[tuple[int, int], ...],
+) -> np.ndarray:
+    """Eigenbasis coefficients of each row's slice on each range,
+    label-major, advanced by dt; see evolve_batch."""
+    n, d = states.shape
+    basis = sd.eigenvectors
+    coeff = np.empty((len(ranges) * n, d), dtype=np.complex128)
+    for x, (a, b) in enumerate(ranges):
+        sliced = states[:, a:b]
+        if np.iscomplexobj(basis):
+            # sliced @ conj(E) without materializing a conjugate copy of E.
+            coeff[x * n : (x + 1) * n] = np.conj(np.conj(sliced) @ basis[a:b])
+        else:
+            coeff[x * n : (x + 1) * n] = _rows_times_matrix(sliced, basis[a:b])
+    coeff *= np.exp(-1j * dt * sd.eigenvalues)
+    return coeff
 
 
 def evolve_batch(
@@ -146,9 +170,9 @@ def evolve_batch(
     evolved, label-major: row x * n + r of the (len(ranges) * n, D)
     result evolves columns ranges[x] of row r (the children of a
     branch-tree level under the band masks).  Each forward transform
-    then reads only that range's rows of the eigenvector matrix.
-    Slices that are exactly zero stay zero and are left out of both
-    transforms; the backward transform runs once for all live ones.
+    then reads only that range's rows of the eigenvector matrix, and
+    the backward transform runs once for all slices.  Every slice is
+    evolved; one that is exactly zero comes out exactly zero.
 
     Parameters
     ----------
@@ -159,33 +183,15 @@ def evolve_batch(
     """
     states = np.asarray(states, dtype=np.complex128)
     n, d = states.shape
-    ranges = ranges or ((0, d),)
+    ranges = ((0, d),) if ranges is None else ranges
     if dt == 0.0:
         out = np.zeros((len(ranges) * n, d), dtype=np.complex128)
         for x, (a, b) in enumerate(ranges):
             out[x * n : (x + 1) * n, a:b] = states[:, a:b]
         return out
-    alive = [np.flatnonzero(np.any(states[:, a:b] != 0, axis=1)) for a, b in ranges]
-    live = np.concatenate([rows + x * n for x, rows in enumerate(alive)])
-    basis = sd.eigenvectors
-    coeff = np.empty((live.size, d), dtype=np.complex128)
-    lo = 0
-    for (a, b), rows in zip(ranges, alive):
-        hi = lo + rows.size
-        sliced = states[rows, a:b]
-        if np.iscomplexobj(basis):
-            # sliced @ conj(E) without materializing a conjugate copy of E.
-            coeff[lo:hi] = np.conj(np.conj(sliced) @ basis[a:b])
-        else:
-            coeff[lo:hi] = _rows_times_matrix(sliced, basis[a:b])
-        lo = hi
-    coeff *= np.exp(-1j * dt * sd.eigenvalues)
-    evolved = _rows_times_matrix(coeff, basis.T)
-    if live.size == len(ranges) * n:
-        return evolved
-    out = np.zeros((len(ranges) * n, d), dtype=np.complex128)
-    out[live] = evolved
-    return out
+    # Passed as a temporary, the coefficient block is freed before the
+    # backward product (see _rows_times_matrix).
+    return _rows_times_matrix(_coefficients(sd, states, dt, ranges), sd.eigenvectors.T)
 
 
 def apply_projector_batch(

@@ -527,18 +527,23 @@ class TestStateSeedBatches:
     @pytest.mark.parametrize(
         "d,num_steps,ensemble,family,batch",
         [
-            (50, 1, Ensemble.GOE, InitFamily.HAAR_EQUILIBRIUM, 2),
-            (250, 2, Ensemble.GOE, InitFamily.EIGENSTATE, 3),
-            (50, 1, Ensemble.GUE, InitFamily.HAAR_EQUILIBRIUM, 4),
+            # rows 3, 7 * 16 * 3 * 50 // 3 = 5600; 3 * 20000 // (2 * 5600) = 5.
+            (50, 1, Ensemble.GOE, InitFamily.HAAR_EQUILIBRIUM, 5),
+            # rows 9, 7 * 16 * 9 * 250 // 3 = 84000; 3 * 500000 // (2 * 84000) = 8.
+            (250, 2, Ensemble.GOE, InitFamily.EIGENSTATE, 8),
+            # rows 3, 5600 as for GOE; 3 * 40000 // (2 * 5600) = 10.
+            (50, 1, Ensemble.GUE, InitFamily.HAAR_EQUILIBRIUM, 10),
         ],
     )
     def test_batched_sweep_matches_single_seeds(
         self, monkeypatch, d, num_steps, ensemble, family, batch
     ):
-        # The batch holds as many seeds as keep the live rows of its last
-        # tree level within a quarter of the eigenvector bytes: GOE D=50
-        # at L=2 takes 2.  Every start here has weight in all three bands,
-        # so every row is live; all-'-' starts are the next test's.
+        # A tree's working set is taken as 7/3 of its last level, rows * D
+        # complex entries per seed, and a batch's working sets take at most
+        # 1.5 times the eigenvector bytes (8 * D^2 for GOE, 16 * D^2 for
+        # GUE): size = 3 * E // (2 * (7 * 16 * rows * D // 3)).  Every
+        # start here has weight in all three bands, so every row of
+        # 3^(L-1) is live; all-'-' starts are the next test's.
         spec = small_spec(
             d_grid=(d,), num_steps=num_steps, ensemble=ensemble, init_family=family,
             num_state_seeds=batch + 1, base_seed=29,
@@ -552,16 +557,17 @@ class TestStateSeedBatches:
             _assert_close_results(result, single)
 
     def test_all_minus_batch_counts_only_live_rows(self, monkeypatch):
-        # An all-'-' start has weight in one band, so 3 of the 9 rows of
-        # its last level at L=3 are live: GOE D=250 takes 10 seeds, where
-        # counting every row would take 3.
+        # An all-'-' start has weight in one band, so its tree holds 3 of
+        # the 9 rows of its last level at L=3: GOE D=250 takes
+        # 3 * 500000 // (2 * (7 * 16 * 3 * 250 // 3)) = 26 seeds, where
+        # counting every row would take 3 * 500000 // (2 * 84000) = 8.
         spec = small_spec(
             d_grid=(250,), init_family=InitFamily.HAAR_NONEQUILIBRIUM,
-            num_state_seeds=11, base_seed=29,
+            num_state_seeds=27, base_seed=29,
         )
         shapes = _tree_shapes(monkeypatch)
         swept = run_sweep(spec)
-        assert shapes == [(10, 250), (1, 250)]
+        assert shapes == [(26, 250), (1, 250)]
         assert not any(r.failed for r in swept)
         for result in swept:
             single = experiments._run_batch(spec, 250, 0, (result.s_index,))[0]
@@ -574,6 +580,31 @@ class TestStateSeedBatches:
                 assert per_subset[metrics.argmax_subset] == per_subset[want]
                 result.per_length[length] = dataclasses.replace(metrics, argmax_subset=want)
             _assert_close_results(result, single)
+
+    @pytest.mark.parametrize("d", [1000, 2000])
+    def test_all_minus_group_stays_under_the_eigensolve_peak(self, tmp_path, d):
+        # Batches are sized so that their trees fit in what the eigensolve
+        # held at its peak: a 60-seed all-'-' group at L=5 may raise a
+        # fresh process's peak at most 2% above the decomposition's alone.
+        setup = f"""
+import resource
+from dechist import experiments
+from dechist.experiments import InitFamily, SweepSpec
+spec = SweepSpec(d_grid=({d},), num_state_seeds=60, num_steps=4,
+                 init_family=InitFamily.HAAR_NONEQUILIBRIUM)
+"""
+        peak = "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss"
+        alone = run_python(tmp_path, setup + f"""
+experiments._decomposition(spec.model_config({d}, 0))
+print({peak})
+""")
+        group = run_python(tmp_path, setup + f"""
+results = experiments._run_group(spec, {d}, 0, tuple(range(60)))
+print({peak}, sum(r.failed for r in results))
+""")
+        grown, failed = map(int, group.stdout.split())
+        assert failed == 0
+        assert grown <= 1.02 * int(alone.stdout)
 
     def test_random_spacing_grows_one_tree_per_seed(self, monkeypatch):
         spec = small_spec(

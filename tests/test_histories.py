@@ -131,8 +131,12 @@ class TestEncoding:
 
 
 def last_level(sd, coarsening, psi0, grid):
-    """The (3^(L-1), D) last level of one start's branch tree."""
-    return histories._branch_tree(sd, coarsening, psi0[None], grid)[:, 0]
+    """The (3^(L-1), D) last level of one start's branch tree, the dead
+    rows that the tree does not hold filled in as zeros."""
+    live = histories.live_rows(coarsening, psi0[None], grid.length)[0]
+    level = np.zeros((live.size, len(psi0)), dtype=complex)
+    level[live] = histories._branch_tree(sd, coarsening, psi0[None], grid)[:, 0]
+    return level
 
 
 class TestBranchStates:
@@ -289,6 +293,66 @@ class TestStackedStarts:
         compute_df(sd, coarsening, np.stack([psi0] * 3), grid)
         with pytest.raises(MemoryError):
             compute_df(sd, coarsening, np.stack([psi0] * 4), grid)
+
+    def test_memory_guard_counts_live_rows(self, monkeypatch):
+        _, _, sd, coarsening, psi0 = realization(v_minus=2, weights=(1.0, 0.0, 0.0))
+        grid = HistoryGrid.constant(2, 1.0)
+        # An all-minus start holds 3 of the 9 rows of its last level at
+        # L=3: nine starts (27 rows) fit where counting 9 rows each would
+        # fit three; ten (30 rows) do not.
+        monkeypatch.setattr(histories, "MEMORY_BUDGET", 16 * 27 * 10)
+        compute_df(sd, coarsening, np.stack([psi0] * 9), grid)
+        with pytest.raises(MemoryError, match="3 live x 10 branches each"):
+            compute_df(sd, coarsening, np.stack([psi0] * 10), grid)
+
+
+class TestCompactTree:
+    # Each stack's bands with weight, k in all: one start takes every band
+    # of the stack, a second only some, so compute_df also leaves a
+    # narrower start's dead rows out of a stack's compact level.
+    STACKS = {
+        1: [(1.0, 0.0, 0.0), (1.0, 0.0, 0.0)],
+        2: [(0.5, 0.0, 0.5), (0.0, 0.0, 1.0)],
+        3: [(0.2, 0.6, 0.2), (0.0, 1.0, 0.0)],
+    }
+
+    @pytest.mark.parametrize("length", [3, 4, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("ensemble", [Ensemble.GOE, Ensemble.GUE])
+    def test_levels_hold_live_rows_only(self, monkeypatch, ensemble, k, length):
+        # Level 1 evolves the stack's k bands of each of the S starts, and
+        # every later level the three bands of each row it holds, so the
+        # last level holds k * 3^(L-2) * S rows, not 3^(L-1) * S.
+        config = ModelConfig(v_minus=2, ensemble=ensemble, hamiltonian_seed=5)
+        ham = build_hamiltonian(config)
+        sd = eigendecompose(ham)
+        coarsening = build_coarsening(config)
+        starts = np.stack([
+            sample_haar_state(coarsening, w, seed)
+            for seed, w in enumerate(self.STACKS[k], start=2)
+        ])
+        grid = HistoryGrid.constant(length - 1, 2.0)
+        received, returned = [], []
+        evolve = histories.evolve_batch
+
+        def recording(sd, states, dt, ranges=None):
+            received.append(len(states))
+            out = evolve(sd, states, dt, ranges=ranges)
+            returned.append(len(out))
+            return out
+
+        monkeypatch.setattr(histories, "evolve_batch", recording)
+        dfs = compute_df(sd, coarsening, starts, grid)
+        s = len(starts)
+        assert received == [s] + [k * 3 ** (j - 1) * s for j in range(1, length - 1)]
+        assert returned[-1] == k * 3 ** (length - 2) * s
+        projs = range_projectors(coarsening.ranges)
+        alive = histories.live_rows(coarsening, starts, length)
+        for psi0, df, live in zip(starts, dfs, alive):
+            oracle = functional_by_chains(ham.matrix, projs, grid, psi0)
+            assert np.abs(df.blocks - oracle.blocks).max() <= 1e-12
+            assert np.all(df.blocks[:, ~live] == 0)
+            assert np.all(df.blocks[:, :, ~live] == 0)
 
 
 class TestDecoherenceFunctional:

@@ -105,8 +105,9 @@ CASES = [
         },
         [(["histogram"], None), (["distance"], None), (["dump-df"], None)],
     ),
-    # The two sweeps below grow state seeds' trees in batches of more than
-    # one: 6 and 2 at GOE D=500, 4 and 1 at GUE D=50, 5 at GUE D=500.
+    # The three sweeps below grow state seeds' trees in batches of more
+    # than one: 8 at GOE D=500, 5 at GUE D=50 and D=500, and 20 batches of
+    # 2 all-'-' seeds at GOE D=250.
     (
         "goe_nonequilibrium_batched_l3",
         {
@@ -124,6 +125,16 @@ CASES = [
             "grid": {"num_steps": 1},
             "init": {"family": "eigenstate"},
             "sweep": {"num_hamiltonian_seeds": 1, "num_state_seeds": 5},
+        },
+        [(["sweep", "--workers", "1"], None)],
+    ),
+    (
+        "goe_all_minus_batches_l5",
+        {
+            "model": {"d_grid": [250]},
+            "grid": {"num_steps": 4},
+            "init": {"family": "haar_nonequilibrium"},
+            "sweep": {"num_hamiltonian_seeds": 1, "num_state_seeds": 40},
         },
         [(["sweep", "--workers", "1"], None)],
     ),
