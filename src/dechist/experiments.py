@@ -22,14 +22,16 @@ laid out by CONFIG_FIELDS, which drives parsing and the unknown-key check.
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import functools
 import json
 import math
 import multiprocessing
 import os
 import shutil
 import tempfile
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -776,50 +778,36 @@ def run_sweep(
             if pending:
                 groups.append((d, h_index, pending))
 
-    def _record(batch: list[RealizationResult]) -> list[str]:
-        """Keep a group's records; returns their JSONL lines."""
+    def _keep(batch: list[RealizationResult], write: bool = True) -> None:
+        """Keep a group's records and append them to the stream."""
         lines = []
         for result in batch:
             records[result.key] = result_to_dict(result)
             lines.append(json.dumps(records[result.key], sort_keys=True) + "\n")
-        return lines
-
-    def _write(lines: list[str]) -> None:
-        if records_path is not None and lines:
+        if write and records_path is not None and lines:
             with records_path.open("a") as fh:
                 fh.writelines(lines)
 
+    # Forked workers read the parent's decomposition store.  Each group's
+    # outcome is taken in group order, so the stream is in group order
+    # whatever the completion order.
+    pool = None
     if workers > 1 and groups:
-        # Forked workers read the parent's decomposition store.
         fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(groups)), mp_context=fork
-        ) as pool:
-            futures = {
-                pool.submit(_run_group, spec, *group): i for i, group in enumerate(groups)
-            }
-            # Finished groups wait here until every earlier group is done,
-            # so the stream is in group order whatever the completion order.
-            held: dict[int, list[str]] = {}
-            written = 0
-            for future in as_completed(futures):
-                i = futures[future]
-                try:
-                    held[i] = _record(future.result())
-                except BrokenProcessPool as exc:
-                    # A worker died: report the group as failed, but keep it
-                    # out of the JSONL stream so a rerun retries it.
-                    d, h_index, pending = groups[i]
-                    for s in pending:
-                        lost = _error_result(spec, d, h_index, s, exc)
-                        records[lost.key] = result_to_dict(lost)
-                    held[i] = []
-                while written in held:
-                    _write(held.pop(written))
-                    written += 1
-    else:
-        for group in groups:
-            _write(_record(_run_group(spec, *group)))
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(groups)), mp_context=fork)
+    with pool or contextlib.nullcontext():
+        outcomes = [
+            pool.submit(_run_group, spec, *group).result if pool
+            else functools.partial(_run_group, spec, *group)
+            for group in groups
+        ]
+        for (d, h_index, pending), outcome in zip(groups, outcomes):
+            try:
+                _keep(outcome())
+            except BrokenProcessPool as exc:
+                # A worker died: report the group as failed, but keep it
+                # out of the JSONL stream so a rerun retries it.
+                _keep([_error_result(spec, d, h_index, s, exc) for s in pending], False)
 
     results = [result_from_dict(records[key]) for key in sorted(records)]
     return results

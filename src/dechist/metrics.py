@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import Coarsening, NUM_MACROSTATES
-from .spectral import SpectralDecomposition, _rows_times_matrix, apply_projector_batch
+from .spectral import SpectralDecomposition, _rows_times_matrix
 from .histories import (
     DecoherenceFunctional,
     _digit_matrix,
@@ -204,9 +204,9 @@ def macro_dynamics(
     states = _rows_times_matrix(phases * coeff0, basis.T)
     out = np.empty((times.size, 1 + NUM_MACROSTATES))
     out[:, 0] = times
-    for label in range(NUM_MACROSTATES):
-        projected = apply_projector_batch(coarsening, label, states)
-        weights = np.einsum("ij,ij->i", states.conj(), projected)
+    for label, (start, stop) in enumerate(coarsening.ranges):
+        band = states[:, start:stop]
+        weights = np.einsum("ij,ij->i", band.conj(), band)
         out[:, 1 + label] = _real_probabilities(weights, "macro weights")
     return out
 

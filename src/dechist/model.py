@@ -149,15 +149,12 @@ class ModelConfig:
 class CouplingParameters:
     """Coupling strength and the derived time/consistency scales.
 
-    smallness_left is the perturbative smallness parameter; in the weak
-    regime it equals the configured target, in the strong regime 100x.
     interaction_strength_right must be large for the exchange dynamics
     to thermalize; interaction_warning flags values below 10.
     """
 
     lam: float
     tau: float
-    smallness_left: float
     interaction_strength_right: float
     interaction_warning: bool
 
@@ -174,13 +171,11 @@ def derive_coupling(config: ModelConfig) -> CouplingParameters:
     if config.regime is Regime.STRONG:
         lam *= 10.0
     half_bandwidth = math.pi * lam * v / (2.0 * config.delta_e)
-    smallness_left = half_bandwidth**2 / v
     strength_right = 32.0 * half_bandwidth**2
     tau = config.delta_e / (4.0 * math.pi * lam**2 * v)
     return CouplingParameters(
         lam=lam,
         tau=tau,
-        smallness_left=smallness_left,
         interaction_strength_right=strength_right,
         interaction_warning=strength_right < 10.0,
     )

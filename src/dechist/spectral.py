@@ -2,8 +2,8 @@
 
 Each Hamiltonian is diagonalized once; evolution over any interval is a
 phase multiplication in the eigenbasis, so no step-size error enters
-anywhere downstream.  Evolution and projection act on states stacked as
-rows; one state is passed as a batch of one, psi[None].
+anywhere downstream.  Evolution acts on states stacked as rows; one
+state is passed as a batch of one, psi[None].
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "SpectralDecomposition",
     "eigendecompose",
     "evolve_batch",
-    "apply_projector_batch",
     "sample_haar_state",
     "select_eigenstate",
 ]
@@ -192,19 +191,6 @@ def evolve_batch(
     # Passed as a temporary, the coefficient block is freed before the
     # backward product (see _rows_times_matrix).
     return _rows_times_matrix(_coefficients(sd, states, dt, ranges), sd.eigenvectors.T)
-
-
-def apply_projector_batch(
-    coarsening: Coarsening, label: int, states: np.ndarray
-) -> np.ndarray:
-    """Apply the band mask of macrostate `label` to stacked row states."""
-    if not 0 <= label < NUM_MACROSTATES:
-        raise ValueError(f"macrostate label out of range: {label}")
-    states = np.asarray(states, dtype=np.complex128)
-    out = np.zeros_like(states)
-    start, stop = coarsening.ranges[label]
-    out[:, start:stop] = states[:, start:stop]
-    return out
 
 
 def sample_haar_state(

@@ -52,7 +52,6 @@ from oracles import df_by_chains, epsilon_by_distance_by_loops, range_projectors
 
 SPEC_V1 = Path(__file__).parent / "data" / "sweep_spec_v1.json"
 _RUN_GROUP = experiments._run_group
-_RESULT_TO_DICT = experiments.result_to_dict
 
 
 def small_spec(**overrides):
@@ -79,11 +78,22 @@ def _die_after_others(received: Path, spec, d, h_index, s_indices):
     return _RUN_GROUP(spec, d, h_index, s_indices)
 
 
-def _noting_receipt(received: Path, result):
-    """Stand-in for result_to_dict in the sweep's parent: each record it
-    receives leaves a file named by its key."""
-    (received / "-".join(map(str, result.key))).touch()
-    return _RESULT_TO_DICT(result)
+class _NotingPool(concurrent.futures.ProcessPoolExecutor):
+    """Pool whose parent leaves a file named by (d, h_index) in `received`
+    for each group result it receives, when it receives it."""
+
+    def __init__(self, received: Path, **kwargs):
+        super().__init__(**kwargs)
+        self.received = received
+
+    def submit(self, fn, spec, d, h_index, s_indices):
+        def note(future):
+            if not future.cancelled() and future.exception() is None:
+                (self.received / f"{d}-{h_index}").touch()
+
+        future = super().submit(fn, spec, d, h_index, s_indices)
+        future.add_done_callback(note)
+        return future
 
 
 def _first_group_last(spec, d, h_index, s_indices):
@@ -395,7 +405,7 @@ class TestRunSweep:
             experiments, "_run_group", functools.partial(_die_after_others, received)
         )
         monkeypatch.setattr(
-            experiments, "result_to_dict", functools.partial(_noting_receipt, received)
+            experiments, "ProcessPoolExecutor", functools.partial(_NotingPool, received)
         )
         crashed = run_sweep(spec, output_dir=out, workers=2)
         assert [r.key for r in crashed] == [(5, 0, 0), (5, 1, 0), (10, 0, 0), (10, 1, 0)]

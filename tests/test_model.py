@@ -24,6 +24,12 @@ def make_config(v_minus=1, **kwargs) -> ModelConfig:
     return ModelConfig(v_minus=v_minus, **kwargs)
 
 
+def smallness(config: ModelConfig) -> float:
+    """The smallness parameter (pi lam V / (2 delta_e))^2 / V of a config."""
+    v = config.v_minus
+    return (math.pi * derive_coupling(config).lam * v / (2.0 * config.delta_e)) ** 2 / v
+
+
 class TestCouplingParameters:
     def test_weak_lambda_at_v100(self):
         # Hand algebra: lam = (2 dE / pi) sqrt(0.01 / 100) = 0.02 / pi.
@@ -39,12 +45,12 @@ class TestCouplingParameters:
 
     def test_weak_smallness_equals_target(self):
         for target in (0.01, 0.05):
-            coupling = derive_coupling(make_config(v_minus=7, smallness_target=target))
-            assert coupling.smallness_left == pytest.approx(target, rel=1e-12)
+            config = make_config(v_minus=7, smallness_target=target)
+            assert smallness(config) == pytest.approx(target, rel=1e-12)
 
     def test_strong_smallness_is_one(self):
-        coupling = derive_coupling(make_config(v_minus=40, regime=Regime.STRONG))
-        assert coupling.smallness_left == pytest.approx(1.0, rel=1e-12)
+        config = make_config(v_minus=40, regime=Regime.STRONG)
+        assert smallness(config) == pytest.approx(1.0, rel=1e-12)
 
     def test_strong_lambda_is_tenfold(self):
         weak = derive_coupling(make_config(v_minus=11))

@@ -15,7 +15,6 @@ from dechist.model import (
     derive_coupling,
 )
 from dechist.spectral import (
-    apply_projector_batch,
     eigendecompose,
     evolve_batch,
     sample_haar_state,
@@ -168,33 +167,6 @@ class TestEvolve:
         assert np.all(np.any(banded[[0, 2, 3, 4, 6, 7]] != 0, axis=1))
         zero_time = evolve_batch(sd, states, 0.0, ranges=config.block_layout)
         np.testing.assert_array_equal(zero_time, split)
-
-
-class TestProjectors:
-    def test_completeness_exact(self):
-        config, _, _ = model_parts()
-        coarsening = build_coarsening(config)
-        psi = random_state(config.dimension, 5)[None]
-        total = sum(apply_projector_batch(coarsening, x, psi) for x in range(3))
-        np.testing.assert_array_equal(total, psi)
-
-    def test_idempotence_and_orthogonality(self):
-        config, _, _ = model_parts()
-        coarsening = build_coarsening(config)
-        psi = random_state(config.dimension, 6)[None]
-        for x in range(3):
-            once = apply_projector_batch(coarsening, x, psi)
-            twice = apply_projector_batch(coarsening, x, once)
-            np.testing.assert_array_equal(twice, once)
-            for y in range(3):
-                if y != x:
-                    assert np.all(apply_projector_batch(coarsening, y, once) == 0)
-
-    def test_label_out_of_range(self):
-        config, _, _ = model_parts()
-        coarsening = build_coarsening(config)
-        with pytest.raises(ValueError):
-            apply_projector_batch(coarsening, 3, np.zeros((1, config.dimension)))
 
 
 class TestInitialStates:

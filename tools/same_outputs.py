@@ -88,6 +88,14 @@ CASES = [
         [(["dynamics"], None)],
     ),
     (
+        "gue_dynamics_two_starts",
+        {
+            "model": {"v_minus": 20, "ensemble": "gue"},
+            "init": {"weights": [[1.0, 0.0, 0.0], [0.3, 0.4, 0.3]]},
+        },
+        [(["dynamics"], None)],
+    ),
+    (
         "goe_all_minus_v40_l6",
         {
             "model": {"v_minus": 40},
