@@ -154,9 +154,9 @@ def _cmd_sweep(args) -> int:
     if spec.d_grid is None:
         raise ConfigError("model.d_grid: required by the sweep command")
     _require_one_triple(spec)
-    _warn_interaction(spec.model_config(spec.d_grid[0], 0))
     if args.workers < 1:
         raise ConfigError(f"worker count must be at least 1, got {args.workers}")
+    _warn_interaction(spec.model_config(spec.d_grid[0], 0))
     out = Path(spec.output_dir)
     results = run_sweep(spec, output_dir=out, workers=args.workers)
     failed = [r for r in results if r.failed]

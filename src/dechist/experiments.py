@@ -1,15 +1,15 @@
 """Realization setup, sweeps, dynamics, their run config, and power-law fits.
 
-_prepare sets up every realization: it decomposes the random matrix and
-chooses the initial states.  A sweep runs one realization per (dimension,
+_prepare sets up every realization: it chooses the initial states on a
+decomposed random matrix.  A sweep runs one realization per (dimension,
 hamiltonian seed, state seed) triple, computes a single decoherence
 functional at the longest grid, and derives every shorter-grid record
-from it by trailing marginalization.  Every functional comes from
-_functionals, which passes a batch of state seeds of one matrix to one
-compute_df call; a single seed is a batch of one, and the sweep sizes
-its batches in _run_group.  Records stream to a JSONL file in
-group order as groups finish, so an interrupted sweep resumes without
-recomputing completed keys.
+from it by trailing marginalization.  _run_group takes all state seeds
+of one matrix to their results: it prepares each seed once and passes
+batches of them, sized by histories.batch_size, to one compute_df call
+each; a single seed is a batch of one.  Records stream to a JSONL file
+in group order as groups finish, so an interrupted sweep resumes
+without recomputing completed keys.
 
 Every decomposition goes through _decomposition, which keeps its
 eigenvectors in an unlinked temporary file of the process, so a matrix
@@ -62,8 +62,8 @@ from .spectral import (
 from .histories import (
     HistoryGrid,
     MAX_LENGTH,
+    batch_size,
     compute_df,
-    live_rows,
     marginalize,
 )
 from .metrics import (
@@ -458,20 +458,16 @@ def _decomposition(config: ModelConfig) -> SpectralDecomposition:
 
 
 def _prepare(
-    spec: SweepSpec, d: int, h_index: int, s_index: int,
-    sd: SpectralDecomposition | None = None,
+    spec: SweepSpec, d: int, h_index: int, s_index: int, sd: SpectralDecomposition
 ):
-    """(tau, sd, coarsening, starts) of one realization.
+    """(tau, coarsening, starts) of one realization on its decomposition.
 
     Each start is (weights, psi0, eigenstate_index): a seeded eigenstate
     (weights None), or one Haar state per weight triple (default:
     equilibrium weights, or all weight on '-' out of equilibrium), each
-    drawn from the state seed.  A decomposition shared by several state
-    seeds may be passed in; otherwise it comes from _decomposition.
+    drawn from the state seed.
     """
     config = spec.model_config(d, h_index)
-    if sd is None:
-        sd = _decomposition(config)
     coarsening = build_coarsening(config)
     state_seed = spec.state_seed(h_index, s_index)
     if spec.init_family is InitFamily.EIGENSTATE:
@@ -485,7 +481,7 @@ def _prepare(
         starts = [
             (w, sample_haar_state(coarsening, w, state_seed), None) for w in triples
         ]
-    return derive_coupling(config).tau, sd, coarsening, starts
+    return derive_coupling(config).tau, coarsening, starts
 
 
 def _make_grid(spec: SweepSpec, tau: float, h_index: int, s_index: int) -> HistoryGrid:
@@ -506,29 +502,14 @@ def compute_realization_df(
     hamiltonian: BlockHamiltonian | None = None, sd: SpectralDecomposition | None = None,
 ):
     """(df, coarsening, eigenstate_index) of one realization at the full grid,
-    from the first start of _prepare, which takes the same optional
-    decomposition; `hamiltonian` is not read."""
-    return _functionals(spec, d, h_index, (s_index,), sd)[0]
-
-
-def _functionals(
-    spec: SweepSpec, d: int, h_index: int, s_indices: tuple[int, ...],
-    sd: SpectralDecomposition | None = None, prepared: dict | None = None,
-) -> list[tuple]:
-    """compute_realization_df of state seeds on one grid, their functionals
-    computed in one compute_df call on the stack of first starts.  A seed
-    found in `prepared` takes its _prepare result from there."""
-    known = prepared or {}
-    prepared = [
-        known[s] if s in known else _prepare(spec, d, h_index, s, sd) for s in s_indices
-    ]
-    tau, sd, coarsening, _ = prepared[0]
-    psi0 = np.stack([starts[0][1] for *_, starts in prepared])
-    grid = _make_grid(spec, tau, h_index, s_indices[0])
-    return [
-        (df, coarsening, starts[0][2])
-        for df, (*_, starts) in zip(compute_df(sd, coarsening, psi0, grid), prepared)
-    ]
+    from the first start of _prepare; `sd` defaults to _decomposition's,
+    and `hamiltonian` is not read."""
+    if sd is None:
+        sd = _decomposition(spec.model_config(d, h_index))
+    tau, coarsening, starts = _prepare(spec, d, h_index, s_index, sd)
+    _, psi0, eigenstate_index = starts[0]
+    grid = _make_grid(spec, tau, h_index, s_index)
+    return compute_df(sd, coarsening, psi0[None], grid)[0], coarsening, eigenstate_index
 
 
 def run_dynamics(spec: SweepSpec) -> list[tuple[tuple[float, ...] | None, np.ndarray]]:
@@ -540,7 +521,8 @@ def run_dynamics(spec: SweepSpec) -> list[tuple[tuple[float, ...] | None, np.nda
     """
     if spec.v_minus is None:
         raise ConfigError("model.v_minus: required by the dynamics command")
-    tau, sd, coarsening, starts = _prepare(spec, 5 * spec.v_minus, 0, 0)
+    sd = _decomposition(spec.model_config(5 * spec.v_minus, 0))
+    tau, coarsening, starts = _prepare(spec, 5 * spec.v_minus, 0, 0, sd)
     t_max, dt = DYNAMICS_T_MAX_TAU * tau, DYNAMICS_DT_TAU * tau
     return [(w, macro_dynamics(sd, coarsening, psi0, t_max, dt)) for w, psi0, _ in starts]
 
@@ -605,74 +587,52 @@ def _error_result(
 def _run_group(
     spec: SweepSpec, d: int, h_index: int, s_indices: tuple[int, ...]
 ) -> list[RealizationResult]:
-    """All state seeds for one (d, h_index): one eigensolve, many states.
+    """Results of all state seeds for one (d, h_index), in seed order.
 
-    Every seed's starts are prepared first.  Consecutive seeds on one
-    grid then run in batches (see _run_batch) of a fixed size.  A tree
-    keeps only its live rows (see histories.live_rows), and its working
-    set is about two last levels and the level before them, 7/3 of its
-    last level; a batch's working sets together take at most 1.5 times
-    the eigenvector matrix's bytes, which keeps the trees under the
-    eigensolve's own peak.  So a batch is one seed where the matrix is
-    small enough to stay in cache, and a start with weight in one band,
-    a third of its rows live, batches about three times as many seeds
-    as one with weight in all three.  Random spacings give each seed
-    its own grid, so there a batch is one seed too.  A seed whose
-    preparation raises is prepared again in its batch, and a batch that
-    raises is rerun as batches of one, so a failure fails only its own
-    realization.
+    One eigensolve; each seed is prepared once, and fails there if that
+    raises.  The others grow their trees in consecutive batches of one
+    compute_df call each, sized by histories.batch_size over all of them
+    (one seed each for random spacings, which give every seed its own
+    grid).  A batch that raises is rerun one seed at a time, and a seed
+    whose metrics raise fails alone.
     """
     try:
         sd = _decomposition(spec.model_config(d, h_index))
     except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
         return [_error_result(spec, d, h_index, s, exc) for s in s_indices]
-    prepared = {}
+    results, psi0, eigenstate = {}, {}, {}
     for s in s_indices:
         try:
-            prepared[s] = _prepare(spec, d, h_index, s, sd)
-        except Exception:  # noqa: BLE001 - raises again, and is recorded, in its batch
-            continue
+            tau, coarsening, starts = _prepare(spec, d, h_index, s, sd)
+            _, psi0[s], eigenstate[s] = starts[0]
+        except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
+            results[s] = _error_result(spec, d, h_index, s, exc)
+    ready = tuple(psi0)
     size = 1
-    if prepared and not isinstance(spec.step_mode, RandomSpacing):
-        coarsening = next(iter(prepared.values()))[2]
-        psi0 = np.stack([starts[0][1] for *_, starts in prepared.values()])
-        rows = int(live_rows(coarsening, psi0, spec.l_max).any(axis=0).sum())
-        working = 7 * 16 * rows * d // 3
-        size = max(1, 3 * sd.eigenvectors.nbytes // (2 * working))
-    batches = [s_indices[i:i + size] for i in range(0, len(s_indices), size)]
-    results = []
+    if ready and not isinstance(spec.step_mode, RandomSpacing):
+        stack = np.stack(list(psi0.values()))
+        size = batch_size(sd, coarsening, stack, spec.l_max)
+    batches = [ready[i:i + size] for i in range(0, len(ready), size)]
     while batches:
         batch = batches.pop(0)
         try:
-            results += _run_batch(spec, d, h_index, batch, sd, prepared)
+            grid = _make_grid(spec, tau, h_index, batch[0])
+            dfs = compute_df(sd, coarsening, np.stack([psi0[s] for s in batch]), grid)
         except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
             if len(batch) > 1:
                 batches[:0] = [(s,) for s in batch]
             else:
-                results.append(_error_result(spec, d, h_index, batch[0], exc))
-    return results
-
-
-def _run_batch(
-    spec: SweepSpec, d: int, h_index: int, s_indices: tuple[int, ...],
-    sd: SpectralDecomposition | None = None, prepared: dict | None = None,
-) -> list[RealizationResult]:
-    """Results of state seeds on one grid, their trees grown together.
-
-    Seeds not in `prepared` are prepared here (see _functionals).  An
-    error in a seed's metrics fails that seed alone; any other error
-    raises.
-    """
-    functionals = _functionals(spec, d, h_index, s_indices, sd, prepared)
-    results = []
-    for s_index, (df, coarsening, eigenstate_index) in zip(s_indices, functionals):
-        try:
-            results.append(_realization_result(
-                spec, d, h_index, s_index, df, coarsening, eigenstate_index
-            ))
-        except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
-            results.append(_error_result(spec, d, h_index, s_index, exc))
-    return results
+                results[batch[0]] = _error_result(spec, d, h_index, batch[0], exc)
+            continue
+        for s, df in zip(batch, dfs):
+            try:
+                results[s] = _realization_result(
+                    spec, d, h_index, s, df, coarsening, eigenstate[s]
+                )
+            except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
+                results[s] = _error_result(spec, d, h_index, s, exc)
+        del dfs, df  # no functional lives on while the next batch's tree grows
+    return [results[s] for s in s_indices]
 
 
 def result_to_dict(result: RealizationResult) -> dict:

@@ -17,6 +17,7 @@ two-thirds-zero leaf array is never built either.  A branch whose first
 label is a band where no start has weight is exactly zero, so the tree
 never holds it: its levels keep live rows only.  Rows that a narrower
 start's own support leaves zero are left out of the block products.
+batch_size says how many starts to stack in one call.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "decode_history",
     "history_string",
     "live_rows",
+    "batch_size",
     "compute_df",
     "marginalize",
 ]
@@ -47,6 +49,20 @@ MAX_LENGTH = 6
 # Byte cap on the last level of a stack's trees: its live rows (see
 # live_rows) times D complex entries, for all S starts.
 MEMORY_BUDGET = 2 << 30
+
+
+def batch_size(
+    sd: SpectralDecomposition, coarsening: Coarsening, starts: np.ndarray, length: int
+) -> int:
+    """How many starts of the (S, D) stack one compute_df call should take.
+
+    A tree's working set, two last levels and the one before, is 7/3 of
+    a last level: the stack's live rows (counted as for MEMORY_BUDGET)
+    times D complex entries.  A batch's working sets take at most 1.5
+    times the eigenvector bytes, under the eigensolve's own peak.
+    """
+    working = 7 * 16 * _live_count(coarsening, starts, length) * sd.dimension // 3
+    return max(1, 3 * sd.eigenvectors.nbytes // (2 * working))
 
 
 @dataclass(frozen=True)
@@ -164,7 +180,7 @@ def _branch_tree(
     """
     starts = np.array(starts, dtype=np.complex128)
     num_starts, d = starts.shape
-    rows = int(live_rows(coarsening, starts, grid.length).any(axis=0).sum())
+    rows = _live_count(coarsening, starts, grid.length)
     needed = 16 * d * rows * num_starts
     if needed > MEMORY_BUDGET:
         raise MemoryError(
@@ -200,6 +216,11 @@ def live_rows(coarsening: Coarsening, starts: np.ndarray, length: int) -> np.nda
     if length == 1:
         return np.ones((len(starts), 1), dtype=bool)
     return _support(coarsening, starts)[:, np.arange(M ** (length - 1)) % M]
+
+
+def _live_count(coarsening: Coarsening, starts: np.ndarray, length: int) -> int:
+    """Rows of a stack's last level: those live for some start."""
+    return int(live_rows(coarsening, starts, length).any(axis=0).sum())
 
 
 @dataclass(frozen=True)

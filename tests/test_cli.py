@@ -295,6 +295,16 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(config), "--workers", "0"]) == 2
         capsys.readouterr()
 
+    def test_zero_workers_prints_only_the_error_line(self, tmp_path, capsys):
+        # D=5 warns of a weak interaction; a bad worker count is refused
+        # before that warning, so stderr is the one `error:` line.
+        config = write_config(tmp_path, model={"d_grid": [5]})
+        assert main(["sweep", "--config", str(config), "--workers", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: config: worker count must be at least 1, got 0"
+        ]
+
     def test_failed_realization_has_no_row(self, tmp_path, capsys, monkeypatch):
         # A failed realization writes no results.csv row, so `dechist fit`
         # never reads it: the fit at D=10 is the surviving seed's value.

@@ -138,13 +138,13 @@ class TestSweepSpec:
 class TestRunRealization:
     def test_deterministic(self):
         spec = small_spec()
-        a = experiments._run_batch(spec, 5, 0, (0,))[0]
-        b = experiments._run_batch(spec, 5, 0, (0,))[0]
+        a = experiments._run_group(spec, 5, 0, (0,))[0]
+        b = experiments._run_group(spec, 5, 0, (0,))[0]
         assert a == b
 
     def test_epsilon_matches_chain_oracle(self):
         spec = small_spec(num_steps=1)
-        result = experiments._run_batch(spec, 5, 0, (0,))[0]
+        result = experiments._run_group(spec, 5, 0, (0,))[0]
 
         config = spec.model_config(5, 0)
         ham = build_hamiltonian(config)
@@ -173,7 +173,7 @@ class TestRunRealization:
         # shorter grid from scratch must agree.
         for num_steps in (3, 5):
             spec = small_spec(d_grid=(10,), num_steps=num_steps, base_seed=3)
-            result = experiments._run_batch(spec, 10, 0, (0,))[0]
+            result = experiments._run_group(spec, 10, 0, (0,))[0]
             assert list(result.per_length) == list(range(2, num_steps + 2))
 
             config = spec.model_config(10, 0)
@@ -209,13 +209,13 @@ class TestRunRealization:
 
     def test_eigenstate_family_records_index(self):
         spec = small_spec(init_family=InitFamily.EIGENSTATE)
-        result = experiments._run_batch(spec, 5, 0, (0,))[0]
+        result = experiments._run_group(spec, 5, 0, (0,))[0]
         assert result.eigenstate_index is not None
         assert 0 <= result.eigenstate_index < 5
         assert result.init_family == "eigenstate"
 
     def test_haar_family_leaves_index_unset(self):
-        result = experiments._run_batch(small_spec(), 5, 0, (0,))[0]
+        result = experiments._run_group(small_spec(), 5, 0, (0,))[0]
         assert result.eigenstate_index is None
 
     def test_functional_uses_first_weight_triple(self):
@@ -242,8 +242,8 @@ class TestRunRealization:
 
     def test_random_spacing_deterministic(self):
         spec = small_spec(step_mode=RandomSpacing(0.5, 1.5))
-        a = experiments._run_batch(spec, 5, 0, (0,))[0]
-        b = experiments._run_batch(spec, 5, 0, (0,))[0]
+        a = experiments._run_group(spec, 5, 0, (0,))[0]
+        b = experiments._run_group(spec, 5, 0, (0,))[0]
         assert a == b
 
 
@@ -267,6 +267,16 @@ class TestRunSweep:
         serial = run_sweep(spec, workers=1)
         parallel = run_sweep(spec, workers=2)
         assert serial == parallel
+
+    def test_explicit_step_equal_to_tau_matches_tau_steps(self):
+        # 3 matrices x 6 seeds at D=50, L=2, in batches of 5 and 1.
+        spec = small_spec(
+            d_grid=(50,), num_hamiltonian_seeds=3, num_state_seeds=6, num_steps=1
+        )
+        tau = derive_coupling(spec.model_config(50, 0)).tau
+        explicit = run_sweep(dataclasses.replace(spec, step_mode=tau))
+        assert len(explicit) == 18 and not any(r.failed for r in explicit)
+        assert explicit == run_sweep(spec)
 
     def test_records_are_in_group_order_for_any_worker_count(
         self, tmp_path, monkeypatch
@@ -563,7 +573,7 @@ class TestStateSeedBatches:
         assert shapes == [(batch, d), (1, d)]
         assert not any(r.failed for r in swept)
         for result in swept:
-            single = experiments._run_batch(spec, d, 0, (result.s_index,))[0]
+            single = experiments._run_group(spec, d, 0, (result.s_index,))[0]
             _assert_close_results(result, single)
 
     def test_all_minus_batch_counts_only_live_rows(self, monkeypatch):
@@ -580,7 +590,7 @@ class TestStateSeedBatches:
         assert shapes == [(26, 250), (1, 250)]
         assert not any(r.failed for r in swept)
         for result in swept:
-            single = experiments._run_batch(spec, 250, 0, (result.s_index,))[0]
+            single = experiments._run_group(spec, 250, 0, (result.s_index,))[0]
             df, _, _ = experiments.compute_realization_df(spec, 250, 0, result.s_index)
             # Subsets with and without t_0 tie exactly, since every branch
             # with x_0 != '-' is an exact zero; either is a right argmax.
@@ -623,7 +633,7 @@ print({peak}, sum(r.failed for r in results))
         shapes = _tree_shapes(monkeypatch)
         swept = run_sweep(spec)
         assert shapes == [(1, 50)] * 3
-        assert swept == [experiments._run_batch(spec, 50, 0, (s,))[0] for s in range(3)]
+        assert swept == [experiments._run_group(spec, 50, 0, (s,))[0] for s in range(3)]
 
     def test_failed_batch_is_rerun_one_seed_at_a_time(self, monkeypatch):
         spec = small_spec(d_grid=(50,), num_steps=1, num_state_seeds=2)
@@ -637,7 +647,30 @@ print({peak}, sum(r.failed for r in results))
         monkeypatch.setattr(experiments, "compute_df", no_stacks)
         swept = run_sweep(spec)
         assert not any(r.failed for r in swept)
-        assert swept == [experiments._run_batch(spec, 50, 0, (s,))[0] for s in range(2)]
+        assert swept == [experiments._run_group(spec, 50, 0, (s,))[0] for s in range(2)]
+
+    def test_failed_preparation_fails_alone_and_keeps_the_batch(self, monkeypatch):
+        # The batch rule takes 5 seeds here; seed 1's preparation raises,
+        # so it fails on its own and seeds 0 and 2 grow one tree together.
+        spec = small_spec(d_grid=(50,), num_steps=1, num_state_seeds=3)
+        prepare = experiments._prepare
+
+        def flaky(spec_, d, h_index, s_index, *args):
+            if s_index == 1:
+                raise RuntimeError("synthetic preparation failure")
+            return prepare(spec_, d, h_index, s_index, *args)
+
+        monkeypatch.setattr(experiments, "_prepare", flaky)
+        shapes = _tree_shapes(monkeypatch)
+        first, failed, last = run_sweep(spec)
+        assert shapes == [(2, 50)]
+        assert failed.failed and failed.s_index == 1
+        assert failed.error == "RuntimeError: synthetic preparation failure"
+        monkeypatch.undo()
+        for result in (first, last):
+            assert not result.failed
+            single = experiments._run_group(spec, 50, 0, (result.s_index,))[0]
+            _assert_close_results(result, single)
 
     def test_failed_metrics_fail_only_their_seed(self, monkeypatch):
         spec = small_spec(d_grid=(50,), num_steps=1, num_state_seeds=2)
@@ -656,7 +689,7 @@ print({peak}, sum(r.failed for r in results))
         assert not good.failed
         assert failed.failed and "synthetic metric failure" in failed.error
         monkeypatch.undo()
-        single = experiments._run_batch(spec, 50, 0, (0,))[0]
+        single = experiments._run_group(spec, 50, 0, (0,))[0]
         assert good == single
 
 
@@ -881,7 +914,7 @@ class TestFitScaling:
 
 class TestSerialization:
     def test_round_trip(self):
-        result = experiments._run_batch(small_spec(base_seed=21), 5, 0, (0,))[0]
+        result = experiments._run_group(small_spec(base_seed=21), 5, 0, (0,))[0]
         data = experiments.result_to_dict(result)
         back = experiments.result_from_dict(json.loads(json.dumps(data)))
         assert experiments.result_to_dict(back) == data

@@ -113,9 +113,10 @@ CASES = [
         },
         [(["histogram"], None), (["distance"], None), (["dump-df"], None)],
     ),
-    # The three sweeps below grow state seeds' trees in batches of more
-    # than one: 8 at GOE D=500, 5 at GUE D=50 and D=500, and 20 batches of
-    # 2 all-'-' seeds at GOE D=250.
+    # The four sweeps below grow state seeds' trees in batches of more
+    # than one: 8 at GOE D=500, 5 at GUE D=50 and D=500, 20 batches of 2
+    # all-'-' seeds at GOE D=250, and 5 + 1 and 6 seeds on an explicit
+    # step (about 0.6 tau) at GOE D=50 and D=500.
     (
         "goe_nonequilibrium_batched_l3",
         {
@@ -143,6 +144,15 @@ CASES = [
             "grid": {"num_steps": 4},
             "init": {"family": "haar_nonequilibrium"},
             "sweep": {"num_hamiltonian_seeds": 1, "num_state_seeds": 40},
+        },
+        [(["sweep", "--workers", "1"], None)],
+    ),
+    (
+        "goe_explicit_step_batched_l2",
+        {
+            "model": {"d_grid": [50, 500]},
+            "grid": {"num_steps": 1, "step_mode": 12.5},
+            "sweep": {"num_hamiltonian_seeds": 1, "num_state_seeds": 6},
         },
         [(["sweep", "--workers", "1"], None)],
     ),
