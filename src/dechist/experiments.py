@@ -1,10 +1,11 @@
 """Realization setup, sweeps, dynamics, their run config, and power-law fits.
 
-_prepare sets up every realization: it chooses the initial states on a
-decomposed random matrix.  A sweep runs one realization per (dimension,
-hamiltonian seed, state seed) triple, computes a single decoherence
-functional at the longest grid, and derives every shorter-grid record
-from it by trailing marginalization.  _run_group takes all state seeds
+_matrix gives a matrix's decomposition, tau and coarsening once for all
+its realizations, and _prepare chooses each one's initial states.  A
+sweep runs one realization per (dimension, hamiltonian seed, state
+seed) triple, computes a single decoherence functional at the longest
+grid, and derives every shorter-grid record from it by trailing
+marginalization.  _run_group takes all state seeds
 of one matrix to their results: it prepares each seed once and passes
 batches of them, sized by histories.batch_size, to one compute_df call
 each; a single seed is a batch of one.  Records stream to a JSONL file
@@ -44,6 +45,7 @@ from .model import (
     HAMILTONIAN_STREAM,
     STATE_STREAM,
     BlockHamiltonian,
+    Coarsening,
     Ensemble,
     ModelConfig,
     Regime,
@@ -457,31 +459,32 @@ def _decomposition(config: ModelConfig) -> SpectralDecomposition:
     return sd
 
 
-def _prepare(
-    spec: SweepSpec, d: int, h_index: int, s_index: int, sd: SpectralDecomposition
-):
-    """(tau, coarsening, starts) of one realization on its decomposition.
+def _matrix(spec: SweepSpec, d: int, h_index: int, sd: SpectralDecomposition | None = None):
+    """(sd, tau, coarsening) of one matrix; `sd` defaults to _decomposition's."""
+    config = spec.model_config(d, h_index)
+    if sd is None:
+        sd = _decomposition(config)
+    return sd, derive_coupling(config).tau, build_coarsening(config)
+
+
+def _prepare(spec: SweepSpec, d: int, h_index: int, s_index: int,
+             sd: SpectralDecomposition, coarsening: Coarsening):
+    """Starts of one realization on its matrix's decomposition.
 
     Each start is (weights, psi0, eigenstate_index): a seeded eigenstate
     (weights None), or one Haar state per weight triple (default:
     equilibrium weights, or all weight on '-' out of equilibrium), each
     drawn from the state seed.
     """
-    config = spec.model_config(d, h_index)
-    coarsening = build_coarsening(config)
     state_seed = spec.state_seed(h_index, s_index)
     if spec.init_family is InitFamily.EIGENSTATE:
         psi0, eigenstate_index = select_eigenstate(sd, state_seed)
-        starts = [(None, psi0, eigenstate_index)]
-    else:
-        default = (1.0, 0.0, 0.0)
-        if spec.init_family is InitFamily.HAAR_EQUILIBRIUM:
-            default = tuple(v / config.dimension for v in config.volumes)
-        triples = spec.weights or (default,)
-        starts = [
-            (w, sample_haar_state(coarsening, w, state_seed), None) for w in triples
-        ]
-    return derive_coupling(config).tau, coarsening, starts
+        return [(None, psi0, eigenstate_index)]
+    default = (1.0, 0.0, 0.0)
+    if spec.init_family is InitFamily.HAAR_EQUILIBRIUM:
+        default = tuple(v / coarsening.dimension for v in coarsening.volumes)
+    triples = spec.weights or (default,)
+    return [(w, sample_haar_state(coarsening, w, state_seed), None) for w in triples]
 
 
 def _make_grid(spec: SweepSpec, tau: float, h_index: int, s_index: int) -> HistoryGrid:
@@ -504,10 +507,8 @@ def compute_realization_df(
     """(df, coarsening, eigenstate_index) of one realization at the full grid,
     from the first start of _prepare; `sd` defaults to _decomposition's,
     and `hamiltonian` is not read."""
-    if sd is None:
-        sd = _decomposition(spec.model_config(d, h_index))
-    tau, coarsening, starts = _prepare(spec, d, h_index, s_index, sd)
-    _, psi0, eigenstate_index = starts[0]
+    sd, tau, coarsening = _matrix(spec, d, h_index, sd)
+    _, psi0, eigenstate_index = _prepare(spec, d, h_index, s_index, sd, coarsening)[0]
     grid = _make_grid(spec, tau, h_index, s_index)
     return compute_df(sd, coarsening, psi0[None], grid)[0], coarsening, eigenstate_index
 
@@ -521,8 +522,8 @@ def run_dynamics(spec: SweepSpec) -> list[tuple[tuple[float, ...] | None, np.nda
     """
     if spec.v_minus is None:
         raise ConfigError("model.v_minus: required by the dynamics command")
-    sd = _decomposition(spec.model_config(5 * spec.v_minus, 0))
-    tau, coarsening, starts = _prepare(spec, 5 * spec.v_minus, 0, 0, sd)
+    sd, tau, coarsening = _matrix(spec, 5 * spec.v_minus, 0)
+    starts = _prepare(spec, 5 * spec.v_minus, 0, 0, sd, coarsening)
     t_max, dt = DYNAMICS_T_MAX_TAU * tau, DYNAMICS_DT_TAU * tau
     return [(w, macro_dynamics(sd, coarsening, psi0, t_max, dt)) for w, psi0, _ in starts]
 
@@ -597,14 +598,13 @@ def _run_group(
     whose metrics raise fails alone.
     """
     try:
-        sd = _decomposition(spec.model_config(d, h_index))
+        sd, tau, coarsening = _matrix(spec, d, h_index)
     except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
         return [_error_result(spec, d, h_index, s, exc) for s in s_indices]
     results, psi0, eigenstate = {}, {}, {}
     for s in s_indices:
         try:
-            tau, coarsening, starts = _prepare(spec, d, h_index, s, sd)
-            _, psi0[s], eigenstate[s] = starts[0]
+            _, psi0[s], eigenstate[s] = _prepare(spec, d, h_index, s, sd, coarsening)[0]
         except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
             results[s] = _error_result(spec, d, h_index, s, exc)
     ready = tuple(psi0)

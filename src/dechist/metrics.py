@@ -199,7 +199,8 @@ def macro_dynamics(
     if np.iscomplexobj(basis):
         coeff0 = basis.conj().T @ psi0
     else:
-        coeff0 = basis.T @ psi0
+        # Real eigenvectors stay real: no complex copy of the basis.
+        coeff0 = _rows_times_matrix(psi0[None], basis)[0]
     phases = np.exp(-1j * (times[:, None] * sd.eigenvalues))
     states = _rows_times_matrix(phases * coeff0, basis.T)
     out = np.empty((times.size, 1 + NUM_MACROSTATES))

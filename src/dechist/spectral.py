@@ -9,6 +9,7 @@ state is passed as a batch of one, psi[None].
 from __future__ import annotations
 
 import ctypes
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,77 +41,132 @@ class SpectralDecomposition:
         return self.eigenvalues.shape[0]
 
 
-def _lapack(name: str):
-    """The LAPACK routine `name` that numpy's linalg module binds to, or
-    None where numpy's build exposes no such symbol."""
+def _routines(prefix: str, names: tuple[str, ...]):
+    """numpy's LAPACK routines prefix + name, or None if any is missing."""
     try:
-        routine = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), name)
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        routines = [getattr(lib, f"scipy_{prefix}{name}_64_") for name in names]
     except (OSError, AttributeError):
         return None
-    routine.argtypes = [ctypes.c_char_p] * 2 + [ctypes.c_void_p] * (
-        11 if name.startswith("scipy_z") else 9
-    )
-    routine.restype = None
-    return routine
+    for routine in routines:  # only the max-abs norm returns a value
+        routine.restype = ctypes.c_double if routine is routines[1] else None
+    return routines
 
 
-# Divide-and-conquer eigensolvers of numpy's bundled ILP64 OpenBLAS, the
-# ones np.linalg.eigh calls, so both paths give the same bits.
-_DSYEVD = _lapack("scipy_dsyevd_64_")
-_ZHEEVD = _lapack("scipy_zheevd_64_")
+# numpy's bundled ILP64 OpenBLAS: the divide-and-conquer driver
+# np.linalg.eigh calls, ?syevd or ?heevd, and its stages: norm, rescale,
+# tridiagonal reduction, packing, divide and conquer, unpacking, and
+# back-transformation.
+_DSTAGES = _routines("d", ("syevd", "lansy", "lascl", "sytrd", "trttp", "stedc", "tpttr", "ormtr"))
+_ZSTAGES = _routines("z", ("heevd", "lanhe", "lascl", "hetrd", "trttp", "stedc", "tpttr", "unmtr"))
+
+# The driver rescales a matrix whose largest entry lies outside
+# [_RMIN, _RMAX]: the square roots of LAPACK's safe minimum over its
+# precision, and of the inverse.
+_RMIN = math.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
+_RMAX = 1.0 / _RMIN
 
 
-def _evd(routine, h: np.ndarray, evals: np.ndarray, query: bool, *work: np.ndarray) -> None:
-    """One ?syevd/?heevd call, jobz 'V' and uplo 'L', on the C-order
-    buffer h; `work` is (work, iwork) or (work, rwork, iwork).  A query
-    passes every length as -1 and fills only work[k][0]."""
-    n, info = ctypes.c_int64(h.shape[0]), ctypes.c_int64()
-    lengths = [ctypes.c_int64(-1 if query else w.size) for w in work]
-    args = [ctypes.byref(n), h.ctypes.data, ctypes.byref(n), evals.ctypes.data]
-    for w, length in zip(work, lengths):
-        args += [w.ctypes.data, ctypes.byref(length)]
-    routine(b"V", b"L", *args, ctypes.byref(info))
-    if info.value != 0:
-        raise RuntimeError(
-            f"Hermitian eigensolver failed to converge at D={h.shape[0]} (info {info.value})"
-        )
+def _refs(*args) -> list:
+    """LAPACK's calling convention: bytes pass as characters, ints and
+    floats by reference as int64 and double, and arrays by their data,
+    through handles that keep them alive."""
+    return [
+        a if isinstance(a, bytes)
+        else a.ctypes if isinstance(a, np.ndarray)
+        else ctypes.byref((ctypes.c_double if isinstance(a, float) else ctypes.c_int64)(a))
+        for a in args
+    ]
+
+
+def _run(routine, *args) -> None:
+    """routine(*args, info), raising unless info comes back 0."""
+    info = np.zeros(1, np.int64)
+    routine(*_refs(*args, info))
+    if info[0] != 0:
+        raise RuntimeError(f"Hermitian eigensolver failed (LAPACK info {info[0]})")
+
+
+def _query(routine, *args, work: tuple) -> list[int]:
+    """Lengths routine(*args, ...) asks for of a workspace per dtype in `work`."""
+    queries = [np.zeros(1, dtype) for dtype in work]
+    _run(routine, *args, *[x for q in queries for x in (q, -1)])
+    return [int(q[0].real) for q in queries]
+
+
+def _call(routine, *args, work: tuple, fit=lambda length: length) -> None:
+    """routine(*args, ...) with one workspace per dtype in `work`, each as
+    long as the routine's query asks, the first one fit(that) long."""
+    lengths = _query(routine, *args, work=work)
+    lengths[0] = fit(lengths[0])
+    spaces = [np.empty(k, dtype) for k, dtype in zip(lengths, work)]
+    _run(routine, *args, *[x for w in spaces for x in (w, w.size)])
 
 
 def eigendecompose(hamiltonian: BlockHamiltonian) -> SpectralDecomposition:
     """Dense Hermitian eigendecomposition, done once per realization.
 
-    The fresh dense matrix is solved in place by numpy's own LAPACK
-    routine, bit-identical to np.linalg.eigh but without its copies of
-    the input and the output: the peak holds the matrix and the 2 D^2
-    workspace, three D x D arrays instead of five.  Where numpy's LAPACK
-    lacks the routine, np.linalg.eigh runs instead.
+    Runs the stages of LAPACK's divide-and-conquer driver (?syevd for
+    GOE, ?heevd for GUE, the one np.linalg.eigh calls) on the fresh
+    dense matrix, as the driver does: the same rescale, and workspaces
+    that give each stage the driver's block sizes.  So the results are
+    bit-identical to np.linalg.eigh.  The blocks are dropped once the
+    matrix is built, and the Householder reflectors wait out divide and
+    conquer packed, so the peak holds 2.5 D x D arrays (half for the
+    reflectors, one for the eigenvectors and one for the scratch)
+    instead of eigh's five.  Where numpy's LAPACK lacks a stage routine,
+    or for another dtype, np.linalg.eigh runs instead.
     """
     h = hamiltonian.matrix
+    del hamiltonian
     complex_ = np.iscomplexobj(h)
-    routine = {np.dtype(np.float64): _DSYEVD, np.dtype(np.complex128): _ZHEEVD}.get(h.dtype)
-    if routine is None:
+    stages = {np.dtype(np.float64): _DSTAGES, np.dtype(np.complex128): _ZSTAGES}.get(h.dtype)
+    if stages is None:
         try:
             evals, evecs = np.linalg.eigh(h)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(
-                f"Hermitian eigensolver failed to converge at D={hamiltonian.dimension}"
+                f"Hermitian eigensolver failed to converge at D={h.shape[0]}"
             ) from exc
         return SpectralDecomposition(eigenvalues=evals, eigenvectors=evecs)
+    driver, norm, rescale, reduce, pack, divide, unpack, back = stages
+    n, dtype = h.shape[0], h.dtype
+    evals, offdiag, tau = np.empty(n), np.empty(n), np.empty(n, dtype)
+    # The driver's and divide and conquer's workspaces: (work, iwork),
+    # or (work, rwork, iwork).
+    scratch = (dtype, np.float64, np.int64) if complex_ else (dtype, np.int64)
+    # The driver back-transforms in what its work array holds past tau
+    # (and, for real matrices, the off-diagonal) and the eigenvectors.
+    driver_work = _query(driver, b"V", b"L", n, h, n, evals, work=scratch)[0]
+    back_work = driver_work - (1 if complex_ else 2) * n - n * n
     if complex_:
         # LAPACK reads the C-order buffer as h.T, which is conj(h) for
         # exactly Hermitian h; conjugating gives it numpy's lower triangle.
         np.conjugate(h, out=h)
-    evals = np.empty(h.shape[0])
-    sizes = [np.zeros(1, h.dtype), np.zeros(1, np.int64)]
-    if complex_:
-        sizes.insert(1, np.zeros(1))
-    _evd(routine, h, evals, True, *sizes)
-    work = [np.empty(int(q[0].real), q.dtype) for q in sizes]
-    _evd(routine, h, evals, False, *work)
-    del work
-    # Eigenvectors come back as the rows of h; numpy's layout has them
-    # as columns.  Copying after the workspace is freed keeps the peak.
-    return SpectralDecomposition(eigenvalues=evals, eigenvectors=np.ascontiguousarray(h.T))
+    anrm = norm(*_refs(b"M", b"L", n, h, n, np.empty(1)))
+    sigma = _RMIN / anrm if 0.0 < anrm < _RMIN else _RMAX / anrm if anrm > _RMAX else 1.0
+    if sigma != 1.0:
+        _run(rescale, b"L", 0, 0, 1.0, sigma, n, n, h, n)
+    _call(reduce, b"L", n, h, n, evals, offdiag, tau, work=(dtype,))
+    packed = np.empty(n * (n + 1) // 2, dtype)
+    _run(pack, b"L", n, h, n, packed)
+    del h
+    # The tridiagonal matrix's eigenvectors come back as the rows of z.
+    z = np.empty((n, n), dtype)
+    _call(divide, b"I", n, evals, offdiag, z, n, work=scratch)
+    h = np.zeros((n, n), dtype)
+    _run(unpack, b"L", n, packed, h, n)
+    del packed
+    # ?ormtr's query leaves out ?ormqr's 65 x 64 T block, without which
+    # ?ormqr shrinks its block size; so does a shorter driver's length.
+    _call(back, b"L", b"L", b"N", n, n, h, n, tau, z, n, work=(dtype,),
+          fit=lambda length: min(length + 65 * 64, back_work))
+    del h
+    if sigma != 1.0:
+        evals *= 1.0 / sigma
+    # numpy's layout has eigenvectors as columns.  Copying after the
+    # reflectors are freed keeps the peak.
+    return SpectralDecomposition(eigenvalues=evals, eigenvectors=np.ascontiguousarray(z.T))
 
 
 def _rows_times_matrix(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:

@@ -547,12 +547,12 @@ class TestStateSeedBatches:
     @pytest.mark.parametrize(
         "d,num_steps,ensemble,family,batch",
         [
-            # rows 3, 7 * 16 * 3 * 50 // 3 = 5600; 3 * 20000 // (2 * 5600) = 5.
-            (50, 1, Ensemble.GOE, InitFamily.HAAR_EQUILIBRIUM, 5),
-            # rows 9, 7 * 16 * 9 * 250 // 3 = 84000; 3 * 500000 // (2 * 84000) = 8.
-            (250, 2, Ensemble.GOE, InitFamily.EIGENSTATE, 8),
-            # rows 3, 5600 as for GOE; 3 * 40000 // (2 * 5600) = 10.
-            (50, 1, Ensemble.GUE, InitFamily.HAAR_EQUILIBRIUM, 10),
+            # rows 3, 7 * 16 * 3 * 50 // 3 = 5600; 20000 // 5600 = 3.
+            (50, 1, Ensemble.GOE, InitFamily.HAAR_EQUILIBRIUM, 3),
+            # rows 9, 7 * 16 * 9 * 250 // 3 = 84000; 500000 // 84000 = 5.
+            (250, 2, Ensemble.GOE, InitFamily.EIGENSTATE, 5),
+            # rows 3, 5600 as for GOE; 40000 // 5600 = 7.
+            (50, 1, Ensemble.GUE, InitFamily.HAAR_EQUILIBRIUM, 7),
         ],
     )
     def test_batched_sweep_matches_single_seeds(
@@ -560,8 +560,8 @@ class TestStateSeedBatches:
     ):
         # A tree's working set is taken as 7/3 of its last level, rows * D
         # complex entries per seed, and a batch's working sets take at most
-        # 1.5 times the eigenvector bytes (8 * D^2 for GOE, 16 * D^2 for
-        # GUE): size = 3 * E // (2 * (7 * 16 * rows * D // 3)).  Every
+        # the eigenvector bytes E (8 * D^2 for GOE, 16 * D^2 for GUE):
+        # size = E // (7 * 16 * rows * D // 3).  Every
         # start here has weight in all three bands, so every row of
         # 3^(L-1) is live; all-'-' starts are the next test's.
         spec = small_spec(
@@ -579,15 +579,15 @@ class TestStateSeedBatches:
     def test_all_minus_batch_counts_only_live_rows(self, monkeypatch):
         # An all-'-' start has weight in one band, so its tree holds 3 of
         # the 9 rows of its last level at L=3: GOE D=250 takes
-        # 3 * 500000 // (2 * (7 * 16 * 3 * 250 // 3)) = 26 seeds, where
-        # counting every row would take 3 * 500000 // (2 * 84000) = 8.
+        # 500000 // (7 * 16 * 3 * 250 // 3) = 17 seeds, where counting
+        # every row would take 500000 // 84000 = 5.
         spec = small_spec(
             d_grid=(250,), init_family=InitFamily.HAAR_NONEQUILIBRIUM,
             num_state_seeds=27, base_seed=29,
         )
         shapes = _tree_shapes(monkeypatch)
         swept = run_sweep(spec)
-        assert shapes == [(26, 250), (1, 250)]
+        assert shapes == [(17, 250), (10, 250)]
         assert not any(r.failed for r in swept)
         for result in swept:
             single = experiments._run_group(spec, 250, 0, (result.s_index,))[0]
@@ -650,7 +650,7 @@ print({peak}, sum(r.failed for r in results))
         assert swept == [experiments._run_group(spec, 50, 0, (s,))[0] for s in range(2)]
 
     def test_failed_preparation_fails_alone_and_keeps_the_batch(self, monkeypatch):
-        # The batch rule takes 5 seeds here; seed 1's preparation raises,
+        # The batch rule takes 3 seeds here; seed 1's preparation raises,
         # so it fails on its own and seeds 0 and 2 grow one tree together.
         spec = small_spec(d_grid=(50,), num_steps=1, num_state_seeds=3)
         prepare = experiments._prepare
@@ -721,9 +721,9 @@ class TestDecompositionStore:
         assert len(calls) == len(set(calls)) == 4
 
     def test_decomposition_peak_memory(self, tmp_path):
-        # The in-place solve holds the matrix and LAPACK's 2 D^2 workspace;
-        # np.linalg.eigh on a separate matrix adds its input copy and its
-        # output, about 5 D^2 in all.
+        # The staged solve holds the packed reflectors, the eigenvectors and
+        # the divide-and-conquer scratch, 2.5 D^2; np.linalg.eigh on a
+        # separate matrix holds about 5 D^2.
         d = 2000
         script = f"""
 import resource

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -401,6 +402,28 @@ class TestMacroDynamics:
             for x, (a, b) in enumerate(coarsening.ranges):
                 weight = float(np.sum(np.abs(psi_t[a:b]) ** 2))
                 assert row[1 + x] == pytest.approx(weight, abs=1e-10)
+
+    def test_goe_allocates_no_complex_copy_of_the_basis(self):
+        config = ModelConfig(v_minus=200, hamiltonian_seed=2)
+        sd = eigendecompose(build_hamiltonian(config))
+        coarsening = build_coarsening(config)
+        psi0 = sample_haar_state(coarsening, (0.2, 0.6, 0.2), 5)
+        d = config.dimension
+        tracemalloc.start()
+        try:
+            traj = macro_dynamics(sd, coarsening, psi0, t_max=2.0, dt=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * d * d
+        # The eigenbasis coefficients as a complex-cast product.
+        coeff0 = sd.eigenvectors.T.astype(np.complex128) @ psi0
+        phases = np.exp(-1j * np.outer(traj[:, 0], sd.eigenvalues))
+        states = (phases * coeff0) @ sd.eigenvectors.T
+        want = np.stack(
+            [np.sum(np.abs(states[:, a:b]) ** 2, axis=1) for a, b in coarsening.ranges], axis=1
+        )
+        assert np.abs(traj[:, 1:] - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestHistogramAndArrow:

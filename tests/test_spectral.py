@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -62,15 +64,17 @@ class TestEigendecompose:
         gram = sd.eigenvectors.conj().T @ sd.eigenvectors
         assert np.abs(gram - np.eye(ham.dimension)).max() <= 1e-10
 
+    # D = 5 and 10 take ?stedc's branch for at most 25 rows; D = 50 also
+    # takes the driver's short back-transformation workspace.
     @pytest.mark.parametrize("path", ["lapack", "eigh_fallback"])
-    @pytest.mark.parametrize("v_minus", [1, 10, 50])
+    @pytest.mark.parametrize("v_minus", [1, 2, 10, 50, 100])
     @pytest.mark.parametrize("ensemble", [Ensemble.GOE, Ensemble.GUE])
     def test_bit_identical_to_numpy_eigh(self, ensemble, v_minus, path, monkeypatch):
         if path == "eigh_fallback":
-            monkeypatch.setattr(spectral, "_DSYEVD", None)
-            monkeypatch.setattr(spectral, "_ZHEEVD", None)
-        elif spectral._DSYEVD is None or spectral._ZHEEVD is None:
-            pytest.skip("numpy's LAPACK exposes no ILP64 ?syevd/?heevd symbols")
+            monkeypatch.setattr(spectral, "_DSTAGES", None)
+            monkeypatch.setattr(spectral, "_ZSTAGES", None)
+        elif spectral._DSTAGES is None or spectral._ZSTAGES is None:
+            pytest.skip("numpy's LAPACK exposes no ILP64 eigensolver stage symbols")
         ham = build_hamiltonian(
             ModelConfig(v_minus=v_minus, hamiltonian_seed=v_minus, ensemble=ensemble)
         )
@@ -81,6 +85,39 @@ class TestEigendecompose:
         assert np.array_equal(sd.eigenvectors, evecs)
         assert sd.eigenvectors.dtype == evecs.dtype and sd.eigenvectors.flags.c_contiguous
         np.testing.assert_array_equal(ham.matrix, before)
+
+    @pytest.mark.parametrize("v_minus", [2, 10])
+    @pytest.mark.parametrize("ensemble", [Ensemble.GOE, Ensemble.GUE])
+    def test_rescaled_tiny_matrix_bit_identical_to_numpy_eigh(self, ensemble, v_minus):
+        # Every entry below LAPACK's sqrt(safe minimum / precision): the
+        # driver scales the matrix up before the solve and the
+        # eigenvalues back down after it.
+        ham = build_hamiltonian(
+            ModelConfig(v_minus=v_minus, hamiltonian_seed=3, ensemble=ensemble)
+        )
+        tiny = BlockHamiltonian(
+            ham.diagonal * 1e-150, ham.c_mz * 1e-150, ham.c_zp * 1e-150, ham.block_layout
+        )
+        assert 0 < np.abs(tiny.matrix).max() < spectral._RMIN
+        sd = eigendecompose(tiny)
+        evals, evecs = np.linalg.eigh(tiny.matrix)
+        assert np.array_equal(sd.eigenvalues, evals)
+        assert np.array_equal(sd.eigenvectors, evecs)
+
+    @pytest.mark.parametrize("ensemble", [Ensemble.GOE, Ensemble.GUE])
+    def test_peak_allocation_is_two_and_a_half_matrices(self, ensemble):
+        # The packed reflectors (half a matrix), the eigenvectors and the
+        # divide-and-conquer scratch; the driver would hold three.
+        model_parts(v_minus=10, ensemble=ensemble)  # first-call allocations
+        ham = build_hamiltonian(ModelConfig(v_minus=200, hamiltonian_seed=1, ensemble=ensemble))
+        matrix_bytes = ham.dimension**2 * (16 if ensemble is Ensemble.GUE else 8)
+        tracemalloc.start()
+        try:
+            eigendecompose(ham)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.6 * matrix_bytes
 
     def test_matrix_is_fresh_on_each_access(self):
         _, ham, _ = model_parts(v_minus=3, seed=4, ensemble=Ensemble.GUE)

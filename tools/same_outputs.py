@@ -114,9 +114,9 @@ CASES = [
         [(["histogram"], None), (["distance"], None), (["dump-df"], None)],
     ),
     # The four sweeps below grow state seeds' trees in batches of more
-    # than one: 8 at GOE D=500, 5 at GUE D=50 and D=500, 20 batches of 2
-    # all-'-' seeds at GOE D=250, and 5 + 1 and 6 seeds on an explicit
-    # step (about 0.6 tau) at GOE D=50 and D=500.
+    # than one: 8 at GOE D=500, 5 at GUE D=50 and D=500, 13 batches of 3
+    # all-'-' seeds and one of 1 at GOE D=500, and 3 + 3 and 6 seeds on
+    # an explicit step (about 0.6 tau) at GOE D=50 and D=500.
     (
         "goe_nonequilibrium_batched_l3",
         {
@@ -140,13 +140,26 @@ CASES = [
     (
         "goe_all_minus_batches_l5",
         {
-            "model": {"d_grid": [250]},
+            "model": {"d_grid": [500]},
             "grid": {"num_steps": 4},
             "init": {"family": "haar_nonequilibrium"},
             "sweep": {"num_hamiltonian_seeds": 1, "num_state_seeds": 40},
         },
         [(["sweep", "--workers", "1"], None)],
     ),
+    # Every entry below LAPACK's rescale threshold (about 1e-146), so the
+    # eigensolver scales each matrix up and its eigenvalues back down.
+    *[
+        (
+            f"{ensemble}_tiny_delta_e_l4",
+            {
+                "model": {"d_grid": [5, 10, 50], "ensemble": ensemble, "delta_e": 1e-150},
+                "grid": {"num_steps": 3},
+            },
+            [(["sweep", "--workers", "1"], None)],
+        )
+        for ensemble in ("goe", "gue")
+    ],
     (
         "goe_explicit_step_batched_l2",
         {
