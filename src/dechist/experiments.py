@@ -28,13 +28,10 @@ import enum
 import functools
 import json
 import math
-import multiprocessing
 import os
 import shutil
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import BinaryIO, Iterable
 
@@ -69,6 +66,7 @@ from .histories import (
     marginalize,
 )
 from .metrics import (
+    BranchHistogram,
     arrow_classification,
     branch_histogram,
     delta_max,
@@ -378,7 +376,7 @@ class PerLengthMetrics:
     p_forward: float
     p_noarrow: float
     p_backward: float
-    histogram: dict[str, float] = field(default_factory=dict)
+    histogram: BranchHistogram
 
 
 @dataclass(frozen=True)
@@ -638,10 +636,14 @@ def _run_group(
 def result_to_dict(result: RealizationResult) -> dict:
     """JSON-ready record: the result's fields, with error only when set.
 
-    A shallow copy: dataclasses.asdict would deep-copy every histogram.
+    Each histogram becomes a plain dict in sorted label order, so
+    json.dumps(..., sort_keys=True) finds its keys already sorted.
     """
     data = dict(vars(result))
-    data["per_length"] = {l: dict(vars(m)) for l, m in result.per_length.items()}
+    data["per_length"] = {
+        l: {**vars(m), "histogram": m.histogram.sorted_dict()}
+        for l, m in result.per_length.items()
+    }
     if result.error is None:
         del data["error"]
     return data
@@ -651,7 +653,10 @@ def result_from_dict(data: dict) -> RealizationResult:
     """Inverse of result_to_dict, also for records read back from JSON."""
     data = dict(data)
     data["per_length"] = {
-        int(l): PerLengthMetrics(**m) for l, m in data["per_length"].items()
+        int(l): PerLengthMetrics(
+            **{**m, "histogram": BranchHistogram.from_dict(int(l), m["histogram"])}
+        )
+        for l, m in data["per_length"].items()
     }
     data["distance_bins"] = {
         int(k): tuple(v) for k, v in data["distance_bins"].items()
@@ -670,26 +675,33 @@ def _spec_to_dict(spec: SweepSpec) -> dict:
     return {k: _to_json(v) for k, v in data.items() if k not in _UNRECORDED_FIELDS}
 
 
-def _load_records(path: Path) -> dict[tuple[int, int, int], dict]:
-    """Records of a JSONL stream, keyed by (d, h_index, s_index).
+def _load_records(path: Path) -> dict[tuple[int, int, int], RealizationResult]:
+    """Results of a JSONL stream, keyed by (d, h_index, s_index).
 
-    Every complete record ends in a newline.  A last line without one was
-    torn by an interrupted append: it is cut off the file, so its key is
-    recomputed and the next append starts on a fresh line.
+    Lines are read one at a time, and each becomes a result before the
+    next is read.  Every complete record ends in a newline.  A last line
+    without one was torn by an interrupted append: it is cut off the
+    file, so its key is recomputed and the next append starts on a fresh
+    line.
     """
-    records: dict[tuple[int, int, int], dict] = {}
+    records: dict[tuple[int, int, int], RealizationResult] = {}
     if not path.exists():
         return records
-    raw = path.read_bytes()
-    complete = raw.rfind(b"\n") + 1
-    if complete < len(raw):
+    complete = 0
+    with path.open("rb") as fh:
+        for line in fh:
+            if not line.endswith(b"\n"):
+                break
+            complete += len(line)
+            if line.strip():
+                data = json.loads(line)
+                data.pop("wall_time_s", None)  # schema-1 records carry a timing
+                result = result_from_dict(data)
+                records[result.key] = result
+        torn = fh.tell() > complete
+    if torn:
         with path.open("r+b") as fh:
             fh.truncate(complete)
-    for line in raw[:complete].splitlines():
-        if line.strip():
-            data = json.loads(line)
-            data.pop("wall_time_s", None)  # schema-1 records carry a timing
-            records[(data["d"], data["h_index"], data["s_index"])] = data
     return records
 
 
@@ -711,7 +723,7 @@ def run_sweep(
     """
     if spec.d_grid is None:
         raise ConfigError("model.d_grid: required by the sweep command")
-    records: dict[tuple[int, int, int], dict] = {}
+    records: dict[tuple[int, int, int], RealizationResult] = {}
     records_path = None
     if output_dir is not None:
         out = Path(output_dir)
@@ -739,22 +751,25 @@ def run_sweep(
                 groups.append((d, h_index, pending))
 
     def _keep(batch: list[RealizationResult], write: bool = True) -> None:
-        """Keep a group's records and append them to the stream."""
-        lines = []
+        """Keep a group's results and append their records to the stream."""
         for result in batch:
-            records[result.key] = result_to_dict(result)
-            lines.append(json.dumps(records[result.key], sort_keys=True) + "\n")
-        if write and records_path is not None and lines:
+            records[result.key] = result
+        if write and records_path is not None and batch:
+            lines = [json.dumps(result_to_dict(r), sort_keys=True) + "\n" for r in batch]
             with records_path.open("a") as fh:
                 fh.writelines(lines)
 
     # Forked workers read the parent's decomposition store.  Each group's
     # outcome is taken in group order, so the stream is in group order
-    # whatever the completion order.
-    pool = None
+    # whatever the completion order.  A serial sweep imports no pool.
+    pool, broken = None, ()
     if workers > 1 and groups:
+        import multiprocessing
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
         fork = multiprocessing.get_context("fork")
         pool = ProcessPoolExecutor(max_workers=min(workers, len(groups)), mp_context=fork)
+        broken = BrokenProcessPool
     with pool or contextlib.nullcontext():
         outcomes = [
             pool.submit(_run_group, spec, *group).result if pool
@@ -764,13 +779,12 @@ def run_sweep(
         for (d, h_index, pending), outcome in zip(groups, outcomes):
             try:
                 _keep(outcome())
-            except BrokenProcessPool as exc:
+            except broken as exc:
                 # A worker died: report the group as failed, but keep it
                 # out of the JSONL stream so a rerun retries it.
                 _keep([_error_result(spec, d, h_index, s, exc) for s in pending], False)
 
-    results = [result_from_dict(records[key]) for key in sorted(records)]
-    return results
+    return [records[key] for key in sorted(records)]
 
 
 def fit_points(

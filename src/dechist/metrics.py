@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -10,6 +12,7 @@ import numpy as np
 from .model import Coarsening, NUM_MACROSTATES
 from .spectral import SpectralDecomposition, _rows_times_matrix
 from .histories import (
+    MAX_LENGTH,
     DecoherenceFunctional,
     _digit_matrix,
     _distance_bins,
@@ -20,6 +23,7 @@ __all__ = [
     "EpsilonReport",
     "TraceDistanceReport",
     "ArrowReport",
+    "BranchHistogram",
     "epsilon_average",
     "delta_max",
     "epsilon_by_distance",
@@ -196,10 +200,10 @@ def macro_dynamics(
     times = np.arange(0.0, t_max + 0.5 * dt, dt)
     psi0 = np.asarray(psi0, dtype=np.complex128)
     basis = sd.eigenvectors
+    # Neither branch makes a complex or conjugate copy of the basis.
     if np.iscomplexobj(basis):
-        coeff0 = basis.conj().T @ psi0
+        coeff0 = np.conj(np.conj(psi0)[None] @ basis)[0]
     else:
-        # Real eigenvectors stay real: no complex copy of the basis.
         coeff0 = _rows_times_matrix(psi0[None], basis)[0]
     phases = np.exp(-1j * (times[:, None] * sd.eigenvalues))
     states = _rows_times_matrix(phases * coeff0, basis.T)
@@ -212,9 +216,67 @@ def macro_dynamics(
     return out
 
 
-def branch_histogram(df: DecoherenceFunctional) -> dict[str, float]:
+@functools.lru_cache(maxsize=MAX_LENGTH + 1)
+def _label_codes(length: int) -> dict[str, int]:
+    """Code of every history label, memoised per length."""
+    return {label: code for code, label in enumerate(_history_labels(length))}
+
+
+@functools.lru_cache(maxsize=MAX_LENGTH + 1)
+def _sorted_labels(length: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """The labels in sorted order and the codes that give it, memoised."""
+    labels = _history_labels(length)
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    return tuple(labels[code] for code in order), np.array(order)
+
+
+class BranchHistogram(Mapping):
+    """Read-only map from history label to branch weight.
+
+    The 3^L weights are one read-only float64 array in code order, and
+    the labels are the ones _history_labels(L) shares, so a histogram
+    costs 8 bytes per history.  It iterates and lists items in code
+    order; dict(h) gives a plain dict.
+    """
+
+    __slots__ = ("length", "weights")
+
+    def __init__(self, length: int, weights: np.ndarray):
+        weights.flags.writeable = False
+        self.length = length
+        self.weights = weights
+
+    @classmethod
+    def from_dict(cls, length: int, data: Mapping[str, float]) -> "BranchHistogram":
+        """The histogram of a {label: weight} dict naming every history."""
+        labels = _history_labels(length)
+        return cls(length, np.fromiter(map(data.__getitem__, labels), float, len(labels)))
+
+    def __getitem__(self, label: str) -> float:
+        return float(self.weights[_label_codes(self.length)[label]])
+
+    def __iter__(self):
+        return iter(_history_labels(self.length))
+
+    def __len__(self) -> int:
+        return self.weights.size
+
+    def __repr__(self) -> str:
+        return f"BranchHistogram({dict(self)!r})"
+
+    def __reduce__(self):
+        # Unpickled in a sweep's parent, the weights are read-only again.
+        return type(self), (self.length, self.weights)
+
+    def sorted_dict(self) -> dict[str, float]:
+        """A plain dict with its labels in sorted order."""
+        labels, order = _sorted_labels(self.length)
+        return dict(zip(labels, self.weights[order].tolist()))
+
+
+def branch_histogram(df: DecoherenceFunctional) -> BranchHistogram:
     """Diagonal weights keyed by label string, oldest label first."""
-    return dict(zip(_history_labels(df.length), df.diagonal().tolist()))
+    return BranchHistogram(df.length, df.diagonal())
 
 
 def arrow_score(labels: Sequence[int] | np.ndarray, volumes: tuple[int, ...]):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import concurrent.futures
+import concurrent.futures.process
 import dataclasses
 import errno
 import functools
@@ -34,6 +34,7 @@ from dechist.experiments import (
 )
 from dechist.histories import HistoryGrid, compute_df, marginalize
 from dechist.metrics import (
+    BranchHistogram,
     arrow_classification,
     branch_histogram,
     delta_max,
@@ -318,7 +319,7 @@ class TestRunSweep:
 
         spec = small_spec(d_grid=(5, 10), base_seed=21)
         serial = run_sweep(spec)
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", InlinePool)
         pooled = run_sweep(spec, workers=64)
         assert pool_sizes == [2]
         assert pooled == serial
@@ -338,6 +339,41 @@ class TestRunSweep:
         assert [experiments.result_to_dict(r) for r in first] == [
             experiments.result_to_dict(r) for r in second
         ]
+
+    def test_resumed_records_hold_compact_histograms(self, tmp_path):
+        spec = small_spec(d_grid=(5, 10), num_steps=3, base_seed=9)
+        out = tmp_path / "sweep"
+        first = run_sweep(spec, output_dir=out)
+        second = run_sweep(spec, output_dir=out)
+        assert second == first
+        for fresh, resumed in zip(first, second):
+            for length, metrics in resumed.per_length.items():
+                assert isinstance(metrics.histogram, BranchHistogram)
+                want = fresh.per_length[length].histogram.weights
+                assert np.array_equal(metrics.histogram.weights, want)
+
+    def test_results_hold_8_bytes_of_histogram_per_history(self, tmp_path):
+        # A fresh interpreter traces every allocation of the sweep; the
+        # label tables that all histograms share stay when they are dropped.
+        script = (
+            "import gc, tracemalloc\n"
+            "from dechist.experiments import SweepSpec, run_sweep\n"
+            "spec = SweepSpec(d_grid=(5, 50), num_hamiltonian_seeds=3,\n"
+            "                 num_state_seeds=5, num_steps=5, base_seed=2)\n"
+            "tracemalloc.start()\n"
+            "results = run_sweep(spec, output_dir='out')\n"
+            "gc.collect()\n"
+            "held = tracemalloc.get_traced_memory()[0]\n"
+            "for r in results:\n"
+            "    for m in r.per_length.values():\n"
+            "        object.__setattr__(m, 'histogram', None)\n"
+            "gc.collect()\n"
+            "print(len(results), (held - tracemalloc.get_traced_memory()[0]) / len(results))\n"
+        )
+        count, per_record = run_python(tmp_path, script).stdout.split()
+        assert int(count) == 30
+        # 3^2 + ... + 3^6 = 1089 weights are 8.7 KB; dicts of floats took ~60 KB.
+        assert float(per_record) <= 16 * 1024
 
     def test_partial_resume_fills_missing_keys(self, tmp_path):
         spec = SweepSpec(
@@ -415,7 +451,8 @@ class TestRunSweep:
             experiments, "_run_group", functools.partial(_die_after_others, received)
         )
         monkeypatch.setattr(
-            experiments, "ProcessPoolExecutor", functools.partial(_NotingPool, received)
+            concurrent.futures.process, "ProcessPoolExecutor",
+            functools.partial(_NotingPool, received),
         )
         crashed = run_sweep(spec, output_dir=out, workers=2)
         assert [r.key for r in crashed] == [(5, 0, 0), (5, 1, 0), (10, 0, 0), (10, 1, 0)]

@@ -4,6 +4,9 @@ and every name a module exports is read somewhere in the program."""
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,6 +73,18 @@ def test_cli_imports_no_realization_setup():
         elif isinstance(node, ast.Name):
             names.add(node.id)
     assert names & SETUP_NAMES == set()
+
+
+def test_cli_import_loads_no_process_pool():
+    # A serial sweep never uses the pool, so only a parallel one imports it.
+    script = (
+        "import sys, dechist.cli\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def public_names(source: str) -> list[str]:

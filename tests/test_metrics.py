@@ -25,11 +25,13 @@ from dechist.histories import (
     DecoherenceFunctional,
     HistoryGrid,
     _digit_matrix,
+    _history_labels,
     compute_df,
     decode_history,
     marginalize,
 )
 from dechist.metrics import (
+    BranchHistogram,
     arrow_classification,
     arrow_score,
     branch_histogram,
@@ -425,6 +427,29 @@ class TestMacroDynamics:
         )
         assert np.abs(traj[:, 1:] - want).max() <= 1e-14 * np.abs(want).max()
 
+    def test_gue_allocates_no_complex_copy_of_the_basis(self):
+        config = ModelConfig(v_minus=200, hamiltonian_seed=2, ensemble=Ensemble.GUE)
+        sd = eigendecompose(build_hamiltonian(config))
+        coarsening = build_coarsening(config)
+        psi0 = sample_haar_state(coarsening, (0.2, 0.6, 0.2), 5)
+        d = config.dimension
+        tracemalloc.start()
+        try:
+            traj = macro_dynamics(sd, coarsening, psi0, t_max=2.0, dt=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The basis itself is 16 D^2 bytes; a conjugate copy of it would
+        # take the peak past that.
+        assert peak < 16 * d * d
+        coeff0 = sd.eigenvectors.conj().T @ psi0
+        phases = np.exp(-1j * np.outer(traj[:, 0], sd.eigenvalues))
+        states = (phases * coeff0) @ sd.eigenvectors.T
+        want = np.stack(
+            [np.sum(np.abs(states[:, a:b]) ** 2, axis=1) for a, b in coarsening.ranges], axis=1
+        )
+        assert np.abs(traj[:, 1:] - want).max() <= 1e-14 * np.abs(want).max()
+
 
 class TestHistogramAndArrow:
     def test_histogram_keys_and_sum(self):
@@ -434,6 +459,46 @@ class TestHistogramAndArrow:
         assert list(hist)[:3] == ["-,-,-", "0,-,-", "+,-,-"]
         assert "0,+,0" in hist
         assert sum(hist.values()) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("num_steps", [1, 3, 5])
+    def test_histogram_is_the_diagonal_in_code_order(self, num_steps):
+        df, *_ = make_df(v_minus=2, seed=3, num_steps=num_steps)
+        hist = branch_histogram(df)
+        plain = dict(zip(_history_labels(df.length), df.diagonal().tolist()))
+        assert hist == plain and plain == hist
+        assert dict(hist) == plain
+        assert list(hist) == list(plain)
+        assert list(hist.items()) == list(plain.items())
+        assert hist.keys() == plain.keys()
+        assert len(hist) == len(plain) == 3**df.length
+        assert all(label in hist for label in plain)
+        assert "x" not in hist and "-" * df.length not in hist
+        with pytest.raises(KeyError):
+            hist["-"]
+
+    def test_histogram_is_read_only(self):
+        df, *_ = make_df(num_steps=2)
+        hist = branch_histogram(df)
+        with pytest.raises(TypeError):
+            hist["-,-,-"] = 0.5
+        with pytest.raises(TypeError):
+            del hist["-,-,-"]
+        with pytest.raises(ValueError):
+            hist.weights[0] = 0.5
+        with pytest.raises(AttributeError):
+            hist.extra = 1
+
+    def test_histogram_sorted_dict_round_trips(self):
+        df, *_ = make_df(v_minus=2, seed=5, num_steps=3)
+        hist = branch_histogram(df)
+        data = hist.sorted_dict()
+        assert list(data) == sorted(hist)
+        assert data == dict(hist)
+        back = BranchHistogram.from_dict(df.length, data)
+        assert back == hist
+        assert np.array_equal(back.weights, hist.weights)
+        with pytest.raises(KeyError):
+            BranchHistogram.from_dict(df.length, {"-,-,-,-": 1.0})
 
     def test_arrow_score(self):
         volumes = (5, 15, 5)

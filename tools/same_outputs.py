@@ -6,7 +6,8 @@ Usage: python tools/same_outputs.py OLD_ROOT NEW_ROOT
 Each root is a checkout holding `src/dechist`.  A fixed list of dechist
 commands runs against each tree's `src/`, every case in a fresh
 temporary directory.  Each command of CASES runs in its own process, so
-every decomposition in it is fresh; the commands of a case in
+every decomposition in it is fresh, and a sweep that repeats one before
+it resumes from that one's records; the commands of a case in
 ONE_PROCESS_CASES share one process, so later commands read the matrices
 that earlier ones stored; its last sweep runs in forked `--workers 2`
 workers, which read them too.  Every other sweep runs with `--workers 1`.
@@ -53,6 +54,17 @@ CASES = [
             for m in ("epsilon", "delta")
             for l in ("2", "6")
         ],
+    ),
+    # The second sweep, in a process of its own, finds every record on
+    # disk and writes results.csv from the records it reads back.
+    (
+        "goe_weak_l6_resumed",
+        {
+            "model": {"d_grid": [5, 50, 250]},
+            "grid": {"num_steps": 5},
+            "sweep": {"num_hamiltonian_seeds": 2, "num_state_seeds": 4},
+        },
+        [(["sweep", "--workers", "1"], None)] * 2,
     ),
     (
         "gue_strong_random_nonequilibrium_l5",
