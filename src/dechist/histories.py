@@ -15,9 +15,8 @@ The branch tree is grown for all starts together and kept before its
 last projection: each block reads one band of the last level, so the
 two-thirds-zero leaf array is never built either.  A branch whose first
 label is a band where no start has weight is exactly zero, so the tree
-never holds it: its levels keep live rows only.  Rows that a narrower
-start's own support leaves zero are left out of the block products.
-batch_size says how many starts to stack in one call.
+never holds it: its levels keep the stack's live rows only (see
+_live_rows).  batch_size says how many starts to stack in one call.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ __all__ = [
     "DecoherenceFunctional",
     "decode_history",
     "history_string",
-    "live_rows",
     "batch_size",
     "compute_df",
     "marginalize",
@@ -47,7 +45,7 @@ M = NUM_MACROSTATES
 MAX_LENGTH = 6
 
 # Byte cap on the last level of a stack's trees: its live rows (see
-# live_rows) times D complex entries, for all S starts.
+# _live_rows) times D complex entries, for all S starts.
 MEMORY_BUDGET = 2 << 30
 
 
@@ -62,7 +60,7 @@ def batch_size(
     eigenvector bytes, so that they and the eigenvectors stay under the
     eigensolve's own peak of 2.5 D x D arrays.
     """
-    working = 7 * 16 * _live_count(coarsening, starts, length) * sd.dimension // 3
+    working = 7 * 16 * _live_rows(coarsening, starts, length)[1].size * sd.dimension // 3
     return max(1, sd.eigenvectors.nbytes // working)
 
 
@@ -156,72 +154,60 @@ def _distance_bins(length: int) -> tuple[np.ndarray, ...]:
     return bins
 
 
+def _live_rows(
+    coarsening: Coarsening, starts: np.ndarray, length: int
+) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """The live rows of an (S, D) stack's last level: the ranges of the
+    bands where some start has weight, and the ascending codes h of
+    (x_0, ..., x_{L-2}) whose x_0 names one of them.
+
+    A branch whose first label names a band where no start has weight
+    is exactly zero, so with L >= 2 a stack with weight in k bands has
+    k * 3^(L-2) live rows.  At L = 1 the one row is the starts
+    themselves.
+    """
+    live = np.array([np.any(starts[:, a:b]) for a, b in coarsening.ranges])
+    codes = np.arange(M ** (length - 1))
+    if length > 1:
+        codes = codes[live[codes % M]]
+    return [r for r, x in zip(coarsening.ranges, live) if x], codes
+
+
 def _branch_tree(
     sd: SpectralDecomposition,
     coarsening: Coarsening,
     starts: np.ndarray,
     grid: HistoryGrid,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Last level of the branch trees of (S, D) starts, live rows only,
-    as (n, S, D).
+    as (codes, level) with level shaped (n, S, D).
 
-    Level 1 evolves only the bands where some start has weight; every
+    Level 1 evolves only the stack's live bands (see _live_rows); every
     later level evolves all three band slices of each row it holds, so
     no split copy is built and each kept node is evolved once (at most
     sum_k 3^k propagations, not L * 3^L).  Rows are ordered
     [labels][start], so each level reads the eigenvector matrix once for
     all starts and the band chunks stay contiguous.
 
-    The n rows are the codes h of (x_0, ..., x_{L-2}) live for some
-    start (see live_rows), in ascending order: all 3^(L-1) when the
-    stack has weight in every band.  Entry [i, s] is start s's branch
-    of the i-th of them at t_{L-1}; its band-x slice is the leaf of the
-    history h + x * 3^(L-1).  Zero-norm branches of a start narrower
-    than the stack are zero rows, never pruned.
+    The n rows are the stack's live codes h of (x_0, ..., x_{L-2}), in
+    ascending order: all 3^(L-1) when the stack has weight in every
+    band.  Entry [i, s] is start s's branch of codes[i] at t_{L-1}; its
+    band-x slice is the leaf of the history h + x * 3^(L-1).
     """
     starts = np.array(starts, dtype=np.complex128)
     num_starts, d = starts.shape
-    rows = _live_count(coarsening, starts, grid.length)
-    needed = 16 * d * rows * num_starts
+    ranges, codes = _live_rows(coarsening, starts, grid.length)
+    needed = 16 * d * codes.size * num_starts
     if needed > MEMORY_BUDGET:
         raise MemoryError(
             f"branch tree needs {needed} bytes for {num_starts} start(s) with "
-            f"{rows} live x {d} branches each, budget is {MEMORY_BUDGET}"
+            f"{codes.size} live x {d} branches each, budget is {MEMORY_BUDGET}"
         )
-    support = _support(coarsening, starts).any(axis=0)
-    ranges = [r for r, live in zip(coarsening.ranges, support) if live]
     level = starts
     for k in range(1, grid.length):
         dt = grid.times[k] - grid.times[k - 1]
         level = evolve_batch(sd, level, dt, ranges=ranges if k == 1 else coarsening.ranges)
-    return level.reshape(-1, num_starts, d)
-
-
-def _support(coarsening: Coarsening, starts: np.ndarray) -> np.ndarray:
-    """(S, 3) flags: the bands where each start has weight."""
-    return np.stack(
-        [np.any(starts[:, a:b] != 0, axis=1) for a, b in coarsening.ranges], axis=1
-    )
-
-
-def live_rows(coarsening: Coarsening, starts: np.ndarray, length: int) -> np.ndarray:
-    """(S, 3^(L-1)) flags: the last-level rows of each start's tree that
-    may be nonzero.
-
-    A branch whose first label x_0 names a band where its start has no
-    weight is exactly zero, so with L >= 2 a start with weight in k
-    bands has k * 3^(L-2) live rows: those whose code h has h % 3 in
-    its support.  At L = 1 the one row is the start itself.
-    """
-    starts = np.asarray(starts)
-    if length == 1:
-        return np.ones((len(starts), 1), dtype=bool)
-    return _support(coarsening, starts)[:, np.arange(M ** (length - 1)) % M]
-
-
-def _live_count(coarsening: Coarsening, starts: np.ndarray, length: int) -> int:
-    """Rows of a stack's last level: those live for some start."""
-    return int(live_rows(coarsening, starts, length).any(axis=0).sum())
+    return codes, level.reshape(-1, num_starts, d)
 
 
 @dataclass(frozen=True)
@@ -264,23 +250,18 @@ def compute_df(
     The branch trees of all starts grow together (see _branch_tree).
     Block c of a functional needs the last level projected on c, which
     is band c's columns of that level, so no leaf array is built.  The
-    products read only a start's live rows (see live_rows); the rows
-    and columns of dead ones are exact zeros.
+    products read the stack's live rows only; the rows and columns of
+    the dead ones are exact zeros.
     """
-    level = _branch_tree(sd, coarsening, starts, grid)
-    alive = live_rows(coarsening, starts, grid.length)
-    codes = np.flatnonzero(alive.any(axis=0))
-    size = alive.shape[1]
+    codes, level = _branch_tree(sd, coarsening, starts, grid)
+    size = M ** (grid.length - 1)
+    # With every row live, the blocks take the products by slice, not by scatter.
+    ket, bra = (slice(None),) * 2 if codes.size == size else (codes[:, None], codes)
     functionals = []
-    for final, own in zip(level.transpose(1, 0, 2), alive[:, codes]):
-        # rows picks the start's live rows of the level, live their codes;
-        # with all of them live, the products read the level in place.
-        rows = slice(None) if own.all() else np.flatnonzero(own)
-        live = codes[rows]
-        ket, bra = (slice(None),) * 2 if live.size == size else (live[:, None], live)
+    for final in level.transpose(1, 0, 2):
         blocks = np.zeros((M, size, size), dtype=np.complex128)
         for c, (a, b) in enumerate(coarsening.ranges):
-            f = final[rows, a:b]
+            f = final[:, a:b]
             # entry(x, y) = <psi_y | psi_x> = sum_i psi_x[i] conj(psi_y[i]).
             blocks[c][ket, bra] = f @ f.conj().T
         functionals.append(DecoherenceFunctional(blocks=blocks, grid=grid))

@@ -110,12 +110,10 @@ def epsilon_average(df: DecoherenceFunctional) -> EpsilonReport:
 
 
 def _real_probabilities(values: np.ndarray, what: str) -> np.ndarray:
-    residue = float(np.max(np.abs(values.imag))) if np.iscomplexobj(values) else 0.0
+    residue = float(np.max(np.abs(values.imag)))
     if residue > IMAG_TOLERANCE:
-        raise RuntimeError(
-            f"imaginary residue {residue:.3e} in {what} exceeds {IMAG_TOLERANCE}"
-        )
-    return np.asarray(values.real if np.iscomplexobj(values) else values, dtype=float)
+        raise RuntimeError(f"imaginary residue {residue:.3e} in {what} exceeds {IMAG_TOLERANCE}")
+    return values.real
 
 
 def delta_max(df: DecoherenceFunctional) -> TraceDistanceReport:

@@ -69,11 +69,11 @@ _RMAX = 1.0 / _RMIN
 
 def _refs(*args) -> list:
     """LAPACK's calling convention: bytes pass as characters, ints and
-    floats by reference as int64 and double, and arrays by their data,
-    through handles that keep them alive."""
+    floats by reference as int64 and double, and arrays as bare pointers
+    to their data, so the caller holds every array for the whole call."""
     return [
         a if isinstance(a, bytes)
-        else a.ctypes if isinstance(a, np.ndarray)
+        else ctypes.c_void_p(a.ctypes.data) if isinstance(a, np.ndarray)
         else ctypes.byref((ctypes.c_double if isinstance(a, float) else ctypes.c_int64)(a))
         for a in args
     ]
@@ -143,7 +143,8 @@ def eigendecompose(hamiltonian: BlockHamiltonian) -> SpectralDecomposition:
         # LAPACK reads the C-order buffer as h.T, which is conj(h) for
         # exactly Hermitian h; conjugating gives it numpy's lower triangle.
         np.conjugate(h, out=h)
-    anrm = norm(*_refs(b"M", b"L", n, h, n, np.empty(1)))
+    unread = np.empty(1)  # the norm's work array, which the max-abs norm never reads
+    anrm = norm(*_refs(b"M", b"L", n, h, n, unread))
     sigma = _RMIN / anrm if 0.0 < anrm < _RMIN else _RMAX / anrm if anrm > _RMAX else 1.0
     if sigma != 1.0:
         _run(rescale, b"L", 0, 0, 1.0, sigma, n, n, h, n)

@@ -261,7 +261,7 @@ def test_criterion_9_functional_invariants(capsys):
     worst_herm = worst_trace = worst_cs = worst_sum = 0.0
     for v_minus in (10, 100):  # D = 50 and D = 500
         sd, coarsening, psi0, grid = haar_realization(v_minus, 17, 23)
-        final = histories._branch_tree(sd, coarsening, psi0[None], grid)[:, 0]
+        final = histories._branch_tree(sd, coarsening, psi0[None], grid)[1][:, 0]
         df = compute_df(sd, coarsening, psi0[None], grid)[0]
         entries = df.entries
         worst_herm = max(worst_herm, float(np.abs(entries - entries.conj().T).max()))

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import re
 import shlex
 import shutil
@@ -16,10 +17,6 @@ import pytest
 
 from dechist import experiments, spectral
 from dechist.cli import (
-    DISTANCE_HEADER,
-    DYNAMICS_HEADER,
-    FIT_HEADER,
-    HISTOGRAM_HEADER,
     ConfigError,
     main,
     parse_config,
@@ -31,11 +28,17 @@ from dechist.model import Ensemble, Regime, Spacing
 FIXTURE = Path(__file__).parent / "data" / "synthetic_results.csv"
 README = Path(__file__).parent.parent / "README.md"
 
+# The written headers, stated here rather than read from the program's
+# own tables, so a mislabelled column fails.
 RESULTS_HEADER = [
     "d", "l", "regime", "init_family", "h_seed", "s_seed", "eig_index",
     "epsilon_avg", "pair_count", "skipped_pairs", "delta_max",
     "argmax_subset_bitmask", "p_forward", "p_noarrow", "p_backward",
 ]
+DYNAMICS_HEADER = ["t", "p_minus", "p_zero", "p_plus"]
+FIT_HEADER = ["l", "metric", "alpha", "intercept", "r_squared", "n_points"]
+HISTOGRAM_HEADER = ["history", "probability"]
+DISTANCE_HEADER = ["d", "hamming", "eps_mean", "pair_count"]
 
 
 def write_config(tmp_path, **sections) -> Path:
@@ -197,6 +200,7 @@ class TestDynamicsCommand:
     def test_golden_structure(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
+            model={"v_minus": 100},
             init={"weights": [[0.2, 0.6, 0.2], [1.0, 0.0, 0.0]]},
         )
         assert main(["dynamics", "--config", str(config)]) == 0
@@ -212,9 +216,13 @@ class TestDynamicsCommand:
             total = sum(float(v) for v in row[1:])
             assert total == pytest.approx(1.0, abs=1e-10)
         # Second block starts over at t = 0 fully in the minus band.
-        block2 = rows[201]
-        assert float(block2[0]) == 0.0
-        assert float(block2[1]) == pytest.approx(1.0, abs=1e-12)
+        block2 = dict(zip(header, rows[201]))
+        assert float(block2["t"]) == 0.0
+        assert float(block2["p_minus"]) == pytest.approx(1.0, abs=1e-12)
+        # The equilibrium start stays near the band volumes: over the
+        # late window [10, 20] tau, p_zero averages near 3/5 at D = 500.
+        late = [float(dict(zip(header, row))["p_zero"]) for row in rows[100:201]]
+        assert np.mean(late) == pytest.approx(0.6, abs=0.05)
 
     def test_floats_round_trip(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -264,6 +272,27 @@ class TestSweepCommand:
         assert all(r[6] == "" for r in rows)  # no eigenstate index
         for row in rows:
             assert repr(float(row[7])) == row[7]
+
+    def test_arrow_columns_match_the_results_in_memory(self, tmp_path, capsys):
+        # From an all-'-' start the forward and backward arrow weights
+        # differ, so each column, read by name, shows which it holds.
+        config = write_config(
+            tmp_path,
+            model={"d_grid": [5]},
+            grid={"num_steps": 2},
+            init={"family": "haar_nonequilibrium"},
+            sweep={"num_hamiltonian_seeds": 1, "num_state_seeds": 1},
+        )
+        assert main(["sweep", "--config", str(config)]) == 0
+        _, header, rows = read_csv(Path(capsys.readouterr().out.strip()))
+        assert header == RESULTS_HEADER
+        (result,) = experiments.run_sweep(parse_config(config))
+        for row in rows:
+            cells = dict(zip(header, row))
+            metrics = result.per_length[int(cells["l"])]
+            assert metrics.p_forward != metrics.p_backward
+            assert float(cells["p_forward"]) == metrics.p_forward
+            assert float(cells["p_backward"]) == metrics.p_backward
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         config = write_config(
@@ -401,6 +430,8 @@ class TestFitCommand:
         assert "# points" in comments
         assert header == FIT_HEADER
         fit_row = rows[0]
+        # The fixture's means fall as D^(-1/2).
+        assert dict(zip(header, fit_row))["alpha"] == "0.5"
         assert fit_row[0] == "3"
         assert fit_row[1] == "epsilon"
         assert fit_row[2] == "0.5"  # exact, not 0.4999...
@@ -485,6 +516,13 @@ class TestDistanceCommand:
         assert [r[1] for r in rows] == ["1", "2"]
         assert all(r[0] == "5" for r in rows)
         assert sum(int(r[3]) for r in rows) == 3**5 - 3**3
+        # Ordered pairs sharing the final label at L = 3: 3^L choices of
+        # x, and C(L-1, h) 2^h of y differing from x in h of the first
+        # L - 1 labels.
+        for row in rows:
+            cells = dict(zip(header, row))
+            h = int(cells["hamming"])
+            assert int(cells["pair_count"]) == 3**3 * math.comb(2, h) * 2**h
 
 
 class TestDumpDfCommand:

@@ -132,10 +132,11 @@ class TestEncoding:
 
 def last_level(sd, coarsening, psi0, grid):
     """The (3^(L-1), D) last level of one start's branch tree, the dead
-    rows that the tree does not hold filled in as zeros."""
-    live = histories.live_rows(coarsening, psi0[None], grid.length)[0]
-    level = np.zeros((live.size, len(psi0)), dtype=complex)
-    level[live] = histories._branch_tree(sd, coarsening, psi0[None], grid)[:, 0]
+    rows that the tree does not hold filled in as zeros.  In a stack of
+    one, the tree's live codes are those of the start's own bands."""
+    codes, tree = histories._branch_tree(sd, coarsening, psi0[None], grid)
+    level = np.zeros((3 ** (grid.length - 1), len(psi0)), dtype=complex)
+    level[codes] = tree[:, 0]
     return level
 
 
@@ -248,7 +249,7 @@ class TestStackedStarts:
         coarsening = build_coarsening(config)
         starts = _three_starts(sd, coarsening)
         grid = HistoryGrid.constant(length - 1, 2.0)
-        stacked = histories._branch_tree(sd, coarsening, starts, grid)
+        _, stacked = histories._branch_tree(sd, coarsening, starts, grid)
         stacked_dfs = compute_df(sd, coarsening, starts, grid)
         assert len(stacked_dfs) == len(starts)
         for s, (psi0, df) in enumerate(zip(starts, stacked_dfs)):
@@ -308,8 +309,8 @@ class TestStackedStarts:
 
 class TestCompactTree:
     # Each stack's bands with weight, k in all: one start takes every band
-    # of the stack, a second only some, so compute_df also leaves a
-    # narrower start's dead rows out of a stack's compact level.
+    # of the stack, a second only some, whose own dead branches are zero
+    # rows of the stack's compact level.
     STACKS = {
         1: [(1.0, 0.0, 0.0), (1.0, 0.0, 0.0)],
         2: [(0.5, 0.0, 0.5), (0.0, 0.0, 1.0)],
@@ -347,8 +348,9 @@ class TestCompactTree:
         assert received == [s] + [k * 3 ** (j - 1) * s for j in range(1, length - 1)]
         assert returned[-1] == k * 3 ** (length - 2) * s
         projs = range_projectors(coarsening.ranges)
-        alive = histories.live_rows(coarsening, starts, length)
-        for psi0, df, live in zip(starts, dfs, alive):
+        first = np.arange(3 ** (length - 1)) % 3
+        for psi0, weights, df in zip(starts, self.STACKS[k], dfs):
+            live = (np.array(weights) > 0)[first]  # x_0 in the start's own bands
             oracle = functional_by_chains(ham.matrix, projs, grid, psi0)
             assert np.abs(df.blocks - oracle.blocks).max() <= 1e-12
             assert np.all(df.blocks[:, ~live] == 0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ctypes
+import gc
 import tracemalloc
 
 import numpy as np
@@ -118,6 +120,20 @@ class TestEigendecompose:
         finally:
             tracemalloc.stop()
         assert peak <= 2.6 * matrix_bytes
+
+    @pytest.mark.parametrize("ensemble", [Ensemble.GOE, Ensemble.GUE])
+    def test_solve_leaves_no_pointer_for_the_cyclic_collector(self, ensemble):
+        # Arrays reach LAPACK as bare pointers, so a solve leaves no
+        # ctypes objects that only gc.collect() would free.
+        ham = build_hamiltonian(ModelConfig(v_minus=10, hamiltonian_seed=1, ensemble=ensemble))
+        gc.collect()
+        gc.disable()
+        try:
+            eigendecompose(ham)
+            left = [o for o in gc.get_objects() if isinstance(o, ctypes.c_void_p)]
+        finally:
+            gc.enable()
+        assert left == []
 
     def test_matrix_is_fresh_on_each_access(self):
         _, ham, _ = model_parts(v_minus=3, seed=4, ensemble=Ensemble.GUE)
