@@ -56,12 +56,12 @@ def batch_size(
 
     A tree's working set, two last levels and the one before, is 7/3 of
     a last level: the stack's live rows (counted as for MEMORY_BUDGET)
-    times D complex entries.  A batch's working sets take at most the
-    eigenvector bytes, so that they and the eigenvectors stay under the
-    eigensolve's own peak of 2.5 D x D arrays.
+    times D complex entries.  A batch's working sets take at most half
+    the eigenvector bytes, so that they and the eigenvectors, about 1.5
+    D x D arrays, stay under the eigensolve's own peak of 2.
     """
     working = 7 * 16 * _live_rows(coarsening, starts, length)[1].size * sd.dimension // 3
-    return max(1, sd.eigenvectors.nbytes // working)
+    return max(1, sd.eigenvectors.nbytes // (2 * working))
 
 
 @dataclass(frozen=True)

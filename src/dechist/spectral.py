@@ -9,8 +9,11 @@ state is passed as a batch of one, psi[None].
 from __future__ import annotations
 
 import ctypes
+import io
 import math
 from dataclasses import dataclass
+from tempfile import TemporaryFile
+from typing import BinaryIO
 
 import numpy as np
 
@@ -55,10 +58,9 @@ def _routines(prefix: str, names: tuple[str, ...]):
 
 # numpy's bundled ILP64 OpenBLAS: the divide-and-conquer driver
 # np.linalg.eigh calls, ?syevd or ?heevd, and its stages: norm, rescale,
-# tridiagonal reduction, packing, divide and conquer, unpacking, and
-# back-transformation.
-_DSTAGES = _routines("d", ("syevd", "lansy", "lascl", "sytrd", "trttp", "stedc", "tpttr", "ormtr"))
-_ZSTAGES = _routines("z", ("heevd", "lanhe", "lascl", "hetrd", "trttp", "stedc", "tpttr", "unmtr"))
+# tridiagonal reduction, divide and conquer, and back-transformation.
+_DSTAGES = _routines("d", ("syevd", "lansy", "lascl", "sytrd", "stedc", "ormtr"))
+_ZSTAGES = _routines("z", ("heevd", "lanhe", "lascl", "hetrd", "stedc", "unmtr"))
 
 # The driver rescales a matrix whose largest entry lies outside
 # [_RMIN, _RMAX]: the square roots of LAPACK's safe minimum over its
@@ -103,6 +105,38 @@ def _call(routine, *args, work: tuple, fit=lambda length: length) -> None:
     _run(routine, *args, *[x for w in spaces for x in (w, w.size)])
 
 
+def _lower_rows(h: np.ndarray):
+    """LAPACK's lower triangle of the C-order matrix h: row j from
+    column j on, each contiguous."""
+    return (row[j:] for j, row in enumerate(h))
+
+
+def _park(h: np.ndarray) -> BinaryIO:
+    """h's lower triangle (see _lower_rows) written to an unlinked
+    temporary file, which never shows in the temporary directory and is
+    freed however the process ends; where the file cannot be made or a
+    write fails, written to memory instead."""
+    for make in (TemporaryFile, io.BytesIO):
+        try:
+            parked = make()
+        except OSError:
+            continue
+        try:
+            for row in _lower_rows(h):
+                parked.write(row)
+            return parked
+        except OSError:
+            parked.close()
+
+
+def _unpark(parked: BinaryIO, h: np.ndarray) -> None:
+    """Read what _park wrote back into h's lower triangle, and close it."""
+    with parked:
+        parked.seek(0)
+        for row in _lower_rows(h):
+            parked.readinto(row.view(np.uint8))
+
+
 def eigendecompose(hamiltonian: BlockHamiltonian) -> SpectralDecomposition:
     """Dense Hermitian eigendecomposition, done once per realization.
 
@@ -112,10 +146,12 @@ def eigendecompose(hamiltonian: BlockHamiltonian) -> SpectralDecomposition:
     that give each stage the driver's block sizes.  So the results are
     bit-identical to np.linalg.eigh.  The blocks are dropped once the
     matrix is built, and the Householder reflectors wait out divide and
-    conquer packed, so the peak holds 2.5 D x D arrays (half for the
-    reflectors, one for the eigenvectors and one for the scratch)
-    instead of eigh's five.  Where numpy's LAPACK lacks a stage routine,
-    or for another dtype, np.linalg.eigh runs instead.
+    conquer in an unlinked temporary file (see _park), so the peak holds
+    2 D x D arrays (the eigenvectors and the divide-and-conquer scratch,
+    then the eigenvectors and the reflectors) instead of eigh's five.
+    Where the file cannot be made or written, the reflectors wait in
+    memory, half a D x D array more.  Where numpy's LAPACK lacks a stage
+    routine, or for another dtype, np.linalg.eigh runs instead.
     """
     h = hamiltonian.matrix
     del hamiltonian
@@ -129,7 +165,7 @@ def eigendecompose(hamiltonian: BlockHamiltonian) -> SpectralDecomposition:
                 f"Hermitian eigensolver failed to converge at D={h.shape[0]}"
             ) from exc
         return SpectralDecomposition(eigenvalues=evals, eigenvectors=evecs)
-    driver, norm, rescale, reduce, pack, divide, unpack, back = stages
+    driver, norm, rescale, reduce, divide, back = stages
     n, dtype = h.shape[0], h.dtype
     evals, offdiag, tau = np.empty(n), np.empty(n), np.empty(n, dtype)
     # The driver's and divide and conquer's workspaces: (work, iwork),
@@ -149,15 +185,13 @@ def eigendecompose(hamiltonian: BlockHamiltonian) -> SpectralDecomposition:
     if sigma != 1.0:
         _run(rescale, b"L", 0, 0, 1.0, sigma, n, n, h, n)
     _call(reduce, b"L", n, h, n, evals, offdiag, tau, work=(dtype,))
-    packed = np.empty(n * (n + 1) // 2, dtype)
-    _run(pack, b"L", n, h, n, packed)
+    parked = _park(h)
     del h
     # The tridiagonal matrix's eigenvectors come back as the rows of z.
     z = np.empty((n, n), dtype)
     _call(divide, b"I", n, evals, offdiag, z, n, work=scratch)
     h = np.zeros((n, n), dtype)
-    _run(unpack, b"L", n, packed, h, n)
-    del packed
+    _unpark(parked, h)
     # ?ormtr's query leaves out ?ormqr's 65 x 64 T block, without which
     # ?ormqr shrinks its block size; so does a shorter driver's length.
     _call(back, b"L", b"L", b"N", n, n, h, n, tau, z, n, work=(dtype,),

@@ -270,11 +270,11 @@ class TestRunSweep:
         assert serial == parallel
 
     def test_explicit_step_equal_to_tau_matches_tau_steps(self):
-        # 3 matrices x 6 seeds at D=50, L=2, in batches of 5 and 1.
+        # 3 matrices x 6 seeds at D=100, L=2, in batches of 3 and 3.
         spec = small_spec(
-            d_grid=(50,), num_hamiltonian_seeds=3, num_state_seeds=6, num_steps=1
+            d_grid=(100,), num_hamiltonian_seeds=3, num_state_seeds=6, num_steps=1
         )
-        tau = derive_coupling(spec.model_config(50, 0)).tau
+        tau = derive_coupling(spec.model_config(100, 0)).tau
         explicit = run_sweep(dataclasses.replace(spec, step_mode=tau))
         assert len(explicit) == 18 and not any(r.failed for r in explicit)
         assert explicit == run_sweep(spec)
@@ -584,12 +584,12 @@ class TestStateSeedBatches:
     @pytest.mark.parametrize(
         "d,num_steps,ensemble,family,batch",
         [
-            # rows 3, 7 * 16 * 3 * 50 // 3 = 5600; 20000 // 5600 = 3.
-            (50, 1, Ensemble.GOE, InitFamily.HAAR_EQUILIBRIUM, 3),
-            # rows 9, 7 * 16 * 9 * 250 // 3 = 84000; 500000 // 84000 = 5.
-            (250, 2, Ensemble.GOE, InitFamily.EIGENSTATE, 5),
-            # rows 3, 5600 as for GOE; 40000 // 5600 = 7.
-            (50, 1, Ensemble.GUE, InitFamily.HAAR_EQUILIBRIUM, 7),
+            # rows 3, 7 * 16 * 3 * 100 // 3 = 11200; 80000 // 22400 = 3.
+            (100, 1, Ensemble.GOE, InitFamily.HAAR_EQUILIBRIUM, 3),
+            # rows 9, 7 * 16 * 9 * 250 // 3 = 84000; 500000 // 168000 = 2.
+            (250, 2, Ensemble.GOE, InitFamily.EIGENSTATE, 2),
+            # rows 3, 7 * 16 * 3 * 50 // 3 = 5600; 40000 // 11200 = 3.
+            (50, 1, Ensemble.GUE, InitFamily.HAAR_EQUILIBRIUM, 3),
         ],
     )
     def test_batched_sweep_matches_single_seeds(
@@ -597,8 +597,8 @@ class TestStateSeedBatches:
     ):
         # A tree's working set is taken as 7/3 of its last level, rows * D
         # complex entries per seed, and a batch's working sets take at most
-        # the eigenvector bytes E (8 * D^2 for GOE, 16 * D^2 for GUE):
-        # size = E // (7 * 16 * rows * D // 3).  Every
+        # half the eigenvector bytes E (8 * D^2 for GOE, 16 * D^2 for GUE):
+        # size = E // (2 * (7 * 16 * rows * D // 3)).  Every
         # start here has weight in all three bands, so every row of
         # 3^(L-1) is live; all-'-' starts are the next test's.
         spec = small_spec(
@@ -616,15 +616,15 @@ class TestStateSeedBatches:
     def test_all_minus_batch_counts_only_live_rows(self, monkeypatch):
         # An all-'-' start has weight in one band, so its tree holds 3 of
         # the 9 rows of its last level at L=3: GOE D=250 takes
-        # 500000 // (7 * 16 * 3 * 250 // 3) = 17 seeds, where counting
-        # every row would take 500000 // 84000 = 5.
+        # 500000 // (2 * (7 * 16 * 3 * 250 // 3)) = 8 seeds, where counting
+        # every row would take 500000 // 168000 = 2.
         spec = small_spec(
             d_grid=(250,), init_family=InitFamily.HAAR_NONEQUILIBRIUM,
             num_state_seeds=27, base_seed=29,
         )
         shapes = _tree_shapes(monkeypatch)
         swept = run_sweep(spec)
-        assert shapes == [(17, 250), (10, 250)]
+        assert shapes == [(8, 250)] * 3 + [(3, 250)]
         assert not any(r.failed for r in swept)
         for result in swept:
             single = experiments._run_group(spec, 250, 0, (result.s_index,))[0]
@@ -687,9 +687,10 @@ print({peak}, sum(r.failed for r in results))
         assert swept == [experiments._run_group(spec, 50, 0, (s,))[0] for s in range(2)]
 
     def test_failed_preparation_fails_alone_and_keeps_the_batch(self, monkeypatch):
-        # The batch rule takes 3 seeds here; seed 1's preparation raises,
-        # so it fails on its own and seeds 0 and 2 grow one tree together.
-        spec = small_spec(d_grid=(50,), num_steps=1, num_state_seeds=3)
+        # The batch rule takes 3 seeds here (GOE D=100, L=2); seed 1's
+        # preparation raises, so it fails on its own and seeds 0 and 2
+        # grow one tree together.
+        spec = small_spec(d_grid=(100,), num_steps=1, num_state_seeds=3)
         prepare = experiments._prepare
 
         def flaky(spec_, d, h_index, s_index, *args):
@@ -700,18 +701,19 @@ print({peak}, sum(r.failed for r in results))
         monkeypatch.setattr(experiments, "_prepare", flaky)
         shapes = _tree_shapes(monkeypatch)
         first, failed, last = run_sweep(spec)
-        assert shapes == [(2, 50)]
+        assert shapes == [(2, 100)]
         assert failed.failed and failed.s_index == 1
         assert failed.error == "RuntimeError: synthetic preparation failure"
         monkeypatch.undo()
         for result in (first, last):
             assert not result.failed
-            single = experiments._run_group(spec, 50, 0, (result.s_index,))[0]
+            single = experiments._run_group(spec, 100, 0, (result.s_index,))[0]
             _assert_close_results(result, single)
 
     def test_failed_metrics_fail_only_their_seed(self, monkeypatch):
-        spec = small_spec(d_grid=(50,), num_steps=1, num_state_seeds=2)
-        bad, _, _ = experiments.compute_realization_df(spec, 50, 0, 1)
+        # GOE D=100 at L=2 batches up to 3 seeds, so both share one tree.
+        spec = small_spec(d_grid=(100,), num_steps=1, num_state_seeds=2)
+        bad, _, _ = experiments.compute_realization_df(spec, 100, 0, 1)
         distance = experiments.epsilon_by_distance
 
         def flaky(df):
@@ -722,11 +724,11 @@ print({peak}, sum(r.failed for r in results))
         monkeypatch.setattr(experiments, "epsilon_by_distance", flaky)
         shapes = _tree_shapes(monkeypatch)
         good, failed = run_sweep(spec)
-        assert shapes == [(2, 50)]
+        assert shapes == [(2, 100)]
         assert not good.failed
         assert failed.failed and "synthetic metric failure" in failed.error
         monkeypatch.undo()
-        single = experiments._run_group(spec, 50, 0, (0,))[0]
+        single = experiments._run_group(spec, 100, 0, (0,))[0]
         assert good == single
 
 
@@ -758,9 +760,9 @@ class TestDecompositionStore:
         assert len(calls) == len(set(calls)) == 4
 
     def test_decomposition_peak_memory(self, tmp_path):
-        # The staged solve holds the packed reflectors, the eigenvectors and
-        # the divide-and-conquer scratch, 2.5 D^2; np.linalg.eigh on a
-        # separate matrix holds about 5 D^2.
+        # The staged solve holds the eigenvectors and the divide-and-conquer
+        # scratch, 2 D^2, while the reflectors wait in a temporary file;
+        # np.linalg.eigh on a separate matrix holds about 5 D^2.
         d = 2000
         script = f"""
 import resource

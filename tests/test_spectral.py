@@ -3,8 +3,16 @@
 from __future__ import annotations
 
 import ctypes
+import errno
 import gc
+import io
+import os
+import signal
+import subprocess
+import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +46,39 @@ def random_state(dim, seed=0):
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return psi / np.linalg.norm(psi)
+
+
+def peak_matrices(config) -> float:
+    """tracemalloc's peak over one eigendecompose of config's matrix, in
+    D x D arrays of its dtype."""
+    model_parts(v_minus=10, ensemble=config.ensemble)  # first-call allocations
+    ham = build_hamiltonian(config)
+    matrix_bytes = ham.matrix.nbytes
+    tracemalloc.start()
+    try:
+        eigendecompose(ham)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / matrix_bytes
+
+
+def full_after_writes(count):
+    """A TemporaryFile stand-in: each file it makes takes `count` writes,
+    then stops the next one halfway with ENOSPC, and every later one."""
+
+    class Full(io.BufferedRandom):
+        left = count
+
+        def write(self, data):
+            if self.left:
+                self.left -= 1
+                return super().write(data)
+            data = memoryview(data).cast("B")
+            super().write(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    return lambda: Full(tempfile.TemporaryFile(buffering=0))
 
 
 class TestEigendecompose:
@@ -107,19 +148,63 @@ class TestEigendecompose:
         assert np.array_equal(sd.eigenvectors, evecs)
 
     @pytest.mark.parametrize("ensemble", [Ensemble.GOE, Ensemble.GUE])
-    def test_peak_allocation_is_two_and_a_half_matrices(self, ensemble):
-        # The packed reflectors (half a matrix), the eigenvectors and the
-        # divide-and-conquer scratch; the driver would hold three.
-        model_parts(v_minus=10, ensemble=ensemble)  # first-call allocations
-        ham = build_hamiltonian(ModelConfig(v_minus=200, hamiltonian_seed=1, ensemble=ensemble))
-        matrix_bytes = ham.dimension**2 * (16 if ensemble is Ensemble.GUE else 8)
-        tracemalloc.start()
+    def test_peak_allocation_is_two_matrices(self, ensemble):
+        # The eigenvectors and the divide-and-conquer scratch, then the
+        # eigenvectors and the reflectors; the driver would hold three.
+        config = ModelConfig(v_minus=200, hamiltonian_seed=1, ensemble=ensemble)
+        assert peak_matrices(config) <= 2.1
+
+    @pytest.mark.parametrize("failure", ["unopenable", "disk_full"])
+    @pytest.mark.parametrize("ensemble", [Ensemble.GOE, Ensemble.GUE])
+    def test_reflectors_wait_in_memory_where_the_file_fails(
+        self, ensemble, failure, monkeypatch
+    ):
+        # Half a matrix more than with the file, and the same bits.
+        if failure == "unopenable":
+            def unopenable():
+                raise OSError(errno.EMFILE, "Too many open files")
+
+            monkeypatch.setattr(spectral, "TemporaryFile", unopenable)
+        else:
+            monkeypatch.setattr(spectral, "TemporaryFile", full_after_writes(100))
+        config = ModelConfig(v_minus=200, hamiltonian_seed=1, ensemble=ensemble)
+        assert peak_matrices(config) <= 2.6
+        ham = build_hamiltonian(config)
+        sd = eigendecompose(ham)
+        evals, evecs = np.linalg.eigh(ham.matrix)
+        assert np.array_equal(sd.eigenvalues, evals)
+        assert np.array_equal(sd.eigenvectors, evecs)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    @pytest.mark.skipif(spectral._DSTAGES is None, reason="no LAPACK stage routines")
+    def test_killed_solve_leaves_no_file(self, tmp_path):
+        # SIGKILL in divide and conquer, with the reflectors parked in
+        # TMPDIR: the file has no name there, and the kernel frees it.
+        script = """
+import os, signal
+from dechist import spectral
+from dechist.model import ModelConfig, build_hamiltonian
+
+def dying(*args):
+    links = []
+    for fd in os.listdir("/proc/self/fd"):  # listdir's own descriptor is gone
         try:
-            eigendecompose(ham)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.6 * matrix_bytes
+            links.append(os.readlink(f"/proc/self/fd/{fd}"))
+        except FileNotFoundError:
+            pass
+    print(sum(link.startswith(os.environ["TMPDIR"]) for link in links), flush=True)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+spectral._DSTAGES[4] = dying  # ?stedc
+spectral.eigendecompose(build_hamiltonian(ModelConfig(v_minus=10)))
+"""
+        env = {**os.environ, "TMPDIR": str(tmp_path),
+               "PYTHONPATH": str(Path(spectral.__file__).parents[1])}
+        killed = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                                capture_output=True, text=True)
+        assert killed.returncode == -signal.SIGKILL
+        assert int(killed.stdout) == 1
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("ensemble", [Ensemble.GOE, Ensemble.GUE])
     def test_solve_leaves_no_pointer_for_the_cyclic_collector(self, ensemble):

@@ -64,6 +64,20 @@ MUTANTS = {
         "np.any(starts[:, a:b])",
         "np.any(starts[0, a:b])",
     ),
+    # The reflectors parked from numpy's lower triangle, which is
+    # LAPACK's upper one: the back-transformation reads zeros.
+    "park_numpy_lower_triangle": (
+        "src/dechist/spectral.py",
+        "return (row[j:] for j, row in enumerate(h))",
+        "return (row[:j + 1] for j, row in enumerate(h))",
+    ),
+    # Batches sized to the whole eigenvector bytes: a group's trees
+    # and eigenvectors pass the eigensolve's peak of 2 D x D arrays.
+    "batch_whole_eigenvector_bytes": (
+        "src/dechist/histories.py",
+        "sd.eigenvectors.nbytes // (2 * working)",
+        "sd.eigenvectors.nbytes // working",
+    ),
 }
 
 # name -> (file, old, new, reason): edits that change no exact value.
@@ -81,6 +95,13 @@ EQUIVALENT = {
         "default = (0.2, 0.6, 0.2)",
         "the volumes are D/5, 3D/5 and D/5, and each quotient rounds to the "
         "same float as 0.2 or 0.6",
+    ),
+    "park_without_diagonal": (
+        "src/dechist/spectral.py",
+        "return (row[j:] for j, row in enumerate(h))",
+        "return (row[j + 1:] for j, row in enumerate(h))",
+        "?ormtr and ?unmtr read the reflectors below the subdiagonal only; the "
+        "diagonal after the reduction is the tridiagonal's, never read again",
     ),
 }
 

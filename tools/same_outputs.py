@@ -126,9 +126,10 @@ CASES = [
         [(["histogram"], None), (["distance"], None), (["dump-df"], None)],
     ),
     # The four sweeps below grow state seeds' trees in batches of more
-    # than one: 8 at GOE D=500, 5 at GUE D=50 and D=500, 13 batches of 3
-    # all-'-' seeds and one of 1 at GOE D=500, and 3 + 3 and 6 seeds on
-    # an explicit step (about 0.6 tau) at GOE D=50 and D=500.
+    # than one: 5 + 3 at GOE D=500, 3 + 2 at GUE D=50 and 5 at D=500, 13
+    # batches of 3 all-'-' seeds and one of 1 at GOE D=1000, and 3 + 3
+    # and 6 seeds on an explicit step (about 0.6 tau) at GOE D=100 and
+    # D=500.
     (
         "goe_nonequilibrium_batched_l3",
         {
@@ -152,7 +153,7 @@ CASES = [
     (
         "goe_all_minus_batches_l5",
         {
-            "model": {"d_grid": [500]},
+            "model": {"d_grid": [1000]},
             "grid": {"num_steps": 4},
             "init": {"family": "haar_nonequilibrium"},
             "sweep": {"num_hamiltonian_seeds": 1, "num_state_seeds": 40},
@@ -175,7 +176,7 @@ CASES = [
     (
         "goe_explicit_step_batched_l2",
         {
-            "model": {"d_grid": [50, 500]},
+            "model": {"d_grid": [100, 500]},
             "grid": {"num_steps": 1, "step_mode": 12.5},
             "sweep": {"num_hamiltonian_seeds": 1, "num_state_seeds": 6},
         },
