@@ -9,6 +9,7 @@ state is passed as a batch of one, psi[None].
 from __future__ import annotations
 
 import ctypes
+import errno
 import io
 import math
 from dataclasses import dataclass
@@ -115,15 +116,18 @@ def _park(h: np.ndarray) -> BinaryIO:
     """h's lower triangle (see _lower_rows) written to an unlinked
     temporary file, which never shows in the temporary directory and is
     freed however the process ends; where the file cannot be made or a
-    write fails, written to memory instead."""
-    for make in (TemporaryFile, io.BytesIO):
+    write fails or falls short, written to memory instead.  The file is
+    unbuffered, so each row has reached it, or failed, when its write
+    returns, and closing a failed one has nothing left to flush."""
+    for make in (lambda: TemporaryFile(buffering=0), io.BytesIO):
         try:
             parked = make()
         except OSError:
             continue
         try:
             for row in _lower_rows(h):
-                parked.write(row)
+                if parked.write(row) != row.nbytes:
+                    raise OSError(errno.ENOSPC, "short write while parking the reflectors")
             return parked
         except OSError:
             parked.close()
@@ -134,7 +138,8 @@ def _unpark(parked: BinaryIO, h: np.ndarray) -> None:
     with parked:
         parked.seek(0)
         for row in _lower_rows(h):
-            parked.readinto(row.view(np.uint8))
+            if parked.readinto(row.view(np.uint8)) != row.nbytes:
+                raise RuntimeError("the parked Householder reflectors came back short")
 
 
 def eigendecompose(hamiltonian: BlockHamiltonian) -> SpectralDecomposition:

@@ -63,22 +63,29 @@ def peak_matrices(config) -> float:
     return peak / matrix_bytes
 
 
-def full_after_writes(count):
-    """A TemporaryFile stand-in: each file it makes takes `count` writes,
-    then stops the next one halfway with ENOSPC, and every later one."""
+def full_disk(room):
+    """A TemporaryFile stand-in on a disk with `room` bytes free in each
+    file it makes.  The raw file fails as a full disk does: the write
+    that reaches the limit stops short, and every later one, a buffered
+    file's flush and close included, raises ENOSPC."""
 
-    class Full(io.BufferedRandom):
-        left = count
+    class Full(io.FileIO):
+        left = room
 
         def write(self, data):
-            if self.left:
-                self.left -= 1
-                return super().write(data)
-            data = memoryview(data).cast("B")
-            super().write(data[: len(data) // 2])
-            raise OSError(errno.ENOSPC, "No space left on device")
+            if not self.left:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            written = super().write(memoryview(data).cast("B")[: self.left])
+            self.left -= written
+            return written
 
-    return lambda: Full(tempfile.TemporaryFile(buffering=0))
+    def make(buffering=-1):
+        fd, path = tempfile.mkstemp()
+        os.unlink(path)
+        raw = Full(fd, "r+b")
+        return raw if buffering == 0 else io.BufferedRandom(raw)
+
+    return make
 
 
 class TestEigendecompose:
@@ -161,12 +168,16 @@ class TestEigendecompose:
     ):
         # Half a matrix more than with the file, and the same bits.
         if failure == "unopenable":
-            def unopenable():
+            def unopenable(**kwargs):
                 raise OSError(errno.EMFILE, "Too many open files")
 
             monkeypatch.setattr(spectral, "TemporaryFile", unopenable)
         else:
-            monkeypatch.setattr(spectral, "TemporaryFile", full_after_writes(100))
+            # Room for four fifths of the triangle at D=1000, where its rows
+            # are shorter than a buffered file's 8 KiB; the write that
+            # reaches it stops inside an entry.
+            itemsize = 16 if ensemble is Ensemble.GUE else 8
+            monkeypatch.setattr(spectral, "TemporaryFile", full_disk(400_400 * itemsize + 4))
         config = ModelConfig(v_minus=200, hamiltonian_seed=1, ensemble=ensemble)
         assert peak_matrices(config) <= 2.6
         ham = build_hamiltonian(config)
@@ -174,6 +185,13 @@ class TestEigendecompose:
         evals, evecs = np.linalg.eigh(ham.matrix)
         assert np.array_equal(sd.eigenvalues, evals)
         assert np.array_equal(sd.eigenvectors, evecs)
+
+    def test_reflectors_read_back_short_raise(self):
+        h = np.arange(16.0).reshape(4, 4)
+        parked = spectral._park(h)
+        parked.truncate(parked.seek(0, io.SEEK_END) - 4)  # half the last entry
+        with pytest.raises(RuntimeError, match="came back short"):
+            spectral._unpark(parked, np.zeros_like(h))
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
     @pytest.mark.skipif(spectral._DSTAGES is None, reason="no LAPACK stage routines")

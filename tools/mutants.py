@@ -71,6 +71,14 @@ MUTANTS = {
         "return (row[j:] for j, row in enumerate(h))",
         "return (row[:j + 1] for j, row in enumerate(h))",
     ),
+    # The reflectors parked through a buffered file: on a full disk the
+    # rows a write left in the buffer fail again on close, and the
+    # solve raises ENOSPC instead of keeping them in memory.
+    "park_buffered_file": (
+        "src/dechist/spectral.py",
+        "lambda: TemporaryFile(buffering=0)",
+        "TemporaryFile",
+    ),
     # Batches sized to the whole eigenvector bytes: a group's trees
     # and eigenvectors pass the eigensolve's peak of 2 D x D arrays.
     "batch_whole_eigenvector_bytes": (

@@ -125,11 +125,11 @@ CASES = [
         },
         [(["histogram"], None), (["distance"], None), (["dump-df"], None)],
     ),
-    # The four sweeps below grow state seeds' trees in batches of more
-    # than one: 5 + 3 at GOE D=500, 3 + 2 at GUE D=50 and 5 at D=500, 13
-    # batches of 3 all-'-' seeds and one of 1 at GOE D=1000, and 3 + 3
-    # and 6 seeds on an explicit step (about 0.6 tau) at GOE D=100 and
-    # D=500.
+    # The sweeps below grow state seeds' trees in batches: 5 + 3 at GOE
+    # D=500, 3 + 2 at GUE D=50 and 5 at D=500, 40 all-'-' seeds one by one
+    # at GOE D=500 and in 13 batches of 3 and one of 1 at D=1000, and 6
+    # seeds on an explicit step (about 0.6 tau) one by one at GOE D=50,
+    # in 3 + 3 at D=100 and in one batch at D=500.
     (
         "goe_nonequilibrium_batched_l3",
         {
@@ -150,16 +150,19 @@ CASES = [
         },
         [(["sweep", "--workers", "1"], None)],
     ),
-    (
-        "goe_all_minus_batches_l5",
-        {
-            "model": {"d_grid": [1000]},
-            "grid": {"num_steps": 4},
-            "init": {"family": "haar_nonequilibrium"},
-            "sweep": {"num_hamiltonian_seeds": 1, "num_state_seeds": 40},
-        },
-        [(["sweep", "--workers", "1"], None)],
-    ),
+    *[
+        (
+            f"goe_all_minus_batches_l5{suffix}",
+            {
+                "model": {"d_grid": [d]},
+                "grid": {"num_steps": 4},
+                "init": {"family": "haar_nonequilibrium"},
+                "sweep": {"num_hamiltonian_seeds": 1, "num_state_seeds": 40},
+            },
+            [(["sweep", "--workers", "1"], None)],
+        )
+        for d, suffix in ((500, ""), (1000, "_d1000"))
+    ],
     # Every entry below LAPACK's rescale threshold (about 1e-146), so the
     # eigensolver scales each matrix up and its eigenvalues back down.
     *[
@@ -173,15 +176,18 @@ CASES = [
         )
         for ensemble in ("goe", "gue")
     ],
-    (
-        "goe_explicit_step_batched_l2",
-        {
-            "model": {"d_grid": [100, 500]},
-            "grid": {"num_steps": 1, "step_mode": 12.5},
-            "sweep": {"num_hamiltonian_seeds": 1, "num_state_seeds": 6},
-        },
-        [(["sweep", "--workers", "1"], None)],
-    ),
+    *[
+        (
+            f"goe_explicit_step_batched_l2{suffix}",
+            {
+                "model": {"d_grid": d_grid},
+                "grid": {"num_steps": 1, "step_mode": 12.5},
+                "sweep": {"num_hamiltonian_seeds": 1, "num_state_seeds": 6},
+            },
+            [(["sweep", "--workers", "1"], None)],
+        )
+        for d_grid, suffix in (([50, 500], ""), ([100], "_d100"))
+    ],
 ]
 
 
