@@ -54,6 +54,7 @@ from .model import (
 )
 from .spectral import (
     SpectralDecomposition,
+    _write_rows,
     eigendecompose,
     sample_haar_state,
     select_eigenstate,
@@ -431,7 +432,9 @@ def _decomposition(config: ModelConfig) -> SpectralDecomposition:
     reads the entries it inherited from its parent's file and appends to
     its own.  A miss is stored unless the file would pass
     _STORE_BUDGET_BYTES, the write would take more than half the free
-    space, or a write fails.  Eigenvectors are read-only on both paths.
+    space, or a write fails; the file is unbuffered (see _write_rows), so
+    a failed append leaves nothing pending for a later hit to write.
+    Eigenvectors are read-only on both paths.
     """
     global _store_file
     if config in _store:
@@ -443,14 +446,13 @@ def _decomposition(config: ModelConfig) -> SpectralDecomposition:
     sd.eigenvectors.flags.writeable = False
     try:
         if _store_file is None or _store_file[0] != os.getpid():
-            _store_file = (os.getpid(), tempfile.TemporaryFile())
+            _store_file = (os.getpid(), tempfile.TemporaryFile(buffering=0))
         fh = _store_file[1]
         offset = fh.seek(0, os.SEEK_END)
         size = sd.eigenvectors.nbytes
         if (offset + size <= _STORE_BUDGET_BYTES
                 and 2 * size <= shutil.disk_usage(tempfile.gettempdir()).free):
-            fh.write(sd.eigenvectors)
-            fh.flush()
+            _write_rows(fh, sd.eigenvectors)
             _store[config] = (sd.eigenvalues, fh, offset, sd.eigenvectors.dtype)
     except OSError:
         pass
@@ -634,14 +636,11 @@ def _run_group(
 
 
 def result_to_dict(result: RealizationResult) -> dict:
-    """JSON-ready record: the result's fields, with error only when set.
-
-    Each histogram becomes a plain dict in sorted label order, so
-    json.dumps(..., sort_keys=True) finds its keys already sorted.
-    """
+    """JSON-ready record: the result's fields, with error only when set,
+    and each histogram as a plain dict in code order."""
     data = dict(vars(result))
     data["per_length"] = {
-        l: {**vars(m), "histogram": m.histogram.sorted_dict()}
+        l: {**vars(m), "histogram": dict(zip(m.histogram, m.histogram.weights.tolist()))}
         for l, m in result.per_length.items()
     }
     if result.error is None:

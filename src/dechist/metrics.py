@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import Coarsening, NUM_MACROSTATES
-from .spectral import SpectralDecomposition, _rows_times_matrix
+from .spectral import SpectralDecomposition, _rows_times_matrix, _to_eigenbasis
 from .histories import (
     MAX_LENGTH,
     DecoherenceFunctional,
@@ -197,14 +197,9 @@ def macro_dynamics(
         raise ValueError("need dt > 0 and t_max >= 0")
     times = np.arange(0.0, t_max + 0.5 * dt, dt)
     psi0 = np.asarray(psi0, dtype=np.complex128)
-    basis = sd.eigenvectors
-    # Neither branch makes a complex or conjugate copy of the basis.
-    if np.iscomplexobj(basis):
-        coeff0 = np.conj(np.conj(psi0)[None] @ basis)[0]
-    else:
-        coeff0 = _rows_times_matrix(psi0[None], basis)[0]
+    coeff0 = _to_eigenbasis(psi0[None], sd.eigenvectors)[0]
     phases = np.exp(-1j * (times[:, None] * sd.eigenvalues))
-    states = _rows_times_matrix(phases * coeff0, basis.T)
+    states = _rows_times_matrix(phases * coeff0, sd.eigenvectors.T)
     out = np.empty((times.size, 1 + NUM_MACROSTATES))
     out[:, 0] = times
     for label, (start, stop) in enumerate(coarsening.ranges):
@@ -218,14 +213,6 @@ def macro_dynamics(
 def _label_codes(length: int) -> dict[str, int]:
     """Code of every history label, memoised per length."""
     return {label: code for code, label in enumerate(_history_labels(length))}
-
-
-@functools.lru_cache(maxsize=MAX_LENGTH + 1)
-def _sorted_labels(length: int) -> tuple[tuple[str, ...], np.ndarray]:
-    """The labels in sorted order and the codes that give it, memoised."""
-    labels = _history_labels(length)
-    order = sorted(range(len(labels)), key=labels.__getitem__)
-    return tuple(labels[code] for code in order), np.array(order)
 
 
 class BranchHistogram(Mapping):
@@ -265,11 +252,6 @@ class BranchHistogram(Mapping):
     def __reduce__(self):
         # Unpickled in a sweep's parent, the weights are read-only again.
         return type(self), (self.length, self.weights)
-
-    def sorted_dict(self) -> dict[str, float]:
-        """A plain dict with its labels in sorted order."""
-        labels, order = _sorted_labels(self.length)
-        return dict(zip(labels, self.weights[order].tolist()))
 
 
 def branch_histogram(df: DecoherenceFunctional) -> BranchHistogram:

@@ -112,22 +112,28 @@ def _lower_rows(h: np.ndarray):
     return (row[j:] for j, row in enumerate(h))
 
 
+def _write_rows(fh: BinaryIO, rows) -> None:
+    """Write each array of `rows` in full to the unbuffered file fh, or
+    raise OSError (ENOSPC for a short write).  Unbuffered, a row has
+    reached the file, or failed, when its write returns, so a failed
+    file holds nothing that a later seek or close would write again."""
+    for row in rows:
+        if fh.write(row) != row.nbytes:
+            raise OSError(errno.ENOSPC, "short write to an unlinked temporary file")
+
+
 def _park(h: np.ndarray) -> BinaryIO:
     """h's lower triangle (see _lower_rows) written to an unlinked
     temporary file, which never shows in the temporary directory and is
-    freed however the process ends; where the file cannot be made or a
-    write fails or falls short, written to memory instead.  The file is
-    unbuffered, so each row has reached it, or failed, when its write
-    returns, and closing a failed one has nothing left to flush."""
+    freed however the process ends; where the file cannot be made or
+    written (see _write_rows), written to memory instead."""
     for make in (lambda: TemporaryFile(buffering=0), io.BytesIO):
         try:
             parked = make()
         except OSError:
             continue
         try:
-            for row in _lower_rows(h):
-                if parked.write(row) != row.nbytes:
-                    raise OSError(errno.ENOSPC, "short write while parking the reflectors")
+            _write_rows(parked, _lower_rows(h))
             return parked
         except OSError:
             parked.close()
@@ -231,6 +237,15 @@ def _rows_times_matrix(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return out
 
 
+def _to_eigenbasis(rows: np.ndarray, basis_rows: np.ndarray) -> np.ndarray:
+    """rows @ conj(basis_rows): the rows' eigenbasis coefficients, from
+    the matching rows of the eigenvector matrix, with no complex or
+    conjugate copy of them."""
+    if np.iscomplexobj(basis_rows):
+        return np.conj(np.conj(rows) @ basis_rows)
+    return _rows_times_matrix(rows, basis_rows)
+
+
 def _coefficients(
     sd: SpectralDecomposition, states: np.ndarray, dt: float,
     ranges: tuple[tuple[int, int], ...],
@@ -238,15 +253,9 @@ def _coefficients(
     """Eigenbasis coefficients of each row's slice on each range,
     label-major, advanced by dt; see evolve_batch."""
     n, d = states.shape
-    basis = sd.eigenvectors
     coeff = np.empty((len(ranges) * n, d), dtype=np.complex128)
     for x, (a, b) in enumerate(ranges):
-        sliced = states[:, a:b]
-        if np.iscomplexobj(basis):
-            # sliced @ conj(E) without materializing a conjugate copy of E.
-            coeff[x * n : (x + 1) * n] = np.conj(np.conj(sliced) @ basis[a:b])
-        else:
-            coeff[x * n : (x + 1) * n] = _rows_times_matrix(sliced, basis[a:b])
+        coeff[x * n : (x + 1) * n] = _to_eigenbasis(states[:, a:b], sd.eigenvectors[a:b])
     coeff *= np.exp(-1j * dt * sd.eigenvalues)
     return coeff
 

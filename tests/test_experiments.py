@@ -340,6 +340,15 @@ class TestRunSweep:
             experiments.result_to_dict(r) for r in second
         ]
 
+    def test_records_are_written_with_sorted_keys(self, tmp_path):
+        # Histograms reach json.dumps in code order ('-', '0', '+'), which
+        # is not sorted order, so sort_keys alone sorts them.
+        run_sweep(small_spec(d_grid=(5, 10), num_steps=3, base_seed=9), output_dir=tmp_path)
+        lines = (tmp_path / "realizations.jsonl").read_text().splitlines()
+        assert len(lines) == 2
+        for line in lines:
+            assert line == json.dumps(json.loads(line), sort_keys=True)
+
     def test_resumed_records_hold_compact_histograms(self, tmp_path):
         spec = small_spec(d_grid=(5, 10), num_steps=3, base_seed=9)
         out = tmp_path / "sweep"
@@ -813,6 +822,20 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
         assert np.array_equal(hit.eigenvalues, fresh.eigenvalues)
         assert np.array_equal(hit.eigenvectors, fresh.eigenvectors)
 
+    def test_failed_append_leaves_nothing_for_a_later_hit(self, empty_store, monkeypatch):
+        # A buffered store file would keep the failed rows in its buffer,
+        # and the hit's seek would flush them and raise ENOSPC again.
+        disk = half_writes(monkeypatch, failures=0)
+        stored, lost = (small_spec().model_config(d, 0) for d in (10, 5))
+        experiments._decomposition(stored)
+        disk.left = math.inf  # the disk is full from here on
+        experiments._decomposition(lost)
+        assert list(experiments._store) == [stored]
+        hit = experiments._decomposition(stored)
+        fresh = eigendecompose(build_hamiltonian(stored))
+        assert np.array_equal(hit.eigenvalues, fresh.eigenvalues)
+        assert np.array_equal(hit.eigenvectors, fresh.eigenvectors)
+
     def test_forked_workers_read_and_extend_the_store(self, empty_store):
         spec = small_spec(d_grid=(5, 10), num_hamiltonian_seeds=2, num_state_seeds=2)
         runs = [run_sweep(spec), run_sweep(spec, workers=2)]  # workers hit
@@ -869,10 +892,13 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 
 
 def half_writes(monkeypatch, failures):
-    """Store files made from now on stop their first `failures` writes halfway."""
-    make = tempfile.TemporaryFile
+    """Store files made from now on stop the first `failures` writes that
+    reach the disk halfway and raise ENOSPC; returns the class whose
+    `left` counts the failures still to come.  The failing file is the
+    raw one, wrapped in BufferedRandom unless opened with buffering=0, as
+    tempfile.TemporaryFile does."""
 
-    class HalfWrites(io.BufferedRandom):
+    class HalfWrites(io.FileIO):
         left = failures
 
         def write(self, data):
@@ -883,7 +909,14 @@ def half_writes(monkeypatch, failures):
             super().write(data[: len(data) // 2])
             raise OSError(errno.ENOSPC, "No space left on device")
 
-    monkeypatch.setattr(tempfile, "TemporaryFile", lambda: HalfWrites(make(buffering=0)))
+    def make(buffering=-1):
+        fd, path = tempfile.mkstemp()
+        os.unlink(path)
+        raw = HalfWrites(fd, "r+b")
+        return raw if buffering == 0 else io.BufferedRandom(raw)
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", make)
+    return HalfWrites
 
 
 def write_store_configs(directory):

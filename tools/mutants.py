@@ -79,6 +79,14 @@ MUTANTS = {
         "lambda: TemporaryFile(buffering=0)",
         "TemporaryFile",
     ),
+    # The store appended through a buffered file: after a failed append
+    # on a full disk the rows left in the buffer fail again in the next
+    # hit's seek, which raises ENOSPC instead of mapping the entry.
+    "store_buffered_file": (
+        "src/dechist/experiments.py",
+        "tempfile.TemporaryFile(buffering=0)",
+        "tempfile.TemporaryFile()",
+    ),
     # Batches sized to the whole eigenvector bytes: a group's trees
     # and eigenvectors pass the eigensolve's peak of 2 D x D arrays.
     "batch_whole_eigenvector_bytes": (

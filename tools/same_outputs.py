@@ -11,9 +11,8 @@ it resumes from that one's records; the commands of a case in
 ONE_PROCESS_CASES share one process, so later commands read the matrices
 that earlier ones stored; its last sweep runs in forked `--workers 2`
 workers, which read them too.  Every other sweep runs with `--workers 1`.
-Schema-1 trees wrote a `wall_time_s` timing field in `results.csv` and
-`realizations.jsonl`; it is removed where present, so a schema-1 tree can
-be compared with a later one.  Every file must then match byte for byte.
+Every file must match byte for byte, so a tree older than schema 2, which
+also wrote a `wall_time_s` timing field, differs from a later one.
 One line per file reports `same` or `DIFF`.  A CSV or JSON file that differs
 also reports the largest relative and absolute deviations of its floats
 and names the first other cell (an integer, a string, a key or the
@@ -26,17 +25,13 @@ exit code is 1 on any difference and 2 when a command fails.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
-
-TIMING = "wall_time_s"
 
 # (name, config, commands); each command is (argv, name to move fit.csv to).
 CASES = [
@@ -282,30 +277,6 @@ def run_one_process_case(root: Path, workdir: Path, configs: dict, commands) -> 
     _python(root, workdir, ["-c", _ONE_PROCESS, json.dumps(commands)], "one process")
 
 
-def _strip_timing(path: Path) -> bytes:
-    """File bytes, without any schema-1 timing field."""
-    data = path.read_bytes()
-    if path.name == "results.csv":
-        lines = data.decode().splitlines(keepends=True)
-        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
-        columns = next(csv.reader([lines[header]]))
-        if TIMING not in columns:
-            return data
-        col = columns.index(TIMING)
-        out = io.StringIO()
-        for i, line in enumerate(lines):
-            if i >= header:
-                body = line.rstrip("\r\n")
-                fields = next(csv.reader([body]))
-                del fields[col]
-                line = ",".join(fields) + line[len(body):]
-            out.write(line)
-        return out.getvalue().encode()
-    if path.name == "realizations.jsonl":
-        return re.sub(rb'(, )?"%s": [^,}]*' % TIMING.encode(), b"", data)
-    return data
-
-
 def _values(path: Path, data: bytes):
     """A CSV file's rows of cells, or a JSON or JSONL file's documents."""
     text = data.decode()
@@ -392,7 +363,7 @@ def main(argv: list[str]) -> int:
                     differ = True
                     print(f"DIFF {name}/{rel} (only in one tree)")
                     continue
-                old_data, new_data = _strip_timing(old), _strip_timing(new)
+                old_data, new_data = old.read_bytes(), new.read_bytes()
                 if old_data == new_data:
                     print(f"same {name}/{rel}")
                     continue
