@@ -159,9 +159,9 @@ def _cmd_sweep(args) -> int:
     _warn_interaction(spec.model_config(spec.d_grid[0], 0))
     out = Path(spec.output_dir)
     results = run_sweep(spec, output_dir=out, workers=args.workers)
-    failed = [r for r in results if r.failed]
-    for r in failed:
-        print(f"warning: realization {r.key} failed: {r.error}", file=sys.stderr)
+    for r in (r for r in results if r.failed):
+        print(f"warning: realization {r.key} failed: {r.error}; a rerun retries it",
+              file=sys.stderr)
     _write_csv(out / "results.csv", list(RESULTS_COLUMNS), _results_rows(results))
     return 0
 

@@ -681,7 +681,8 @@ def _load_records(path: Path) -> dict[tuple[int, int, int], RealizationResult]:
     next is read.  Every complete record ends in a newline.  A last line
     without one was torn by an interrupted append: it is cut off the
     file, so its key is recomputed and the next append starts on a fresh
-    line.
+    line.  A failed record, which older releases wrote, is skipped, so
+    its key is recomputed too; its line stays in the file.
     """
     records: dict[tuple[int, int, int], RealizationResult] = {}
     if not path.exists():
@@ -694,6 +695,8 @@ def _load_records(path: Path) -> dict[tuple[int, int, int], RealizationResult]:
             complete += len(line)
             if line.strip():
                 data = json.loads(line)
+                if "error" in data:  # a failed record of an older release
+                    continue
                 data.pop("wall_time_s", None)  # schema-1 records carry a timing
                 result = result_from_dict(data)
                 records[result.key] = result
@@ -716,9 +719,10 @@ def run_sweep(
     in group order for any worker count, and existing records are
     skipped on rerun, so a completed directory costs no recomputation.
     Results come back sorted by (d, h_index, s_index) regardless of
-    worker count or completion order.  A group lost to a crashed worker
-    comes back as failed results that are not written, so a rerun
-    retries it.
+    worker count or completion order.  A failed realization, whether
+    its group raised or was lost to a crashed worker, comes back as a
+    failed result but is never written, so the stream holds successes
+    only and a rerun retries every failure.
     """
     if spec.d_grid is None:
         raise ConfigError("model.d_grid: required by the sweep command")
@@ -749,15 +753,6 @@ def run_sweep(
             if pending:
                 groups.append((d, h_index, pending))
 
-    def _keep(batch: list[RealizationResult], write: bool = True) -> None:
-        """Keep a group's results and append their records to the stream."""
-        for result in batch:
-            records[result.key] = result
-        if write and records_path is not None and batch:
-            lines = [json.dumps(result_to_dict(r), sort_keys=True) + "\n" for r in batch]
-            with records_path.open("a") as fh:
-                fh.writelines(lines)
-
     # Forked workers read the parent's decomposition store.  Each group's
     # outcome is taken in group order, so the stream is in group order
     # whatever the completion order.  A serial sweep imports no pool.
@@ -777,11 +772,15 @@ def run_sweep(
         ]
         for (d, h_index, pending), outcome in zip(groups, outcomes):
             try:
-                _keep(outcome())
-            except broken as exc:
-                # A worker died: report the group as failed, but keep it
-                # out of the JSONL stream so a rerun retries it.
-                _keep([_error_result(spec, d, h_index, s, exc) for s in pending], False)
+                batch = outcome()
+            except broken as exc:  # a worker died: the group's realizations fail
+                batch = [_error_result(spec, d, h_index, s, exc) for s in pending]
+            records.update((r.key, r) for r in batch)
+            if records_path is not None:
+                lines = [json.dumps(result_to_dict(r), sort_keys=True) + "\n"
+                         for r in batch if not r.failed]
+                with records_path.open("a") as fh:
+                    fh.writelines(lines)
 
     return [records[key] for key in sorted(records)]
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import errno
 import hashlib
 import json
 import math
@@ -366,6 +367,36 @@ class TestSweepCommand:
         survivor = [r[7] for r in rows if r[0] == "10" and r[1] == "3"]
         assert fit_rows[0][5] == "3"
         assert [r[1] for r in fit_rows[2:] if r[0] == "10"] == survivor
+
+    def test_failed_realization_is_retried_by_a_rerun(self, tmp_path, capsys, monkeypatch):
+        # A full disk fails one seed's preparation; once it is gone, a
+        # rerun into the same directory writes a clean sweep's results.
+        clean, retried = tmp_path / "clean", tmp_path / "retried"
+        sections = dict(
+            model={"d_grid": [5, 10]},
+            grid={"num_steps": 2},
+            sweep={"num_hamiltonian_seeds": 1, "num_state_seeds": 2},
+        )
+        config = write_config(tmp_path, **sections, output={"directory": str(clean)})
+        assert main(["sweep", "--config", str(config)]) == 0
+        prepare = experiments._prepare
+
+        def full_disk(spec, d, h_index, s_index, *args):
+            if (d, s_index) == (10, 1):
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return prepare(spec, d, h_index, s_index, *args)
+
+        config = write_config(tmp_path, **sections, output={"directory": str(retried)})
+        monkeypatch.setattr(experiments, "_prepare", full_disk)
+        assert main(["sweep", "--config", str(config)]) == 0
+        assert "warning: realization (10, 0, 1) failed" in capsys.readouterr().err
+        monkeypatch.undo()
+        assert main(["sweep", "--config", str(config)]) == 0
+        assert "failed" not in capsys.readouterr().err
+        assert (retried / "results.csv").read_bytes() == (clean / "results.csv").read_bytes()
+        records = [json.loads(line) for line in (retried / "realizations.jsonl").open()]
+        assert len(records) == 4
+        assert not any("error" in record for record in records)
 
     def test_outputs_identical_across_reruns_and_worker_counts(self, tmp_path, capsys):
         # Forked workers keep the parent's BLAS thread count.  The bits do

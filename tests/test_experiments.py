@@ -400,6 +400,21 @@ class TestRunSweep:
         again = run_sweep(spec, output_dir=out)
         assert again == full
 
+    def test_failed_record_of_an_older_stream_is_recomputed(self, tmp_path):
+        # Older releases wrote failed records; such a key is retried, and
+        # the stale line stays in the file.
+        spec = small_spec(d_grid=(5, 10), num_state_seeds=2, base_seed=17)
+        out = tmp_path / "sweep"
+        full = run_sweep(spec, output_dir=out)
+        path = out / "realizations.jsonl"
+        lines = path.read_text().splitlines()
+        failed = experiments._error_result(spec, 10, 0, 0, OSError(errno.ENOSPC, "full"))
+        assert json.loads(lines[2])["d"] == 10 and json.loads(lines[2])["s_index"] == 0
+        lines[2] = json.dumps(experiments.result_to_dict(failed), sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        assert run_sweep(spec, output_dir=out) == full
+        assert len(path.read_text().splitlines()) == 5
+
     def test_torn_last_record_is_recomputed(self, tmp_path):
         spec = small_spec(d_grid=(5, 10), num_state_seeds=2, base_seed=17)
         out = tmp_path / "sweep"

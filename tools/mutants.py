@@ -87,6 +87,20 @@ MUTANTS = {
         "tempfile.TemporaryFile(buffering=0)",
         "tempfile.TemporaryFile()",
     ),
+    # Failed results written to the stream again: a rerun would skip
+    # their keys, and results.csv would keep lacking their rows.
+    "record_failed_results": (
+        "src/dechist/experiments.py",
+        "for r in batch if not r.failed]",
+        "for r in batch]",
+    ),
+    # Failed records kept on load, as older releases wrote them: a rerun
+    # of an older directory would never retry them.
+    "load_failed_records": (
+        "src/dechist/experiments.py",
+        'if "error" in data:',
+        "if False:",
+    ),
     # Batches sized to the whole eigenvector bytes: a group's trees
     # and eigenvectors pass the eigensolve's peak of 2 D x D arrays.
     "batch_whole_eigenvector_bytes": (
