@@ -433,14 +433,18 @@ def _decomposition(config: ModelConfig) -> SpectralDecomposition:
     its own.  A miss is stored unless the file would pass
     _STORE_BUDGET_BYTES, the write would take more than half the free
     space, or a write fails; the file is unbuffered (see _write_rows), so
-    a failed append leaves nothing pending for a later hit to write.
-    Eigenvectors are read-only on both paths.
+    a failed append leaves nothing pending for a later hit to write.  A
+    hit that cannot be mapped drops its entry and is a miss, so no store
+    fault reaches a caller.  Eigenvectors are read-only on both paths.
     """
     global _store_file
     if config in _store:
         evals, fh, offset, dtype = _store[config]
-        evecs = np.memmap(fh, dtype, "r", offset, (evals.size, evals.size))
-        return SpectralDecomposition(evals, np.asarray(evecs))
+        try:
+            evecs = np.memmap(fh, dtype, "r", offset, (evals.size, evals.size))
+            return SpectralDecomposition(evals, np.asarray(evecs))
+        except OSError:
+            del _store[config]
     sd = eigendecompose(build_hamiltonian(config))
     sd.eigenvalues.flags.writeable = False
     sd.eigenvectors.flags.writeable = False
@@ -467,7 +471,7 @@ def _matrix(spec: SweepSpec, d: int, h_index: int, sd: SpectralDecomposition | N
     return sd, derive_coupling(config).tau, build_coarsening(config)
 
 
-def _prepare(spec: SweepSpec, d: int, h_index: int, s_index: int,
+def _prepare(spec: SweepSpec, h_index: int, s_index: int,
              sd: SpectralDecomposition, coarsening: Coarsening):
     """Starts of one realization on its matrix's decomposition.
 
@@ -508,7 +512,7 @@ def compute_realization_df(
     from the first start of _prepare; `sd` defaults to _decomposition's,
     and `hamiltonian` is not read."""
     sd, tau, coarsening = _matrix(spec, d, h_index, sd)
-    _, psi0, eigenstate_index = _prepare(spec, d, h_index, s_index, sd, coarsening)[0]
+    _, psi0, eigenstate_index = _prepare(spec, h_index, s_index, sd, coarsening)[0]
     grid = _make_grid(spec, tau, h_index, s_index)
     return compute_df(sd, coarsening, psi0[None], grid)[0], coarsening, eigenstate_index
 
@@ -523,7 +527,7 @@ def run_dynamics(spec: SweepSpec) -> list[tuple[tuple[float, ...] | None, np.nda
     if spec.v_minus is None:
         raise ConfigError("model.v_minus: required by the dynamics command")
     sd, tau, coarsening = _matrix(spec, 5 * spec.v_minus, 0)
-    starts = _prepare(spec, 5 * spec.v_minus, 0, 0, sd, coarsening)
+    starts = _prepare(spec, 0, 0, sd, coarsening)
     t_max, dt = DYNAMICS_T_MAX_TAU * tau, DYNAMICS_DT_TAU * tau
     return [(w, macro_dynamics(sd, coarsening, psi0, t_max, dt)) for w, psi0, _ in starts]
 
@@ -604,7 +608,7 @@ def _run_group(
     results, psi0, eigenstate = {}, {}, {}
     for s in s_indices:
         try:
-            _, psi0[s], eigenstate[s] = _prepare(spec, d, h_index, s, sd, coarsening)[0]
+            _, psi0[s], eigenstate[s] = _prepare(spec, h_index, s, sd, coarsening)[0]
         except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
             results[s] = _error_result(spec, d, h_index, s, exc)
     ready = tuple(psi0)
@@ -736,7 +740,7 @@ def run_sweep(
         if spec_path.exists():
             stored = json.loads(spec_path.read_text())
             if stored != spec_dict:
-                raise ValueError(
+                raise ConfigError(
                     f"output directory {out} holds records for a different sweep spec"
                 )
         else:

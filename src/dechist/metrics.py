@@ -149,17 +149,11 @@ def delta_max(df: DecoherenceFunctional) -> TraceDistanceReport:
         gap = gap.reshape(M, 2**k, M + 1, -1)
         gap = np.stack([gap[:, :, M], gap[:, :, :M].sum(axis=2)], axis=2)
     distances = 0.5 * gap.reshape(M, 2**n).sum(axis=0)
-    per_subset: dict[int, float] = {}
-    best = -1.0
-    best_mask = 0
-    for prefix_bits, dist in enumerate(distances.tolist()):
-        mask = prefix_bits | (1 << n)
-        per_subset[mask] = dist
-        if dist > best:
-            best = dist
-            best_mask = mask
+    masks = [prefix_bits | (1 << n) for prefix_bits in range(2**n)]
+    per_subset = dict(zip(masks, distances.tolist()))
+    best = masks[int(np.argmax(distances))]
     return TraceDistanceReport(
-        per_subset=per_subset, delta_max=best, argmax_subset=best_mask
+        per_subset=per_subset, delta_max=per_subset[best], argmax_subset=best
     )
 
 

@@ -346,10 +346,10 @@ class TestSweepCommand:
         )
         prepare = experiments._prepare
 
-        def flaky(spec, d, h_index, s_index, *args):
-            if (d, s_index) == (10, 1):
+        def flaky(spec, h_index, s_index, sd, *args):
+            if (sd.eigenvalues.size, s_index) == (10, 1):
                 raise RuntimeError("synthetic failure")
-            return prepare(spec, d, h_index, s_index, *args)
+            return prepare(spec, h_index, s_index, sd, *args)
 
         monkeypatch.setattr(experiments, "_prepare", flaky)
         assert main(["sweep", "--config", str(config)]) == 0
@@ -381,10 +381,10 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(config)]) == 0
         prepare = experiments._prepare
 
-        def full_disk(spec, d, h_index, s_index, *args):
-            if (d, s_index) == (10, 1):
+        def full_disk(spec, h_index, s_index, sd, *args):
+            if (sd.eigenvalues.size, s_index) == (10, 1):
                 raise OSError(errno.ENOSPC, "No space left on device")
-            return prepare(spec, d, h_index, s_index, *args)
+            return prepare(spec, h_index, s_index, sd, *args)
 
         config = write_config(tmp_path, **sections, output={"directory": str(retried)})
         monkeypatch.setattr(experiments, "_prepare", full_disk)
@@ -397,6 +397,24 @@ class TestSweepCommand:
         records = [json.loads(line) for line in (retried / "realizations.jsonl").open()]
         assert len(records) == 4
         assert not any("error" in record for record in records)
+
+    def test_directory_of_another_sweep_is_a_config_error(self, tmp_path, capsys):
+        # A second sweep with another base seed into the same directory is
+        # refused before it writes anything.
+        out = tmp_path / "out"
+        sections = dict(model={"d_grid": [5, 10, 15]}, grid={"num_steps": 2})
+        config = write_config(tmp_path, **sections, sweep={"num_state_seeds": 1})
+        assert main(["sweep", "--config", str(config)]) == 0
+        capsys.readouterr()
+        files = ("sweep_spec.json", "realizations.jsonl")
+        written = [(out / name).read_bytes() for name in files]
+        config = write_config(
+            tmp_path, **sections, sweep={"num_state_seeds": 1, "base_seed": 1}
+        )
+        assert main(["sweep", "--config", str(config)]) == 2
+        errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith("error: config: output directory")
+        assert [(out / name).read_bytes() for name in files] == written
 
     def test_outputs_identical_across_reruns_and_worker_counts(self, tmp_path, capsys):
         # Forked workers keep the parent's BLAS thread count.  The bits do

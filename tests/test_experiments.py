@@ -528,10 +528,10 @@ class TestRunSweep:
         )
         original = experiments._prepare
 
-        def flaky(spec_, d, h_index, s_index, *args):
+        def flaky(spec_, h_index, s_index, *args):
             if s_index == 1:
                 raise RuntimeError("synthetic failure")
-            return original(spec_, d, h_index, s_index, *args)
+            return original(spec_, h_index, s_index, *args)
 
         monkeypatch.setattr(experiments, "_prepare", flaky)
         results = run_sweep(spec)
@@ -717,10 +717,10 @@ print({peak}, sum(r.failed for r in results))
         spec = small_spec(d_grid=(100,), num_steps=1, num_state_seeds=3)
         prepare = experiments._prepare
 
-        def flaky(spec_, d, h_index, s_index, *args):
+        def flaky(spec_, h_index, s_index, *args):
             if s_index == 1:
                 raise RuntimeError("synthetic preparation failure")
-            return prepare(spec_, d, h_index, s_index, *args)
+            return prepare(spec_, h_index, s_index, *args)
 
         monkeypatch.setattr(experiments, "_prepare", flaky)
         shapes = _tree_shapes(monkeypatch)
@@ -783,21 +783,26 @@ class TestDecompositionStore:
         # The dynamics matrix is the weak sweep's (D=10, h_index=0).
         assert len(calls) == len(set(calls)) == 4
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
     def test_decomposition_peak_memory(self, tmp_path):
         # The staged solve holds the eigenvectors and the divide-and-conquer
         # scratch, 2 D^2, while the reflectors wait in a temporary file;
-        # np.linalg.eigh on a separate matrix holds about 5 D^2.
+        # np.linalg.eigh on a separate matrix holds about 5 D^2.  The peak
+        # is the child's own VmHWM: ru_maxrss would keep this process's
+        # peak across execve, and under a larger parent read no growth.
         d = 2000
         script = f"""
-import resource
 from dechist import experiments
 from dechist.model import ModelConfig
+def peak():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
 experiments._decomposition(ModelConfig(v_minus=20))  # LAPACK's first-call buffers
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak()
 experiments._decomposition(ModelConfig(v_minus={d // 5}))
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+print(peak() - before)
 """
-        grown = int(run_python(tmp_path, script).stdout) * 1024  # ru_maxrss is in KiB
+        grown = int(run_python(tmp_path, script).stdout) * 1024  # VmHWM is in KiB
         assert grown <= 4 * d * d * 8
 
     @pytest.mark.parametrize(
@@ -850,6 +855,33 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
         fresh = eigendecompose(build_hamiltonian(stored))
         assert np.array_equal(hit.eigenvalues, fresh.eigenvalues)
         assert np.array_equal(hit.eigenvectors, fresh.eigenvectors)
+
+    def test_hit_that_cannot_be_mapped_is_solved_afresh(self, empty_store, monkeypatch):
+        config = small_spec().model_config(50, 0)
+        experiments._decomposition(config)
+        monkeypatch.setattr(np, "memmap", unmappable)
+        calls = count_eigensolves(monkeypatch)
+        sd = experiments._decomposition(config)
+        assert len(calls) == 1
+        assert config in experiments._store  # stored again
+        fresh = eigendecompose(build_hamiltonian(config))
+        assert np.array_equal(sd.eigenvalues, fresh.eigenvalues)
+        assert np.array_equal(sd.eigenvectors, fresh.eigenvectors)
+        assert not sd.eigenvalues.flags.writeable
+        assert not sd.eigenvectors.flags.writeable
+
+    def test_unmappable_store_fails_no_realization(self, empty_store, monkeypatch):
+        # The eigenstate sweep hits every matrix that the weak one stored.
+        weak = small_spec(d_grid=(5, 10), num_state_seeds=2, base_seed=31)
+        pair = (weak, dataclasses.replace(weak, init_family=InitFamily.EIGENSTATE))
+        fresh = []
+        for spec in pair:
+            experiments._store.clear()  # every matrix solved afresh
+            fresh.append(run_sweep(spec))
+        assert not any(r.failed for results in fresh for r in results)
+        experiments._store.clear()
+        monkeypatch.setattr(np, "memmap", unmappable)
+        assert [run_sweep(spec) for spec in pair] == fresh
 
     def test_forked_workers_read_and_extend_the_store(self, empty_store):
         spec = small_spec(d_grid=(5, 10), num_hamiltonian_seeds=2, num_state_seeds=2)
@@ -932,6 +964,11 @@ def half_writes(monkeypatch, failures):
 
     monkeypatch.setattr(tempfile, "TemporaryFile", make)
     return HalfWrites
+
+
+def unmappable(*args, **kwargs):
+    """Stands in for np.memmap on a store file that cannot be mapped."""
+    raise OSError(errno.ENOMEM, "Cannot allocate memory")
 
 
 def write_store_configs(directory):

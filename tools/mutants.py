@@ -87,6 +87,15 @@ MUTANTS = {
         "tempfile.TemporaryFile(buffering=0)",
         "tempfile.TemporaryFile()",
     ),
+    # A stored hit mapped outside the store's fault rule: a map that
+    # raises fails every seed of the group instead of solving afresh.
+    "store_map_outside_fault_rule": (
+        "src/dechist/experiments.py",
+        "        try:\n"
+        "            evecs = np.memmap(fh, dtype, \"r\", offset, (evals.size, evals.size))\n",
+        "        evecs = np.memmap(fh, dtype, \"r\", offset, (evals.size, evals.size))\n"
+        "        try:\n",
+    ),
     # Failed results written to the stream again: a rerun would skip
     # their keys, and results.csv would keep lacking their rows.
     "record_failed_results": (
@@ -100,6 +109,12 @@ MUTANTS = {
         "src/dechist/experiments.py",
         'if "error" in data:',
         "if False:",
+    ),
+    # The last of several maximal subsets reported, not the first.
+    "subset_max_last_tie": (
+        "src/dechist/metrics.py",
+        "best = masks[int(np.argmax(distances))]",
+        "best = masks[-1 - int(np.argmax(distances[::-1]))]",
     ),
     # Batches sized to the whole eigenvector bytes: a group's trees
     # and eigenvectors pass the eigensolve's peak of 2 D x D arrays.
