@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,9 +208,9 @@ class BlockHamiltonian:
         np.fill_diagonal(h, self.diagonal)
         (m0, m1), (z0, z1), (p0, p1) = self.block_layout
         h[m0:m1, z0:z1] = self.c_mz
-        h[z0:z1, m0:m1] = self.c_mz.conj().T
+        np.conjugate(self.c_mz.T, out=h[z0:z1, m0:m1])
         h[z0:z1, p0:p1] = self.c_zp
-        h[p0:p1, z0:z1] = self.c_zp.conj().T
+        np.conjugate(self.c_zp.T, out=h[p0:p1, z0:z1])
         return h
 
 
@@ -220,15 +221,31 @@ def _block_energies(config: ModelConfig, size: int, rng: np.random.Generator) ->
     return np.sort(rng.uniform(0.0, 2.0 * config.delta_e, size=size))
 
 
+def _mapped(shape: tuple[int, ...], dtype: type) -> np.ndarray:
+    """An uninitialised array in an anonymous mapping of its own.
+
+    Dropping it unmaps it.  A freed heap array of a coupling block's
+    size can stay in glibc's top chunk, under the trim threshold that
+    earlier frees raised, and add itself to every later eigensolve's
+    peak in the process.
+    """
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    return np.ndarray(shape, dtype, buffer=mmap.mmap(-1, size))
+
+
 def _coupling_block(
-    config: ModelConfig, shape: tuple[int, int], rng: np.random.Generator
+    config: ModelConfig, shape: tuple[int, int], lam: float, rng: np.random.Generator
 ) -> np.ndarray:
+    """lam times a Gaussian block, drawn and scaled in mapped arrays only."""
     if config.ensemble is Ensemble.GOE:
-        return rng.standard_normal(shape)
-    # Unit total variance: real and imaginary parts carry 1/2 each.
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) / math.sqrt(2.0)
+        block = rng.standard_normal(out=_mapped(shape, np.float64))
+    else:
+        # Unit total variance: real and imaginary parts carry 1/2 each.
+        re, im = rng.standard_normal(out=_mapped((2, *shape), np.float64))
+        block = np.multiply(1j, im, out=_mapped(shape, np.complex128))
+        np.add(re, block, out=block)
+        np.divide(block, math.sqrt(2.0), out=block)
+    return np.multiply(lam, block, out=block)
 
 
 def build_hamiltonian(config: ModelConfig) -> BlockHamiltonian:
@@ -245,8 +262,8 @@ def build_hamiltonian(config: ModelConfig) -> BlockHamiltonian:
     e_zero = _block_energies(config, config.v_zero, rng)
     # Same microcanonical ladder on both sides of the exchange.
     diagonal = np.concatenate([e_minus, e_zero, e_minus])
-    c_mz = lam * _coupling_block(config, (config.v_minus, config.v_zero), rng)
-    c_zp = lam * _coupling_block(config, (config.v_zero, config.v_plus), rng)
+    c_mz = _coupling_block(config, (config.v_minus, config.v_zero), lam, rng)
+    c_zp = _coupling_block(config, (config.v_zero, config.v_plus), lam, rng)
     return BlockHamiltonian(diagonal, c_mz, c_zp, config.block_layout)
 
 

@@ -37,6 +37,31 @@ def functional_l4(request):
     return compute_df(eigendecompose(ham), coarsening, psi0[None], grid)[0]
 
 
+# Defines vmhwm(): the process's own peak resident set in bytes.  A
+# child's ru_maxrss would keep the pytest process's peak across execve
+# and, under a larger parent, read no growth.
+_VMHWM = """
+def vmhwm():
+    with open("/proc/self/status") as fh:
+        return 1024 * next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+"""
+
+
+@pytest.fixture
+def vmhwm():
+    """Source that defines vmhwm() in a child interpreter's script.
+
+    The test is skipped where /proc/self/status has no VmHWM line.
+    """
+    namespace = {}
+    exec(_VMHWM, namespace)
+    try:
+        namespace["vmhwm"]()
+    except (OSError, StopIteration):
+        pytest.skip("/proc/self/status has no VmHWM")
+    return _VMHWM
+
+
 @pytest.fixture
 def empty_store(monkeypatch):
     """An empty decomposition store, with a file of its own, for one test.

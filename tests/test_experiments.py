@@ -783,27 +783,41 @@ class TestDecompositionStore:
         # The dynamics matrix is the weak sweep's (D=10, h_index=0).
         assert len(calls) == len(set(calls)) == 4
 
-    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
-    def test_decomposition_peak_memory(self, tmp_path):
+    def test_decomposition_peak_memory(self, tmp_path, vmhwm):
         # The staged solve holds the eigenvectors and the divide-and-conquer
         # scratch, 2 D^2, while the reflectors wait in a temporary file;
-        # np.linalg.eigh on a separate matrix holds about 5 D^2.  The peak
-        # is the child's own VmHWM: ru_maxrss would keep this process's
-        # peak across execve, and under a larger parent read no growth.
+        # np.linalg.eigh on a separate matrix holds about 5 D^2.
         d = 2000
-        script = f"""
+        script = vmhwm + f"""
 from dechist import experiments
 from dechist.model import ModelConfig
-def peak():
-    with open("/proc/self/status") as fh:
-        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
 experiments._decomposition(ModelConfig(v_minus=20))  # LAPACK's first-call buffers
-before = peak()
+before = vmhwm()
 experiments._decomposition(ModelConfig(v_minus={d // 5}))
-print(peak() - before)
+print(vmhwm() - before)
 """
-        grown = int(run_python(tmp_path, script).stdout) * 1024  # VmHWM is in KiB
+        grown = int(run_python(tmp_path, script).stdout)
         assert grown <= 4 * d * d * 8
+
+    def test_later_solves_peak_at_the_first(self, tmp_path, vmhwm):
+        # The coupling blocks live in mappings of their own.  Freed from
+        # the heap, both (12 MB at D=2500) can stay in glibc's top chunk
+        # under the next solve and raise the second group's peak by 12 MiB.
+        d = 2500
+        block_bytes = d // 5 * (3 * d // 5) * 8
+        script = vmhwm + f"""
+from dechist import experiments
+from dechist.experiments import SweepSpec
+spec = SweepSpec(d_grid=({d},), num_state_seeds=3, num_steps=4)
+for h_index in (0, 1):
+    results = experiments._run_group(spec, {d}, h_index, (0, 1, 2))
+    print(vmhwm(), sum(r.failed for r in results))
+"""
+        (first, failed_first), (second, failed_second) = (
+            map(int, line.split()) for line in run_python(tmp_path, script).stdout.splitlines()
+        )
+        assert failed_first == failed_second == 0
+        assert second - first <= block_bytes  # half the two blocks
 
     @pytest.mark.parametrize(
         "store", ["zero_budget", "no_free_space", "missing_directory", "disk_full"]

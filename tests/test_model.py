@@ -136,6 +136,34 @@ class TestBuildHamiltonian:
         expected = coupling.lam * math.sqrt(2 * config.v_minus * config.v_zero)
         assert norm == pytest.approx(expected, rel=0.10)
 
+    @pytest.mark.parametrize("ensemble", [Ensemble.GOE, Ensemble.GUE])
+    @pytest.mark.parametrize("v_minus", [1, 7, 100])
+    @pytest.mark.parametrize("seed", [0, 3, 41])
+    def test_coupling_draws_pinned(self, ensemble, v_minus, seed):
+        # The blocks are drawn and scaled in place in mapped arrays; every
+        # bit must match the plain expressions with heap temporaries.
+        config = make_config(v_minus=v_minus, ensemble=ensemble, hamiltonian_seed=seed)
+        lam = derive_coupling(config).lam
+        rng = np.random.default_rng(seed)  # equal spacing draws no energies
+        expected = []
+        for shape in ((config.v_minus, config.v_zero), (config.v_zero, config.v_plus)):
+            if ensemble is Ensemble.GOE:
+                expected.append(lam * rng.standard_normal(shape))
+            else:
+                re = rng.standard_normal(shape)
+                im = rng.standard_normal(shape)
+                expected.append(lam * ((re + 1j * im) / math.sqrt(2.0)))
+        ham = build_hamiltonian(config)
+        h = ham.matrix
+        (m0, m1), (z0, z1), (p0, p1) = config.block_layout
+        for block, want, lower in (
+            (ham.c_mz, expected[0], h[z0:z1, m0:m1]),
+            (ham.c_zp, expected[1], h[p0:p1, z0:z1]),
+        ):
+            assert block.dtype == want.dtype and block.shape == want.shape
+            assert block.tobytes() == want.tobytes()
+            assert lower.tobytes() == want.conj().T.tobytes()
+
     def test_determinism(self):
         config = make_config(v_minus=4, hamiltonian_seed=77)
         h1 = build_hamiltonian(config).matrix

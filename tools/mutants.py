@@ -123,6 +123,13 @@ MUTANTS = {
         "sd.eigenvectors.nbytes // (2 * working)",
         "sd.eigenvectors.nbytes // working",
     ),
+    # The coupling blocks drawn into heap arrays: once a solve drops
+    # them they can stay in glibc's top chunk under the next solve's peak.
+    "coupling_blocks_on_heap": (
+        "src/dechist/model.py",
+        "return np.ndarray(shape, dtype, buffer=mmap.mmap(-1, size))",
+        "return np.empty(shape, dtype)",
+    ),
 }
 
 # name -> (file, old, new, reason): edits that change no exact value.
