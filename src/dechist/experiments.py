@@ -54,6 +54,7 @@ from .model import (
 )
 from .spectral import (
     SpectralDecomposition,
+    _weight_triple,
     _write_rows,
     eigendecompose,
     sample_haar_state,
@@ -200,10 +201,7 @@ class SweepSpec:
             if self.init_family is InitFamily.EIGENSTATE:
                 raise ValueError("weights do not apply to the eigenstate family")
             for w in self.weights:
-                if len(w) != 3 or min(w) < 0 or not abs(sum(w) - 1.0) <= 1e-12:
-                    raise ValueError(
-                        f"weights must be three non-negatives summing to 1, got {w}"
-                    )
+                _weight_triple(w)
         if not self.output_dir:
             raise ValueError("output_dir must not be empty")
 
@@ -354,15 +352,19 @@ def parse_config_dict(doc: dict, source: str = "config") -> SweepSpec:
         raise ConfigError(f"{source}: {exc}") from None
 
 
+def _read_json(text: str | bytes, source: str):
+    """Parsed JSON text; invalid JSON is a ConfigError naming source."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: invalid JSON: {exc}") from None
+
+
 def parse_config(path: str | Path) -> SweepSpec:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{p}: invalid JSON: {exc}") from None
-    return parse_config_dict(doc, source=str(p))
+    return parse_config_dict(_read_json(p.read_text(), str(p)), source=str(p))
 
 
 @dataclass(frozen=True)
@@ -614,8 +616,7 @@ def _run_group(
     ready = tuple(psi0)
     size = 1
     if ready and not isinstance(spec.step_mode, RandomSpacing):
-        stack = np.stack(list(psi0.values()))
-        size = batch_size(sd, coarsening, stack, spec.l_max)
+        size = batch_size(sd, coarsening, np.stack(list(psi0.values())), spec.l_max)
     batches = [ready[i:i + size] for i in range(0, len(ready), size)]
     while batches:
         batch = batches.pop(0)
@@ -686,23 +687,31 @@ def _load_records(path: Path) -> dict[tuple[int, int, int], RealizationResult]:
     without one was torn by an interrupted append: it is cut off the
     file, so its key is recomputed and the next append starts on a fresh
     line.  A failed record, which older releases wrote, is skipped, so
-    its key is recomputed too; its line stays in the file.
+    its key is recomputed too; its line stays in the file.  Any other
+    complete line that is not a record is a ConfigError naming the file
+    and line number, raised before the file is changed.
     """
     records: dict[tuple[int, int, int], RealizationResult] = {}
     if not path.exists():
         return records
     complete = 0
     with path.open("rb") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             if not line.endswith(b"\n"):
                 break
             complete += len(line)
             if line.strip():
-                data = json.loads(line)
-                if "error" in data:  # a failed record of an older release
-                    continue
-                data.pop("wall_time_s", None)  # schema-1 records carry a timing
-                result = result_from_dict(data)
+                source = f"{path}:{number}"
+                data = _read_json(line, source)
+                if isinstance(data, dict) and "error" in data:
+                    continue  # a failed record of an older release
+                try:
+                    data.pop("wall_time_s", None)  # schema-1 records carry a timing
+                    result = result_from_dict(data)
+                except (AttributeError, LookupError, TypeError, ValueError) as exc:
+                    raise ConfigError(
+                        f"{source}: not a realization record: {type(exc).__name__}: {exc}"
+                    ) from None
                 records[result.key] = result
         torn = fh.tell() > complete
     if torn:
@@ -738,7 +747,7 @@ def run_sweep(
         spec_path = out / SPEC_FILENAME
         spec_dict = _spec_to_dict(spec)
         if spec_path.exists():
-            stored = json.loads(spec_path.read_text())
+            stored = _read_json(spec_path.read_text(), str(spec_path))
             if stored != spec_dict:
                 raise ConfigError(
                     f"output directory {out} holds records for a different sweep spec"

@@ -298,6 +298,16 @@ def evolve_batch(
     return _rows_times_matrix(_coefficients(sd, states, dt, ranges), sd.eigenvectors.T)
 
 
+def _weight_triple(weights) -> np.ndarray:
+    """weights as a float array, or ValueError unless they are three
+    non-negatives summing to 1 within 1e-12 (written so that NaN fails)."""
+    w = np.asarray(weights, dtype=float)
+    bad_sum = not abs(w.sum() - 1.0) <= 1e-12
+    if w.shape != (NUM_MACROSTATES,) or np.any(w < 0) or bad_sum:
+        raise ValueError(f"weights must be three non-negatives summing to 1, got {weights}")
+    return w
+
+
 def sample_haar_state(
     coarsening: Coarsening, weights: tuple[float, float, float], state_seed: int
 ) -> np.ndarray:
@@ -307,10 +317,7 @@ def sample_haar_state(
     Weights must be non-negative and sum to one; a macrostate only
     consumes randomness when its weight is positive.
     """
-    w = np.asarray(weights, dtype=float)
-    bad_sum = not abs(w.sum() - 1.0) <= 1e-12  # written so that NaN fails
-    if w.shape != (NUM_MACROSTATES,) or np.any(w < 0) or bad_sum:
-        raise ValueError(f"weights must be three non-negatives summing to 1, got {weights}")
+    w = _weight_triple(weights)
     rng = np.random.default_rng(state_seed)
     psi = np.zeros(coarsening.dimension, dtype=np.complex128)
     for label, p in enumerate(w):

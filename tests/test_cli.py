@@ -416,6 +416,35 @@ class TestSweepCommand:
         assert len(errors) == 1 and errors[0].startswith("error: config: output directory")
         assert [(out / name).read_bytes() for name in files] == written
 
+    @pytest.mark.parametrize("damage", [
+        ("sweep_spec.json", lambda text: "{not json", "sweep_spec.json: invalid JSON"),
+        ("realizations.jsonl", lambda text: "{torn\n" + text,
+         "realizations.jsonl:1: invalid JSON"),
+        ("realizations.jsonl", lambda text: text + '{"d": 5}\n',
+         "realizations.jsonl:3: not a realization record: KeyError"),
+    ], ids=["spec_not_json", "line_not_json", "line_not_a_record"])
+    def test_damaged_directory_is_a_config_error(self, tmp_path, capsys, damage):
+        # A damaged file of a sweep directory is named in the one error
+        # line, and neither file changes.
+        name, edit, expected = damage
+        out = tmp_path / "out"
+        config = write_config(
+            tmp_path,
+            model={"d_grid": [5]},
+            grid={"num_steps": 2},
+            sweep={"num_hamiltonian_seeds": 1, "num_state_seeds": 2},
+        )
+        assert main(["sweep", "--config", str(config)]) == 0
+        capsys.readouterr()
+        (out / name).write_text(edit((out / name).read_text()))
+        files = ("sweep_spec.json", "realizations.jsonl")
+        written = [(out / file).read_bytes() for file in files]
+        assert main(["sweep", "--config", str(config)]) == 2
+        errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"error: config: {out / expected}")
+        assert [(out / file).read_bytes() for file in files] == written
+
     def test_outputs_identical_across_reruns_and_worker_counts(self, tmp_path, capsys):
         # Forked workers keep the parent's BLAS thread count.  The bits do
         # depend on that count, already at D=250, so every run here shares it.

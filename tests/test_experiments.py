@@ -135,6 +135,20 @@ class TestSweepSpec:
     def test_l_max(self):
         assert small_spec(num_steps=4).l_max == 5
 
+    def test_spec_and_sampler_check_weights_alike(self):
+        coarsening = build_coarsening(small_spec().model_config(5, 0))
+        bad = [(-0.1, 0.6, 0.5), (math.nan, 0.5, 0.5), (0.5, 0.5), (0.2, 0.6, 0.2 + 1e-10)]
+        for weights in bad:
+            with pytest.raises(ValueError) as spec_error:
+                small_spec(weights=(weights,))
+            with pytest.raises(ValueError) as sampler_error:
+                sample_haar_state(coarsening, weights, 0)
+            message = f"weights must be three non-negatives summing to 1, got {weights}"
+            assert str(spec_error.value) == str(sampler_error.value) == message
+        for weights in [(0.2, 0.6, 0.2), (1.0, 0.0, 0.0)]:
+            assert small_spec(weights=(weights,)).weights == (weights,)
+            assert sample_haar_state(coarsening, weights, 0).shape == (5,)
+
 
 class TestRunRealization:
     def test_deterministic(self):
@@ -432,10 +446,10 @@ class TestRunSweep:
         assert all(json.loads(line) for line in lines)
 
         # A broken record with complete ones after it is not an interrupted
-        # append; it stays an error.
+        # append; it stays an error, which names the file and line.
         lines[1] = lines[1][:20]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(experiments.ConfigError, match=f"{path}:2: invalid JSON"):
             run_sweep(spec, output_dir=out)
 
     def test_resume_after_truncation_at_every_line_boundary(self, tmp_path):
