@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import math
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,28 +220,16 @@ def _block_energies(config: ModelConfig, size: int, rng: np.random.Generator) ->
     return np.sort(rng.uniform(0.0, 2.0 * config.delta_e, size=size))
 
 
-def _mapped(shape: tuple[int, ...], dtype: type) -> np.ndarray:
-    """An uninitialised array in an anonymous mapping of its own.
-
-    Dropping it unmaps it.  A freed heap array of a coupling block's
-    size can stay in glibc's top chunk, under the trim threshold that
-    earlier frees raised, and add itself to every later eigensolve's
-    peak in the process.
-    """
-    size = math.prod(shape) * np.dtype(dtype).itemsize
-    return np.ndarray(shape, dtype, buffer=mmap.mmap(-1, size))
-
-
 def _coupling_block(
     config: ModelConfig, shape: tuple[int, int], lam: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """lam times a Gaussian block, drawn and scaled in mapped arrays only."""
+    """lam times a Gaussian block, scaled in place."""
     if config.ensemble is Ensemble.GOE:
-        block = rng.standard_normal(out=_mapped(shape, np.float64))
+        block = rng.standard_normal(shape)
     else:
         # Unit total variance: real and imaginary parts carry 1/2 each.
-        re, im = rng.standard_normal(out=_mapped((2, *shape), np.float64))
-        block = np.multiply(1j, im, out=_mapped(shape, np.complex128))
+        re, im = rng.standard_normal((2, *shape))
+        block = np.multiply(1j, im)
         np.add(re, block, out=block)
         np.divide(block, math.sqrt(2.0), out=block)
     return np.multiply(lam, block, out=block)

@@ -63,6 +63,13 @@ def _routines(prefix: str, names: tuple[str, ...]):
 _DSTAGES = _routines("d", ("syevd", "lansy", "lascl", "sytrd", "stedc", "ormtr"))
 _ZSTAGES = _routines("z", ("heevd", "lanhe", "lascl", "hetrd", "stedc", "unmtr"))
 
+# glibc only: the musl, macOS and Windows allocators return large frees themselves.
+try:
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+    _MALLOC_TRIM.argtypes, _MALLOC_TRIM.restype = (ctypes.c_size_t,), ctypes.c_int
+except (OSError, AttributeError, TypeError):
+    _MALLOC_TRIM = None
+
 # The driver rescales a matrix whose largest entry lies outside
 # [_RMIN, _RMAX]: the square roots of LAPACK's safe minimum over its
 # precision, and of the inverse.
@@ -155,17 +162,20 @@ def eigendecompose(hamiltonian: BlockHamiltonian) -> SpectralDecomposition:
     GOE, ?heevd for GUE, the one np.linalg.eigh calls) on the fresh
     dense matrix, as the driver does: the same rescale, and workspaces
     that give each stage the driver's block sizes.  So the results are
-    bit-identical to np.linalg.eigh.  The blocks are dropped once the
-    matrix is built, and the Householder reflectors wait out divide and
-    conquer in an unlinked temporary file (see _park), so the peak holds
-    2 D x D arrays (the eigenvectors and the divide-and-conquer scratch,
-    then the eigenvectors and the reflectors) instead of eigh's five.
+    bit-identical to np.linalg.eigh.  Free heap pages go back to the OS
+    before the solve and after it, so none sit under a later peak.
+    The Householder reflectors wait out divide and conquer in an unlinked
+    temporary file (see _park), so the peak holds 2 D x D arrays (the
+    eigenvectors and the divide-and-conquer scratch, then the eigenvectors
+    and the reflectors) instead of eigh's five.
     Where the file cannot be made or written, the reflectors wait in
     memory, half a D x D array more.  Where numpy's LAPACK lacks a stage
     routine, or for another dtype, np.linalg.eigh runs instead.
     """
     h = hamiltonian.matrix
     del hamiltonian
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
     complex_ = np.iscomplexobj(h)
     stages = {np.dtype(np.float64): _DSTAGES, np.dtype(np.complex128): _ZSTAGES}.get(h.dtype)
     if stages is None:
@@ -212,7 +222,10 @@ def eigendecompose(hamiltonian: BlockHamiltonian) -> SpectralDecomposition:
         evals *= 1.0 / sigma
     # numpy's layout has eigenvectors as columns.  Copying after the
     # reflectors are freed keeps the peak.
-    return SpectralDecomposition(eigenvalues=evals, eigenvectors=np.ascontiguousarray(z.T))
+    z = np.ascontiguousarray(z.T)
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+    return SpectralDecomposition(eigenvalues=evals, eigenvectors=z)
 
 
 def _rows_times_matrix(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:

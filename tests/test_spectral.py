@@ -115,8 +115,9 @@ class TestEigendecompose:
         assert np.abs(gram - np.eye(ham.dimension)).max() <= 1e-10
 
     # D = 5 and 10 take ?stedc's branch for at most 25 rows; D = 50 also
-    # takes the driver's short back-transformation workspace.
-    @pytest.mark.parametrize("path", ["lapack", "eigh_fallback"])
+    # takes the driver's short back-transformation workspace.  Without
+    # malloc_trim, as on C libraries other than glibc, nothing changes.
+    @pytest.mark.parametrize("path", ["lapack", "eigh_fallback", "no_malloc_trim"])
     @pytest.mark.parametrize("v_minus", [1, 2, 10, 50, 100])
     @pytest.mark.parametrize("ensemble", [Ensemble.GOE, Ensemble.GUE])
     def test_bit_identical_to_numpy_eigh(self, ensemble, v_minus, path, monkeypatch):
@@ -125,6 +126,8 @@ class TestEigendecompose:
             monkeypatch.setattr(spectral, "_ZSTAGES", None)
         elif spectral._DSTAGES is None or spectral._ZSTAGES is None:
             pytest.skip("numpy's LAPACK exposes no ILP64 eigensolver stage symbols")
+        if path == "no_malloc_trim":
+            monkeypatch.setattr(spectral, "_MALLOC_TRIM", None)
         ham = build_hamiltonian(
             ModelConfig(v_minus=v_minus, hamiltonian_seed=v_minus, ensemble=ensemble)
         )

@@ -123,12 +123,23 @@ MUTANTS = {
         "sd.eigenvectors.nbytes // (2 * working)",
         "sd.eigenvectors.nbytes // working",
     ),
-    # The coupling blocks drawn into heap arrays: once a solve drops
-    # them they can stay in glibc's top chunk under the next solve's peak.
-    "coupling_blocks_on_heap": (
-        "src/dechist/model.py",
-        "return np.ndarray(shape, dtype, buffer=mmap.mmap(-1, size))",
-        "return np.empty(shape, dtype)",
+    # No heap trim before a solve: the coupling blocks it dropped and the
+    # heap top that earlier trees left stay under the solve's peak.
+    "solve_without_malloc_trim": (
+        "src/dechist/spectral.py",
+        "    del hamiltonian\n"
+        "    if _MALLOC_TRIM is not None:\n"
+        "        _MALLOC_TRIM(0)\n",
+        "    del hamiltonian\n",
+    ),
+    # No heap trim after a solve: the trees stack on the pages the solve
+    # freed, and a group peaks above its eigensolve.
+    "solve_leaves_heap_untrimmed": (
+        "src/dechist/spectral.py",
+        "    z = np.ascontiguousarray(z.T)\n"
+        "    if _MALLOC_TRIM is not None:\n"
+        "        _MALLOC_TRIM(0)\n",
+        "    z = np.ascontiguousarray(z.T)\n",
     ),
     # The package root without the metrics module's public names.
     "root_drops_metrics_names": (
